@@ -13,16 +13,23 @@ across the ensemble.
 Determinism contract: samples are processed in fixed chunks of CHUNK
 consecutive indices and the per-chunk partial sums are combined in index
 order, so results are bitwise identical for any thread count.
+
+Checked-once contract: each chunk's first map step goes through
+`step_ensemble`, which rejects non-finite coordinates and wraps them onto
+[0, 1); every later step runs the unchecked in-place kernel of `dynamics`
+on per-chunk buffers, which assumes both. The kernel's 2 pi q of the old
+positions is reused for the action cos, so each step computes it once.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import TWO_PI, MapSpec, step_ensemble
+from .dynamics import TWO_PI, MapSpec, _step_in_place, step_ensemble
 from .errors import InvalidInputError
 from .initial_states import SampleSet
 
@@ -94,9 +101,11 @@ def _chunk_sums(spec, q, p, scale, steps, phase_factor):
     scale is None for uniform weights (treated as exactly 1, no multiply,
     so the epsilon = 0 sum of ones stays integral).
     """
-    q = q.copy()
-    p = p.copy()
     cos_sum = np.zeros_like(q)
+    re = np.empty_like(q)  # holds the phase, then its cos in place
+    im = np.empty_like(q)
+    arg = np.empty_like(q)
+    tmp = np.empty_like(q)
     n_t = steps + 1
     s_re = np.empty(n_t)
     s_im = np.empty(n_t)
@@ -104,23 +113,40 @@ def _chunk_sums(spec, q, p, scale, steps, phase_factor):
     i2 = np.empty(n_t)
 
     def record(t):
-        phase = phase_factor * cos_sum
-        re = np.cos(phase)
-        im = np.sin(phase)
+        np.multiply(cos_sum, phase_factor, out=re)
+        np.sin(re, out=im)
+        np.cos(re, out=re)
         if scale is not None:
-            re = scale * re
-            im = scale * im
+            np.multiply(re, scale, out=re)
+            np.multiply(im, scale, out=im)
         s_re[t] = re.sum()
         s_im[t] = im.sum()
-        r2[t] = (re * re).sum()
-        i2[t] = (im * im).sum()
+        # (x*x).sum() keeps numpy's pairwise summation order; a BLAS dot would not
+        r2[t] = np.multiply(re, re, out=tmp).sum()
+        i2[t] = np.multiply(im, im, out=tmp).sum()
 
     record(0)
-    for t in range(1, n_t):
+    if steps > 0:
+        # the checked first step; its fresh outputs become the chunk's buffers
         cos_sum += np.cos(TWO_PI * q)
         q, p = step_ensemble(spec, q, p, perturbed=False)
+        record(1)
+    c = spec.kick_coefficient(False)
+    for t in range(2, n_t):
+        _step_in_place(c, q, p, arg, tmp)
+        np.cos(arg, out=tmp)
+        cos_sum += tmp
         record(t)
     return s_re + 1j * s_im, r2, i2
+
+
+def _worker_count(threads, chunks):
+    """Threads worth starting: no more than the chunks or the usable CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, chunks, cpus))
 
 
 def dr_curve(
@@ -138,8 +164,9 @@ def dr_curve(
     steps : int
         Number of map iterations (curve has steps + 1 entries).
     threads : int
-        Worker threads for chunk evaluation. Any value >= 1 produces
-        bitwise-identical output.
+        Worker threads for chunk evaluation, clamped to the chunk count
+        and the usable CPUs. Any value >= 1 produces bitwise-identical
+        output.
 
     Notes
     -----
@@ -169,10 +196,11 @@ def dr_curve(
         sc = None if scales is None else scales[lo:hi]
         return _chunk_sums(spec, q[lo:hi], p[lo:hi], sc, steps, phase_factor)
 
-    if threads == 1 or len(bounds) == 1:
+    workers = _worker_count(int(threads), len(bounds))
+    if workers == 1:
         parts = [job(lo, hi) for lo, hi in bounds]
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(job, lo, hi) for lo, hi in bounds]
             parts = [f.result() for f in futures]  # index order, not completion
 

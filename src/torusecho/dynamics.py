@@ -10,6 +10,14 @@ V(q) = W(q)/k.  One step applies the kick first, then the free drift:
 Trajectories accumulate the action difference
 dS(T) = -eps * sum_{m<T} V(q_m) = (eps/4pi^2) * sum_{m<T} cos(2pi q_m)
 along the *unperturbed* orbit; eps enters only as a multiplicative factor.
+
+Checked-once contract: `step_ensemble` checks that its coordinates are
+finite and wraps them onto [0, 1), then applies `_step_in_place`, the one
+implementation of the map step. The kernel assumes both properties and
+keeps them, so a loop that took its first step through `step_ensemble`
+(or that holds points validated into [0, 1)) iterates the kernel alone.
+Wrapping a coordinate already in [0, 1) is the identity, so the results
+are bitwise those of calling `step_ensemble` on every step.
 """
 
 from __future__ import annotations
@@ -26,6 +34,22 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 
 # sup_q |V'(q)| for V(q) = -(1/4pi^2) cos(2pi q); used by the shadowing bounds
 GRAD_V_SUP = 1.0 / TWO_PI
+
+
+def phase_scale_problem(k: float, epsilon: float, dim_n: int) -> str | None:
+    """Why k, epsilon, N give no finite phases, or None when they do.
+
+    (|k| + |epsilon|) N / 2pi bounds the factor on every kick and action
+    phase (kick / hbar, dS / hbar); where it overflows, the dr and exact
+    routes would return nan.
+    """
+    scale = (abs(k) + abs(epsilon)) * dim_n / TWO_PI
+    if math.isfinite(scale):
+        return None
+    return (
+        f"k={k!r} and epsilon={epsilon!r} are too large for dim_n={dim_n}: "
+        "the phase factor (|k| + |epsilon|) N / 2pi is not finite"
+    )
 
 
 @dataclass(frozen=True)
@@ -58,6 +82,9 @@ class MapSpec:
             raise InvalidInputError(f"k must be finite, got {self.k!r}")
         if not math.isfinite(self.epsilon):
             raise InvalidInputError(f"epsilon must be finite, got {self.epsilon!r}")
+        problem = phase_scale_problem(self.k, self.epsilon, self.dim_n)
+        if problem is not None:
+            raise InvalidInputError(problem)
         object.__setattr__(self, "dim_n", int(self.dim_n))
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -116,8 +143,38 @@ def _require_finite(q, p):
         raise InvalidInputError("phase-space coordinates must be finite")
 
 
+def _wrap_in_place(x, tmp):
+    """wrap_unit for finite x, in place; tmp is scratch of x's shape."""
+    np.floor(x, out=tmp)
+    x -= tmp
+    # x - floor(x) lies in [0, 1]; a second pass maps the rounding case 1.0
+    # to 0.0 and leaves [0, 1) as it is
+    np.floor(x, out=tmp)
+    x -= tmp
+
+
+def _step_in_place(c, q, p, arg, tmp):
+    """One map step with kick coefficient c on finite q, p in [0, 1), in place.
+
+    q and p receive the image; arg is left holding 2 pi q of the old
+    positions, which the action record reuses; tmp is scratch. All four
+    are caller-owned float arrays of one shape. Nothing is checked here:
+    see the checked-once contract in the module docstring.
+    """
+    np.multiply(q, TWO_PI, out=arg)
+    np.sin(arg, out=tmp)
+    tmp *= c
+    p -= tmp
+    _wrap_in_place(p, tmp)
+    q += p
+    _wrap_in_place(q, tmp)
+
+
 def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
     """One kick-then-drift map step applied elementwise to coordinate arrays.
+
+    The checked entry to the map step: rejects non-finite coordinates,
+    wraps them onto [0, 1) and applies `_step_in_place` to fresh arrays.
 
     Parameters
     ----------
@@ -131,10 +188,11 @@ def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
     (q1, p1) : ndarray pair on [0, 1).
     """
     _require_finite(q, p)
-    c = spec.kick_coefficient(perturbed)
-    q = wrap_unit(q)
-    p1 = wrap_unit(wrap_unit(p) - c * np.sin(TWO_PI * q))
-    q1 = wrap_unit(q + p1)
+    q1 = wrap_unit(q)
+    p1 = wrap_unit(p)
+    if q1.shape != p1.shape:
+        q1, p1 = (np.array(a) for a in np.broadcast_arrays(q1, p1))
+    _step_in_place(spec.kick_coefficient(perturbed), q1, p1, np.empty_like(q1), np.empty_like(q1))
     return q1, p1
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dephasing import FidelityCurve, dr_curve
-from .dynamics import MapSpec
+from .dynamics import MapSpec, phase_scale_problem
 from .errors import CapacityError, ConfigValidationError, InvalidInputError
 from .initial_states import (
     GaussianWavepacket,
@@ -45,6 +45,9 @@ _MAX_DIM = 65536
 _MAX_SAMPLES = 10_000_000
 _MAX_STEPS = 1_000_000
 _DENSE_MAX_DIM = 256
+
+# Philox keys, and so seeds, are 128-bit unsigned integers
+_SEED_LIMIT = 2**128
 
 _GRID_ALIGN_TOL = 1e-9
 
@@ -197,6 +200,10 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         v.append(f"dim_n must be an integer >= 2, got {config.dim_n!r}")
     elif config.dim_n > _MAX_DIM:
         v.append(f"capacity: dim_n {config.dim_n} exceeds limit {_MAX_DIM}")
+    elif np.isfinite(config.k) and np.isfinite(config.epsilon):
+        problem = phase_scale_problem(config.k, config.epsilon, config.dim_n)
+        if problem is not None:
+            v.append(problem)
     if config.state not in _STATES:
         v.append(f"state must be one of {_STATES}, got {config.state!r}")
     if not isinstance(config.steps, int) or config.steps < 0:
@@ -213,6 +220,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         v.append(f"threads must be a positive integer, got {config.threads!r}")
     if not isinstance(config.seed, int):
         v.append(f"seed must be an integer, got {config.seed!r}")
+    elif not 0 <= config.seed < _SEED_LIMIT:
+        v.append(f"seed must lie in [0, 2**128), got {config.seed!r}")
 
     if not config.methods:
         v.append("methods must name at least one of dr, exact, dense")

@@ -21,7 +21,14 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .dynamics import TWO_PI, MapSpec, step_ensemble, torus_distance, wrap_unit
+from .dynamics import (
+    TWO_PI,
+    MapSpec,
+    _step_in_place,
+    step_ensemble,
+    torus_distance,
+    wrap_unit,
+)
 from .errors import CapacityError, InvalidInputError
 
 _MAX_REFINE_STEPS = 10_000
@@ -93,14 +100,22 @@ def wrap_signed(d) -> np.ndarray:
 def orbit_from_map(
     spec: MapSpec, start, steps: int, perturbed: bool = True
 ) -> PseudoOrbit:
-    """Orbit segment generated by iterating the (default: perturbed) map."""
+    """Orbit segment generated by iterating the (default: perturbed) map.
+
+    The first step is the checked `step_ensemble`; its 0-d outputs are
+    then stepped in place by the map kernel.
+    """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise InvalidInputError(f"steps must be a positive integer, got {steps!r}")
     q, p = np.float64(start[0]), np.float64(start[1])
     pts = np.empty((steps + 1, 2))
     pts[0] = (q, p)
-    for t in range(1, steps + 1):
-        q, p = step_ensemble(spec, q, p, perturbed=perturbed)
+    q, p = step_ensemble(spec, q, p, perturbed=perturbed)
+    pts[1] = (q, p)
+    c = spec.kick_coefficient(perturbed)
+    arg, tmp = np.empty_like(q), np.empty_like(q)
+    for t in range(2, steps + 1):
+        _step_in_place(c, q, p, arg, tmp)
         pts[t] = (q, p)
     return PseudoOrbit(pts, generator="perturbed_map", noise_delta=0.0)
 
@@ -155,9 +170,15 @@ def _against_flag(against: str) -> bool:
 
 
 def _orbit_defect(spec, pts, perturbed):
-    """Signed defect G[t] = points[t+1] - f(points[t]), torus-wrapped."""
-    q1, p1 = step_ensemble(spec, pts[:-1, 0], pts[:-1, 1], perturbed=perturbed)
-    return wrap_signed(pts[1:] - np.stack([q1, p1], axis=-1))
+    """Signed defect G[t] = points[t+1] - f(points[t]), torus-wrapped.
+
+    pts are PseudoOrbit points or wrap_unit trials, so finite and in
+    [0, 1): the unchecked map kernel applies.
+    """
+    q = pts[:-1, 0].copy()
+    p = pts[:-1, 1].copy()
+    _step_in_place(spec.kick_coefficient(perturbed), q, p, np.empty_like(q), np.empty_like(q))
+    return wrap_signed(pts[1:] - np.stack([q, p], axis=-1))
 
 
 def _min_norm_newton_step(spec, pts, defect, perturbed):
@@ -209,6 +230,13 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     return dx
 
 
+def _check_refine_steps(steps):
+    if steps > _MAX_REFINE_STEPS:
+        raise CapacityError(
+            f"refinement supports up to {_MAX_REFINE_STEPS} steps, got {steps}"
+        )
+
+
 def refine_shadow(
     spec: MapSpec,
     orbit: PseudoOrbit,
@@ -234,10 +262,7 @@ def refine_shadow(
     precision the orbit equations cannot be satisfied more tightly).
     """
     perturbed = _against_flag(against)
-    if orbit.steps > _MAX_REFINE_STEPS:
-        raise CapacityError(
-            f"refinement supports up to {_MAX_REFINE_STEPS} steps, got {orbit.steps}"
-        )
+    _check_refine_steps(orbit.steps)
     if not np.isfinite(tol) or tol < _MIN_TOL:
         raise InvalidInputError(f"tol must be >= {_MIN_TOL}, got {tol!r}")
     if max_iter < 1:
@@ -309,6 +334,7 @@ def shadow_survey(
     t_shadow = shadow_time_estimate(spec.epsilon)
     if steps is None:
         steps = max(2, int(round(t_shadow)))
+    _check_refine_steps(steps)  # before any orbit is generated
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = rng.random((count, 2))
     bound = spec.epsilon / TWO_PI

@@ -1,5 +1,7 @@
 """Dephasing-representation estimator: exactness limits, errors, threading."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from torusecho import (
     dr_curve,
     propagate,
     samples_position_state,
+    step_ensemble,
 )
+from torusecho.dephasing import _chunk_sums, _worker_count
 
 MIXED = MapSpec(0.8, 5e-3, 64)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -84,6 +88,61 @@ def test_thread_count_never_changes_bits(threads):
     assert np.array_equal(base.stderr_im, other.stderr_im)
 
 
+def _reference_chunk_sums(spec, q, p, scale, steps, phase_factor):
+    """The phase record with a checked step_ensemble call on every step."""
+    cos_sum = np.zeros_like(q)
+    out = np.empty((4, steps + 1))
+    for t in range(steps + 1):
+        if t > 0:
+            cos_sum = cos_sum + np.cos(2 * np.pi * q)
+            q, p = step_ensemble(spec, q, p)
+        phase = phase_factor * cos_sum
+        re, im = np.cos(phase), np.sin(phase)
+        if scale is not None:
+            re, im = scale * re, scale * im
+        out[:, t] = re.sum(), im.sum(), (re * re).sum(), (im * im).sum()
+    return out[0] + 1j * out[1], out[2], out[3]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_chunk_sums_match_checked_loop_bitwise(weighted):
+    rng = np.random.default_rng(8)
+    n = 500
+    # raw coordinates off the torus: the chunk's checked first step wraps them
+    q = 3.0 * rng.random(n) - 1.0
+    p = 5.0 * rng.random(n) - 2.0
+    scale = 2.0 * rng.random(n) if weighted else None
+    for spec in (CHAOTIC, MIXED.with_epsilon(-0.03)):
+        factor = spec.epsilon * spec.dim_n / (2 * np.pi)
+        for steps in (0, 1, 2, 17):
+            got = _chunk_sums(spec, q, p, scale, steps, factor)
+            want = _reference_chunk_sums(spec, q, p, scale, steps, factor)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
+def test_chunk_rejects_nonfinite_sample_at_first_step():
+    s = SampleSet(
+        np.array([0.2, np.inf]), np.array([0.1, 0.3]), np.array([0.5, 0.5]),
+        "monte_carlo", "bad", seed=0,
+    )
+    # the first step's action cos meets the inf before the check, as before
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError):
+        dr_curve(MIXED, s, 3)
+    assert dr_curve(MIXED, s, 0).steps == 0  # no step, nothing to check
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _worker_count(10_000, 2442) == 3  # the 10M-sample cap at any threads
+    assert _worker_count(2, 2442) == 2
+    assert _worker_count(8, 2) == 2
+    assert _worker_count(8, 1) == 1
+    assert _worker_count(1, 2442) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _worker_count(8, 100) == 1
+
+
 def test_chunking_invisible_at_boundary():
     # CHUNK+1 samples forces a second chunk; result must match the
     # order-preserving single pass
@@ -95,8 +154,6 @@ def test_chunking_invisible_at_boundary():
     p = s.p.copy()
     cos_sum = np.zeros(n)
     factor = CHAOTIC.epsilon * CHAOTIC.dim_n / (2 * np.pi)
-    from torusecho import step_ensemble
-
     for t in range(6):
         if t > 0:
             cos_sum += np.cos(2 * np.pi * q)
@@ -116,8 +173,6 @@ def test_non_uniform_weights_use_weighted_mean():
     p = s.p.copy()
     cos_sum = np.zeros(n)
     factor = MIXED.epsilon * MIXED.dim_n / (2 * np.pi)
-    from torusecho import step_ensemble
-
     expect = []
     for t in range(5):
         if t > 0:

@@ -17,6 +17,7 @@ from torusecho import (
     torus_distance,
     wrap_unit,
 )
+from torusecho.dynamics import _step_in_place
 
 MIXED = MapSpec(0.8, 0.0, 1000)
 PERTURBED = MapSpec(0.8, 5e-3, 1000)
@@ -78,6 +79,40 @@ def test_step_ensemble_matches_scalar_loop():
         xi = step(CHAOTIC, PhasePoint(q[i], p[i]), perturbed=True)
         assert q1[i] == xi.q
         assert p1[i] == xi.p
+
+
+def test_kernel_matches_checked_step_bitwise():
+    """On wrapped inputs the unchecked kernel gives step_ensemble's bits."""
+    rng = np.random.default_rng(5)
+    q = np.concatenate([rng.random(300), [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+    p = np.concatenate([rng.random(300), [np.nextafter(1.0, 0.0), 0.0, 0.0]])
+    for spec, perturbed in ((CHAOTIC, True), (MIXED, False), (MapSpec(-3.0, 0.1, 50), True)):
+        q1, p1 = step_ensemble(spec, q, p, perturbed=perturbed)
+        qk, pk = q.copy(), p.copy()
+        arg, tmp = np.empty_like(q), np.empty_like(q)
+        _step_in_place(spec.kick_coefficient(perturbed), qk, pk, arg, tmp)
+        assert np.array_equal(qk, q1) and np.array_equal(pk, p1)
+        assert np.array_equal(arg, 2.0 * np.pi * q)  # left for the action record
+        assert np.all((qk >= 0.0) & (qk < 1.0) & (pk >= 0.0) & (pk < 1.0))
+
+
+def test_step_ensemble_broadcasts_and_keeps_inputs():
+    q = np.array([0.1, 0.6, 1.7])
+    q_before = q.copy()
+    q1, p1 = step_ensemble(CHAOTIC, q, 0.25)
+    assert q1.shape == p1.shape == (3,)
+    assert np.array_equal(q, q_before)
+    for i in range(3):
+        xi = step(CHAOTIC, PhasePoint(q[i], 0.25))
+        assert (q1[i], p1[i]) == (xi.q, xi.p)
+
+
+def test_spec_rejects_overflowing_phase_factor():
+    with pytest.raises(InvalidInputError, match="phase factor"):
+        MapSpec(0.8, 1e308, 1000)
+    with pytest.raises(InvalidInputError, match="phase factor"):
+        MapSpec(-1e306, 0.0, 65536)
+    assert MapSpec(0.8, 1e300, 1000).epsilon == 1e300  # large but finite phases
 
 
 def test_step_rejects_nonfinite_point():

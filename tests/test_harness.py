@@ -101,6 +101,21 @@ def test_validate_grid_alignment_and_sample_count():
     assert any("sigma" in m for m in validate_config(cfg5))
 
 
+def test_validate_seed_range():
+    assert validate_config(ExperimentConfig(seed=2**128 - 1)) == []
+    for seed in (-1, 2**128):
+        msgs = validate_config(ExperimentConfig(seed=seed))
+        assert any("seed must lie in [0, 2**128)" in m for m in msgs), seed
+
+
+def test_validate_rejects_overflowing_phase_factor():
+    msgs = validate_config(ExperimentConfig(epsilon=1e308))
+    assert any("phase factor" in m for m in msgs)
+    with pytest.raises(ConfigValidationError):
+        check_config(ExperimentConfig(k=1e308, dim_n=64, q0=0.25))
+    assert validate_config(ExperimentConfig(epsilon=1e300)) == []
+
+
 def test_capacity_violations_raise_capacity_error():
     cfg = ExperimentConfig(dim_n=100_000)
     with pytest.raises(CapacityError):
@@ -259,6 +274,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
     # bad flag value
     assert main(["run", "--dim-n", "furby"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_out_of_range_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for seed in ("-1", str(2**128)):
+        code = main(["run", "--seed", seed, "--sample-mode", "monte_carlo",
+                     "--samples", "10", "--out", str(out)])
+        assert code == 2
+        assert "seed must lie in [0, 2**128)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_overflowing_epsilon_exits_2(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["run", "--epsilon", "1e308", "--out", str(out)]) == 2
+    assert "phase factor" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["shadow", "--epsilon", "1e308", "--count", "1", "--steps", "2"]) == 2
     capsys.readouterr()
 
 

@@ -15,6 +15,8 @@ from torusecho import (
     shadow_survey,
     shadow_time_estimate,
 )
+from torusecho import shadowing
+from torusecho.cli import main
 from torusecho.shadowing import wrap_signed
 
 MIXED = MapSpec(0.8, 5e-3, 1000)
@@ -121,6 +123,26 @@ def test_refine_capacity_and_tolerance_limits():
     long_pts = np.full((10_002, 2), 0.25)
     with pytest.raises(CapacityError):
         refine_shadow(MIXED, PseudoOrbit(long_pts), tol=1e-10)
+
+
+def test_survey_refuses_long_segments_before_any_map_step(monkeypatch, capsys):
+    steps_taken = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            steps_taken.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(shadowing, "step_ensemble", counted(shadowing.step_ensemble))
+    monkeypatch.setattr(shadowing, "_step_in_place", counted(shadowing._step_in_place))
+    with pytest.raises(CapacityError):
+        shadow_survey(MIXED, count=1, steps=20_000)
+    assert main(["shadow", "--steps", "20000", "--count", "1"]) == 3
+    assert "10000 steps" in capsys.readouterr().err
+    assert steps_taken == []
+    shadow_survey(MIXED, count=1, steps=3)  # the counting does see map steps
+    assert steps_taken
 
 
 def test_shadow_time_estimate_values():
