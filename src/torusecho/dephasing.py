@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import TWO_PI, MapSpec, _step_in_place, step_ensemble
+from .dynamics import TWO_PI, MapSpec, _step_in_place, phase_scale_problem, step_ensemble
 from .errors import InvalidInputError
 from .initial_states import SampleSet
 
@@ -178,8 +178,12 @@ def dr_curve(
         raise InvalidInputError(f"steps must be a nonnegative integer, got {steps!r}")
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise InvalidInputError(f"threads must be a positive integer, got {threads!r}")
+    problem = phase_scale_problem(spec.k, spec.epsilon, spec.dim_n, int(steps))
+    if problem is not None:
+        raise InvalidInputError(problem)
     n = len(samples)
-    # dS/hbar with hbar = 1/(2 pi N); zero epsilon gives exactly zero phase
+    # dS/hbar with hbar = 1/(2 pi N); zero epsilon gives exactly zero phase;
+    # |action sum| <= steps, so the check above keeps every phase finite
     phase_factor = spec.epsilon * spec.dim_n / TWO_PI
 
     uniform = samples.uniform

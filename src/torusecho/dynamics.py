@@ -36,19 +36,22 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 GRAD_V_SUP = 1.0 / TWO_PI
 
 
-def phase_scale_problem(k: float, epsilon: float, dim_n: int) -> str | None:
-    """Why k, epsilon, N give no finite phases, or None when they do.
+def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1) -> str | None:
+    """Why k, epsilon, N and a run of `steps` give no finite phases, or None.
 
     (|k| + |epsilon|) N / 2pi bounds the factor on every kick and action
-    phase (kick / hbar, dS / hbar); where it overflows, the dr and exact
-    routes would return nan.
+    phase (kick / hbar, dS / hbar), and the dr action sum grows by at most 1
+    per step, so (|k| + |epsilon|) N max(steps, 1) / 2pi bounds every phase
+    of the run; where it overflows, the dr and exact routes would return nan.
     """
-    scale = (abs(k) + abs(epsilon)) * dim_n / TWO_PI
+    # in the order the routes compute it: the factor first, then the sum
+    scale = (abs(k) + abs(epsilon)) * dim_n / TWO_PI * max(steps, 1)
     if math.isfinite(scale):
         return None
     return (
-        f"k={k!r} and epsilon={epsilon!r} are too large for dim_n={dim_n}: "
-        "the phase factor (|k| + |epsilon|) N / 2pi is not finite"
+        f"k={k!r} and epsilon={epsilon!r} are too large for dim_n={dim_n} "
+        f"over {steps} steps: the phase factor (|k| + |epsilon|) N / 2pi times max(steps, 1) "
+        "is not finite"
     )
 
 
@@ -122,10 +125,10 @@ class TrajectoryRecord:
 
 
 def wrap_unit(x):
-    """Map values onto [0, 1); rounding can push x - floor(x) to 1.0 exactly."""
-    out = np.asarray(x, dtype=np.float64)
-    out = out - np.floor(out)
-    return np.where(out >= 1.0, out - 1.0, out)
+    """Map values onto [0, 1) as a fresh float64 array (see `_wrap_in_place`)."""
+    out = np.array(x, dtype=np.float64)
+    _wrap_in_place(out, np.empty_like(out))
+    return out
 
 
 def torus_distance(a, b):
@@ -144,7 +147,10 @@ def _require_finite(q, p):
 
 
 def _wrap_in_place(x, tmp):
-    """wrap_unit for finite x, in place; tmp is scratch of x's shape."""
+    """Map x onto [0, 1) in place; tmp is scratch of x's shape.
+
+    Non-finite values become nan. The one implementation of the wrap.
+    """
     np.floor(x, out=tmp)
     x -= tmp
     # x - floor(x) lies in [0, 1]; a second pass maps the rounding case 1.0

@@ -200,16 +200,20 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         v.append(f"dim_n must be an integer >= 2, got {config.dim_n!r}")
     elif config.dim_n > _MAX_DIM:
         v.append(f"capacity: dim_n {config.dim_n} exceeds limit {_MAX_DIM}")
-    elif np.isfinite(config.k) and np.isfinite(config.epsilon):
-        problem = phase_scale_problem(config.k, config.epsilon, config.dim_n)
-        if problem is not None:
-            v.append(problem)
     if config.state not in _STATES:
         v.append(f"state must be one of {_STATES}, got {config.state!r}")
     if not isinstance(config.steps, int) or config.steps < 0:
         v.append(f"steps must be a nonnegative integer, got {config.steps!r}")
     elif config.steps > _MAX_STEPS:
         v.append(f"capacity: steps {config.steps} exceeds limit {_MAX_STEPS}")
+    if (
+        np.isfinite(config.k) and np.isfinite(config.epsilon)
+        and isinstance(config.dim_n, int) and 2 <= config.dim_n <= _MAX_DIM
+        and isinstance(config.steps, int) and 0 <= config.steps <= _MAX_STEPS
+    ):
+        problem = phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps)
+        if problem is not None:
+            v.append(problem)
     if not (np.isfinite(config.q0) and 0.0 <= config.q0 < 1.0):
         v.append(f"q0 must lie in [0, 1), got {config.q0!r}")
     if not (np.isfinite(config.p0) and 0.0 <= config.p0 < 1.0):

@@ -79,7 +79,9 @@ def test_reported_stderr_matches_scatter_over_seeds():
 
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
-def test_thread_count_never_changes_bits(threads):
+def test_thread_count_never_changes_bits(threads, monkeypatch):
+    # many usable CPUs, so the requested workers start on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     s = samples_position_state(CHAOTIC, 0.4, count=CHUNK * 2 + 77, mode="monte_carlo", seed=6)
     base = dr_curve(CHAOTIC, s, 12, threads=1)
     other = dr_curve(CHAOTIC, s, 12, threads=threads)
@@ -88,14 +90,22 @@ def test_thread_count_never_changes_bits(threads):
     assert np.array_equal(base.stderr_im, other.stderr_im)
 
 
+def _wrap_ref(x):
+    y = x - np.floor(x)
+    return np.where(y >= 1.0, y - 1.0, y)
+
+
 def _reference_chunk_sums(spec, q, p, scale, steps, phase_factor):
-    """The phase record with a checked step_ensemble call on every step."""
+    """The phase record with the map step written out apart from the program."""
+    c = spec.kick_coefficient(False)
     cos_sum = np.zeros_like(q)
     out = np.empty((4, steps + 1))
     for t in range(steps + 1):
         if t > 0:
             cos_sum = cos_sum + np.cos(2 * np.pi * q)
-            q, p = step_ensemble(spec, q, p)
+            q = _wrap_ref(q)
+            p = _wrap_ref(_wrap_ref(p) - c * np.sin(2 * np.pi * q))
+            q = _wrap_ref(q + p)
         phase = phase_factor * cos_sum
         re, im = np.cos(phase), np.sin(phase)
         if scale is not None:
@@ -141,6 +151,14 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _worker_count(1, 2442) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _worker_count(8, 100) == 1
+
+
+def test_dr_curve_rejects_phases_that_overflow_over_the_run():
+    spec = MapSpec(0.8, 1e305, 1000)  # finite per step, not over 50 steps
+    s = samples_position_state(spec, 0.4)
+    with pytest.raises(InvalidInputError, match="phase factor"):
+        dr_curve(spec, s, 50)
+    assert np.all(np.isfinite(dr_curve(spec, s, 1).amplitude))
 
 
 def test_chunking_invisible_at_boundary():

@@ -17,7 +17,7 @@ from torusecho import (
     torus_distance,
     wrap_unit,
 )
-from torusecho.dynamics import _step_in_place
+from torusecho.dynamics import _step_in_place, phase_scale_problem
 
 MIXED = MapSpec(0.8, 0.0, 1000)
 PERTURBED = MapSpec(0.8, 5e-3, 1000)
@@ -81,19 +81,41 @@ def test_step_ensemble_matches_scalar_loop():
         assert p1[i] == xi.p
 
 
-def test_kernel_matches_checked_step_bitwise():
-    """On wrapped inputs the unchecked kernel gives step_ensemble's bits."""
+def _wrap_ref(x):
+    """The wrap written out apart from the program: x - floor(x), 1.0 -> 0.0."""
+    y = np.asarray(x, dtype=np.float64)
+    y = y - np.floor(y)
+    return np.where(y >= 1.0, y - 1.0, y)
+
+
+def _step_ref(c, q, p):
+    """The kick-then-drift step written out apart from the program's kernel."""
+    q = _wrap_ref(q)
+    p1 = _wrap_ref(_wrap_ref(p) - c * np.sin(2.0 * np.pi * q))
+    return _wrap_ref(q + p1), p1
+
+
+def test_kernel_matches_explicit_formula_bitwise():
+    """The in-place kernel and its checked wrapper give the written-out step's bits."""
     rng = np.random.default_rng(5)
     q = np.concatenate([rng.random(300), [0.0, 0.5, np.nextafter(1.0, 0.0)]])
     p = np.concatenate([rng.random(300), [np.nextafter(1.0, 0.0), 0.0, 0.0]])
     for spec, perturbed in ((CHAOTIC, True), (MIXED, False), (MapSpec(-3.0, 0.1, 50), True)):
-        q1, p1 = step_ensemble(spec, q, p, perturbed=perturbed)
+        c = spec.kick_coefficient(perturbed)
+        q_ref, p_ref = _step_ref(c, q, p)
         qk, pk = q.copy(), p.copy()
         arg, tmp = np.empty_like(q), np.empty_like(q)
-        _step_in_place(spec.kick_coefficient(perturbed), qk, pk, arg, tmp)
-        assert np.array_equal(qk, q1) and np.array_equal(pk, p1)
+        _step_in_place(c, qk, pk, arg, tmp)
+        assert np.array_equal(qk, q_ref) and np.array_equal(pk, p_ref)
         assert np.array_equal(arg, 2.0 * np.pi * q)  # left for the action record
         assert np.all((qk >= 0.0) & (qk < 1.0) & (pk >= 0.0) & (pk < 1.0))
+        # the checked wrapper, also on raw coordinates off the torus
+        q1, p1 = step_ensemble(spec, q, p, perturbed=perturbed)
+        assert np.array_equal(q1, q_ref) and np.array_equal(p1, p_ref)
+        q_raw, p_raw = 4.0 * q - 2.0, 6.0 * p - 3.0
+        q1, p1 = step_ensemble(spec, q_raw, p_raw, perturbed=perturbed)
+        q_ref, p_ref = _step_ref(c, q_raw, p_raw)
+        assert np.array_equal(q1, q_ref) and np.array_equal(p1, p_ref)
 
 
 def test_step_ensemble_broadcasts_and_keeps_inputs():
@@ -113,6 +135,10 @@ def test_spec_rejects_overflowing_phase_factor():
     with pytest.raises(InvalidInputError, match="phase factor"):
         MapSpec(-1e306, 0.0, 65536)
     assert MapSpec(0.8, 1e300, 1000).epsilon == 1e300  # large but finite phases
+    # the bound grows with the step count of a run
+    assert phase_scale_problem(0.8, 1e305, 1000) is None
+    assert "phase factor" in phase_scale_problem(0.8, 1e305, 1000, steps=50)
+    assert phase_scale_problem(0.8, 1e300, 1000, steps=50) is None
 
 
 def test_step_rejects_nonfinite_point():
@@ -152,6 +178,24 @@ def test_wrap_unit_edge_cases():
     # tiny negative values must not round up to exactly 1.0
     out = wrap_unit(-1e-17)
     assert 0.0 <= out < 1.0
+
+
+def test_wrap_unit_matches_explicit_wrap_bitwise():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        20.0 * rng.random(200) - 10.0,
+        [0.0, -0.0, 1.0, -1.0, -1e-17, -5e-324, np.nextafter(1.0, 0.0), 1e300,
+         -1e300, np.inf, -np.inf, np.nan],
+    ])
+    with np.errstate(invalid="ignore"):
+        got, want = wrap_unit(x), _wrap_ref(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert wrap_unit(0.75).shape == () and wrap_unit([0.5]).dtype == np.float64
+    x_before = x.copy()
+    with np.errstate(invalid="ignore"):
+        wrap_unit(x)
+    assert np.array_equal(x, x_before, equal_nan=True)  # the input is not written
 
 
 def test_torus_distance_wraps():

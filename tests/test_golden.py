@@ -6,6 +6,7 @@ come with the reason in CHANGES.md.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -36,7 +37,9 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_data_file_digest_is_pinned(name, tmp_path, capsys):
+def test_data_file_digest_is_pinned(name, tmp_path, capsys, monkeypatch):
+    # many usable CPUs, so `--threads 2` starts two workers on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     args, digest = GOLDEN[name]
     out = tmp_path / f"{name}.csv"
     assert main(["run", *args, "--out", str(out)]) == 0

@@ -114,6 +114,10 @@ def test_validate_rejects_overflowing_phase_factor():
     with pytest.raises(ConfigValidationError):
         check_config(ExperimentConfig(k=1e308, dim_n=64, q0=0.25))
     assert validate_config(ExperimentConfig(epsilon=1e300)) == []
+    # finite per step, but the dr phase sums up to 50 per-step factors
+    msgs = validate_config(ExperimentConfig(epsilon=1e305))
+    assert any("phase factor" in m for m in msgs)
+    assert validate_config(ExperimentConfig(epsilon=1e305, steps=1)) == []
 
 
 def test_capacity_violations_raise_capacity_error():
@@ -294,6 +298,10 @@ def test_cli_overflowing_epsilon_exits_2(tmp_path, capsys):
     assert not out.exists()
     assert main(["shadow", "--epsilon", "1e308", "--count", "1", "--steps", "2"]) == 2
     capsys.readouterr()
+    # each step's factor is finite; the sum over 50 steps is not
+    assert main(["run", "--epsilon", "1e305", "--out", str(out)]) == 2
+    assert "phase factor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_presets_listing_and_emit(tmp_path, capsys):
