@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .dephasing import CHUNK, FidelityCurve, dr_conjugation_check, dr_curve
 from .dynamics import (
-    GRAD_V_SUP,
     MapSpec,
     PhasePoint,
-    TrajectoryRecord,
     jacobian,
-    propagate,
     step,
     step_ensemble,
     step_inverse,
@@ -41,7 +38,6 @@ from .initial_states import (
     InitialState,
     PositionEigenstate,
     SampleSet,
-    WeightedSample,
     WignerSampler,
     periodized_gaussian_density,
     samples_gaussian,
@@ -69,7 +65,6 @@ from .shadowing import (
 __all__ = [
     "__version__",
     "CHUNK",
-    "GRAD_V_SUP",
     "PRESETS",
     "CapacityError",
     "ComparisonReport",
@@ -87,8 +82,6 @@ __all__ = [
     "RunResult",
     "SampleSet",
     "ShadowResult",
-    "TrajectoryRecord",
-    "WeightedSample",
     "WignerSampler",
     "build_state",
     "compare",
@@ -103,7 +96,6 @@ __all__ = [
     "orbit_from_map",
     "parse_config",
     "periodized_gaussian_density",
-    "propagate",
     "pseudo_residual",
     "refine_shadow",
     "run_experiment",

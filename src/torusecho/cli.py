@@ -9,13 +9,12 @@ Subcommands:
 * oracle-check -- cross-validate the split-operator against the dense oracle
 
 Exit codes: 0 success, 1 self-test failure, 2 invalid input or config,
-3 capacity refused, 4 I/O error. TORUSECHO_MAX_WORKERS caps --threads.
+3 capacity refused, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -33,9 +32,7 @@ from .harness import (
 )
 from .initial_states import PositionEigenstate
 from .quantum import dense_oracle, exact_fidelity_curve
-from .shadowing import shadow_survey, shadow_time_estimate
-
-_ENV_MAX_WORKERS = "TORUSECHO_MAX_WORKERS"
+from .shadowing import shadow_survey
 
 # (dim_n, k, epsilon) combos exercised by oracle-check
 _ORACLE_COMBOS = tuple(
@@ -110,25 +107,7 @@ def _assemble_config(args) -> ExperimentConfig:
             problems.append(f"flag --{key.replace('_', '-')}: cannot parse {raw!r}")
     if problems:
         raise ConfigValidationError(problems)
-    config = base.replace(**changes) if changes else base
-    return _cap_threads(config)
-
-
-def _cap_threads(config: ExperimentConfig) -> ExperimentConfig:
-    raw = os.environ.get(_ENV_MAX_WORKERS)
-    if raw is None:
-        return config
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 1:
-        raise ConfigValidationError(
-            [f"{_ENV_MAX_WORKERS} must be a positive integer, got {raw!r}"]
-        )
-    if config.threads > cap:
-        return config.replace(threads=cap)
-    return config
+    return base.replace(**changes) if changes else base
 
 
 def _cmd_run(args) -> int:

@@ -29,8 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import TWO_PI, MapSpec, _step_in_place, phase_scale_problem, step_ensemble
-from .errors import InvalidInputError
+from .dynamics import (
+    TWO_PI,
+    MapSpec,
+    _step_in_place,
+    is_integer,
+    phase_scale_problem,
+    step_ensemble,
+    steps_problem,
+)
+from .errors import InvalidInputError, raise_problem
 from .initial_states import SampleSet
 
 # fixed work unit; combining per-chunk sums in index order keeps the
@@ -140,6 +148,13 @@ def _chunk_sums(spec, q, p, scale, steps, phase_factor):
     return s_re + 1j * s_im, r2, i2
 
 
+def threads_problem(threads):
+    """Why `threads` is no thread count, as a (kind, message) problem, or None."""
+    if is_integer(threads) and threads >= 1:
+        return None
+    return InvalidInputError, f"threads must be a positive integer, got {threads!r}"
+
+
 def _worker_count(threads, chunks):
     """Threads worth starting: no more than the chunks or the usable CPUs."""
     try:
@@ -162,7 +177,8 @@ def dr_curve(
     samples : SampleSet
         Weighted phase-space samples of the initial state.
     steps : int
-        Number of map iterations (curve has steps + 1 entries).
+        Number of map iterations (curve has steps + 1 entries); more
+        than 10^6 is refused with CapacityError.
     threads : int
         Worker threads for chunk evaluation, clamped to the chunk count
         and the usable CPUs. Any value >= 1 produces bitwise-identical
@@ -174,13 +190,9 @@ def dr_curve(
     dS(t) = (epsilon / (4 pi^2)) * sum_{m<t} cos(2 pi q_m) along the
     unperturbed orbit, i.e. phase = (epsilon N / (2 pi)) * sum cos.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise InvalidInputError(f"steps must be a nonnegative integer, got {steps!r}")
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise InvalidInputError(f"threads must be a positive integer, got {threads!r}")
-    problem = phase_scale_problem(spec.k, spec.epsilon, spec.dim_n, int(steps))
-    if problem is not None:
-        raise InvalidInputError(problem)
+    raise_problem(steps_problem(steps))
+    raise_problem(threads_problem(threads))
+    raise_problem(phase_scale_problem(spec.k, spec.epsilon, spec.dim_n, int(steps)))
     n = len(samples)
     # dS/hbar with hbar = 1/(2 pi N); zero epsilon gives exactly zero phase;
     # |action sum| <= steps, so the check above keeps every phase finite

@@ -7,7 +7,7 @@ V(q) = W(q)/k.  One step applies the kick first, then the free drift:
     p' = p - ((k + eps_eff)/2pi) sin(2pi q)   (mod 1)
     q' = q + p'                               (mod 1)
 
-Trajectories accumulate the action difference
+The dephasing route accumulates the action difference
 dS(T) = -eps * sum_{m<T} V(q_m) = (eps/4pi^2) * sum_{m<T} cos(2pi q_m)
 along the *unperturbed* orbit; eps enters only as a multiplicative factor.
 
@@ -27,16 +27,61 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError, raise_problem
 
 TWO_PI = 2.0 * math.pi
-FOUR_PI_SQ = 4.0 * math.pi**2
 
-# sup_q |V'(q)| for V(q) = -(1/4pi^2) cos(2pi q); used by the shadowing bounds
-GRAD_V_SUP = 1.0 / TWO_PI
+# capacity ceiling on the steps of one run, orbit or curve
+_MAX_STEPS = 1_000_000
 
 
-def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1) -> str | None:
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """True for a real number that converts to a finite float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def dim_problem(dim_n):
+    """Why dim_n is no grid size, as a (kind, message) problem, or None."""
+    if is_integer(dim_n) and dim_n >= 2:
+        return None
+    return InvalidInputError, f"dim_n must be an integer >= 2, got {dim_n!r}"
+
+
+def map_problems(k, epsilon, dim_n) -> list:
+    """Every problem that keeps k, epsilon and dim_n from making a map, in order."""
+    problems = [
+        (InvalidInputError, f"{name} must be finite, got {value!r}")
+        for name, value in (("k", k), ("epsilon", epsilon))
+        if not is_finite(value)
+    ]
+    if (problem := dim_problem(dim_n)) is not None:
+        problems.append(problem)
+    return problems
+
+
+def steps_problem(steps, minimum: int = 0):
+    """Why `steps` is no step count of at least `minimum` (0 or 1), or None.
+
+    Counts above 10^6 are a capacity refusal: every route allocates and
+    iterates per step.
+    """
+    if not is_integer(steps) or steps < minimum:
+        sign = "nonnegative" if minimum == 0 else "positive"
+        return InvalidInputError, f"steps must be a {sign} integer, got {steps!r}"
+    if steps > _MAX_STEPS:
+        return CapacityError, f"steps {steps} exceeds limit {_MAX_STEPS}"
+    return None
+
+
+def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1):
     """Why k, epsilon, N and a run of `steps` give no finite phases, or None.
 
     (|k| + |epsilon|) N / 2pi bounds the factor on every kick and action
@@ -48,7 +93,7 @@ def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1) ->
     scale = (abs(k) + abs(epsilon)) * dim_n / TWO_PI * max(steps, 1)
     if math.isfinite(scale):
         return None
-    return (
+    return InvalidInputError, (
         f"k={k!r} and epsilon={epsilon!r} are too large for dim_n={dim_n} "
         f"over {steps} steps: the phase factor (|k| + |epsilon|) N / 2pi times max(steps, 1) "
         "is not finite"
@@ -77,17 +122,9 @@ class MapSpec:
     hbar: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.dim_n, (int, np.integer)) or isinstance(self.dim_n, bool):
-            raise InvalidInputError(f"dim_n must be an integer, got {self.dim_n!r}")
-        if self.dim_n < 2:
-            raise InvalidInputError(f"dim_n must be >= 2, got {self.dim_n}")
-        if not math.isfinite(self.k):
-            raise InvalidInputError(f"k must be finite, got {self.k!r}")
-        if not math.isfinite(self.epsilon):
-            raise InvalidInputError(f"epsilon must be finite, got {self.epsilon!r}")
-        problem = phase_scale_problem(self.k, self.epsilon, self.dim_n)
-        if problem is not None:
-            raise InvalidInputError(problem)
+        for problem in map_problems(self.k, self.epsilon, self.dim_n):
+            raise_problem(problem)
+        raise_problem(phase_scale_problem(self.k, self.epsilon, self.dim_n))
         object.__setattr__(self, "dim_n", int(self.dim_n))
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -108,20 +145,6 @@ class PhasePoint:
 
     q: float
     p: float
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """An unperturbed orbit plus its accumulated action difference.
-
-    delta_s is (eps/4pi^2) * sum of cos(2pi q_m) over the kick positions
-    m = 0..steps-1; it is exactly 0 at steps = 0 and exactly linear in eps.
-    """
-
-    start: PhasePoint
-    steps: int
-    delta_s: float
-    orbit: np.ndarray | None = None  # (steps+1, 2) of (q, p) if stored
 
 
 def wrap_unit(x):
@@ -223,53 +246,18 @@ def jacobian(spec: MapSpec, x: PhasePoint, perturbed: bool = False) -> np.ndarra
     det = 1 exactly in exact arithmetic (the map is area-preserving).
     """
     _require_finite(x.q, x.p)
-    kick = (spec.k + (spec.epsilon if perturbed else 0.0)) * math.cos(TWO_PI * x.q)
-    return np.array([[1.0 - kick, 1.0], [-kick, 1.0]])
+    return _tangent_blocks(spec.kick_coefficient(perturbed), np.float64(x.q))
 
 
-def propagate(
-    spec: MapSpec, x0: PhasePoint, steps: int, store_orbit: bool = False
-) -> TrajectoryRecord:
-    """Run the unperturbed map for `steps` kicks, accumulating delta_s.
+def _tangent_blocks(c, q):
+    """Tangent maps [[1 - K, 1], [-K, 1]] of the step at positions q, K = dp'/dq.
 
-    The orbit is always the eps = 0 orbit; spec.epsilon enters only the
-    action difference, so records for different eps share bitwise-identical
-    orbits.
-
-    Parameters
-    ----------
-    x0 : PhasePoint
-        Initial condition (wrapped onto the torus).
-    steps : int
-        Number of kicks T >= 0.
-    store_orbit : bool
-        If True, record all steps+1 visited points.
-
-    Returns
-    -------
-    TrajectoryRecord
+    c is the kick coefficient; the result has shape q.shape + (2, 2).
     """
-    if steps < 0:
-        raise InvalidInputError(f"steps must be >= 0, got {steps}")
-    _require_finite(x0.q, x0.p)
-    q = wrap_unit(np.float64(x0.q))
-    p = wrap_unit(np.float64(x0.p))
-    orbit = np.empty((steps + 1, 2)) if store_orbit else None
-    cos_sum = np.float64(0.0)
-    for m in range(steps):
-        if orbit is not None:
-            orbit[m, 0] = q
-            orbit[m, 1] = p
-        cos_sum = cos_sum + np.cos(TWO_PI * q)
-        q, p = step_ensemble(spec, q, p, perturbed=False)
-    if orbit is not None:
-        orbit[steps, 0] = q
-        orbit[steps, 1] = p
-    # eps scales a factor computed from the orbit alone -> exact linearity in eps
-    delta_s = spec.epsilon * float(cos_sum / FOUR_PI_SQ)
-    return TrajectoryRecord(
-        start=PhasePoint(float(wrap_unit(np.float64(x0.q))), float(wrap_unit(np.float64(x0.p)))),
-        steps=steps,
-        delta_s=delta_s,
-        orbit=orbit,
-    )
+    kick = c * TWO_PI * np.cos(TWO_PI * q)
+    a = np.empty(np.shape(q) + (2, 2))
+    a[..., 0, 0] = 1.0 - kick
+    a[..., 0, 1] = 1.0
+    a[..., 1, 0] = -kick
+    a[..., 1, 1] = 1.0
+    return a

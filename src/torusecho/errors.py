@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An argument rule is a `*_problem` function in the module that owns the
+argument: it returns None, or a (kind, message) problem whose kind is
+InvalidInputError or, beyond a cost guard, CapacityError.
+"""
 
 
 class InvalidInputError(ValueError):
@@ -15,3 +20,10 @@ class ConfigValidationError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def raise_problem(problem) -> None:
+    """Raise a rule's (kind, message) problem; None passes."""
+    if problem is not None:
+        kind, message = problem
+        raise kind(message)

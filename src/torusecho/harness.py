@@ -20,16 +20,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import FidelityCurve, dr_curve
-from .dynamics import MapSpec, phase_scale_problem
+from .dephasing import FidelityCurve, dr_curve, threads_problem
+from .dynamics import (
+    MapSpec,
+    dim_problem,
+    is_finite,
+    map_problems,
+    phase_scale_problem,
+    steps_problem,
+)
 from .errors import CapacityError, ConfigValidationError, InvalidInputError
 from .initial_states import (
     GaussianWavepacket,
     PositionEigenstate,
+    alignment_problem,
+    grid_count_problem,
+    sample_count_problem,
     samples_gaussian,
     samples_position_state,
+    seed_problem,
+    sigma_problem,
 )
-from .quantum import dense_oracle, exact_fidelity_curve
+from .quantum import dense_oracle, dense_problem, exact_fidelity_curve
 
 METHOD_ORDER = ("dr", "exact", "dense")
 COMPARISON_PRIORITY = (("dr", "exact"), ("dr", "dense"), ("exact", "dense"))
@@ -40,16 +52,9 @@ _POSITION_MODES = ("grid", "monte_carlo")
 _GAUSSIAN_MODES = ("wigner", "position_only")
 _FORMATS = ("csv", "json")
 
-# capacity ceilings: beyond these the run is refused, not merely warned
+# capacity ceiling on the grid of a run; the step, sample and dense
+# ceilings live with the rules of the modules that own them
 _MAX_DIM = 65536
-_MAX_SAMPLES = 10_000_000
-_MAX_STEPS = 1_000_000
-_DENSE_MAX_DIM = 256
-
-# Philox keys, and so seeds, are 128-bit unsigned integers
-_SEED_LIMIT = 2**128
-
-_GRID_ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -185,100 +190,76 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def validate_config(config: ExperimentConfig) -> list[str]:
-    """All semantic violations for the config; empty when runnable.
+def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
+    """All semantic violations as (kind, message) pairs; empty when runnable.
 
-    Capacity problems are phrased with the prefix 'capacity:' so callers
-    can distinguish resource refusals from invalid input.
+    kind is CapacityError for a resource refusal, else InvalidInputError.
+    The argument rules are those of the modules that own the arguments;
+    only the checks that concern the config as a whole are made here.
     """
-    v = []
-    if not np.isfinite(config.k):
-        v.append(f"k must be finite, got {config.k!r}")
-    if not np.isfinite(config.epsilon):
-        v.append(f"epsilon must be finite, got {config.epsilon!r}")
-    if not isinstance(config.dim_n, int) or config.dim_n < 2:
-        v.append(f"dim_n must be an integer >= 2, got {config.dim_n!r}")
-    elif config.dim_n > _MAX_DIM:
-        v.append(f"capacity: dim_n {config.dim_n} exceeds limit {_MAX_DIM}")
-    if config.state not in _STATES:
-        v.append(f"state must be one of {_STATES}, got {config.state!r}")
-    if not isinstance(config.steps, int) or config.steps < 0:
-        v.append(f"steps must be a nonnegative integer, got {config.steps!r}")
-    elif config.steps > _MAX_STEPS:
-        v.append(f"capacity: steps {config.steps} exceeds limit {_MAX_STEPS}")
-    if (
-        np.isfinite(config.k) and np.isfinite(config.epsilon)
-        and isinstance(config.dim_n, int) and 2 <= config.dim_n <= _MAX_DIM
-        and isinstance(config.steps, int) and 0 <= config.steps <= _MAX_STEPS
-    ):
-        problem = phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps)
+    map_bad = map_problems(config.k, config.epsilon, config.dim_n)
+    dim_ok = dim_problem(config.dim_n) is None
+    v = list(map_bad)
+
+    def add(problem):
         if problem is not None:
             v.append(problem)
-    if not (np.isfinite(config.q0) and 0.0 <= config.q0 < 1.0):
-        v.append(f"q0 must lie in [0, 1), got {config.q0!r}")
-    if not (np.isfinite(config.p0) and 0.0 <= config.p0 < 1.0):
-        v.append(f"p0 must lie in [0, 1), got {config.p0!r}")
+
+    def invalid(message):
+        v.append((InvalidInputError, message))
+
+    if dim_ok and config.dim_n > _MAX_DIM:
+        add((CapacityError, f"dim_n {config.dim_n} exceeds limit {_MAX_DIM}"))
+    if config.state not in _STATES:
+        invalid(f"state must be one of {_STATES}, got {config.state!r}")
+    steps_bad = steps_problem(config.steps)
+    add(steps_bad)
+    if not map_bad and config.dim_n <= _MAX_DIM and steps_bad is None:
+        add(phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps))
+    if not 0.0 <= config.q0 < 1.0:
+        invalid(f"q0 must lie in [0, 1), got {config.q0!r}")
+    if not 0.0 <= config.p0 < 1.0:
+        invalid(f"p0 must lie in [0, 1), got {config.p0!r}")
     if config.format not in _FORMATS:
-        v.append(f"format must be one of {_FORMATS}, got {config.format!r}")
-    if not isinstance(config.threads, int) or config.threads < 1:
-        v.append(f"threads must be a positive integer, got {config.threads!r}")
-    if not isinstance(config.seed, int):
-        v.append(f"seed must be an integer, got {config.seed!r}")
-    elif not 0 <= config.seed < _SEED_LIMIT:
-        v.append(f"seed must lie in [0, 2**128), got {config.seed!r}")
+        invalid(f"format must be one of {_FORMATS}, got {config.format!r}")
+    add(threads_problem(config.threads))
+    add(seed_problem(config.seed))
 
     if not config.methods:
-        v.append("methods must name at least one of dr, exact, dense")
+        invalid("methods must name at least one of dr, exact, dense")
     else:
         for m in config.methods:
             if m not in METHOD_ORDER:
-                v.append(f"unknown method {m!r} (choose from dr, exact, dense)")
+                invalid(f"unknown method {m!r} (choose from dr, exact, dense)")
         if len(set(config.methods)) != len(config.methods):
-            v.append(f"methods contains duplicates: {config.methods!r}")
-        if "dense" in config.methods and isinstance(config.dim_n, int) and config.dim_n > _DENSE_MAX_DIM:
-            v.append(
-                f"capacity: dense method supports dim_n <= {_DENSE_MAX_DIM}, got {config.dim_n}"
-            )
+            invalid(f"methods contains duplicates: {config.methods!r}")
+        if "dense" in config.methods and dim_ok:
+            add(dense_problem(config.dim_n))
 
     if config.samples is not None:
-        if not isinstance(config.samples, int) or config.samples < 1:
-            v.append(f"samples must be a positive integer or none, got {config.samples!r}")
-        elif config.samples > _MAX_SAMPLES:
-            v.append(f"capacity: samples {config.samples} exceeds limit {_MAX_SAMPLES}")
+        add(sample_count_problem(config.samples))
 
     if config.state == "position":
         if config.sample_mode not in _POSITION_MODES:
-            v.append(
+            invalid(
                 f"sample_mode for position states must be one of {_POSITION_MODES}, "
                 f"got {config.sample_mode!r}"
             )
-        if isinstance(config.dim_n, int) and config.dim_n >= 2 and np.isfinite(config.q0):
-            j = config.q0 * config.dim_n
-            if abs(j - round(j)) > _GRID_ALIGN_TOL:
-                v.append(
-                    f"q0={config.q0!r} is not aligned to the dim_n={config.dim_n} grid"
-                )
-        if (
-            config.sample_mode == "grid"
-            and config.samples is not None
-            and config.samples != config.dim_n
-        ):
-            v.append(
-                f"grid sampling yields exactly dim_n={config.dim_n!r} samples; "
-                f"set samples to that or none, got {config.samples!r}"
-            )
+        if dim_ok and is_finite(config.q0):
+            add(alignment_problem(config.q0, config.dim_n))
+        if config.sample_mode == "grid":
+            add(grid_count_problem(config.dim_n, config.samples))
         if config.sample_mode == "monte_carlo" and config.samples is None and "dr" in config.methods:
-            v.append("monte_carlo sampling requires samples")
+            invalid("monte_carlo sampling requires samples")
     elif config.state == "gaussian":
         if config.sample_mode not in _GAUSSIAN_MODES:
-            v.append(
+            invalid(
                 f"sample_mode for gaussian states must be one of {_GAUSSIAN_MODES}, "
                 f"got {config.sample_mode!r}"
             )
-        if not (np.isfinite(config.sigma) and 0.0 < config.sigma < 0.5):
-            v.append(f"sigma must lie in (0, 0.5), got {config.sigma!r}")
+        add(sigma_problem(config.sigma))
         if config.samples is None and "dr" in config.methods:
-            v.append("gaussian states require samples for the dr method")
+            invalid("gaussian states require samples for the dr method")
     return v
 
 
@@ -287,10 +268,11 @@ def check_config(config: ExperimentConfig) -> None:
     violations = validate_config(config)
     if not violations:
         return
-    if all(s.startswith("capacity:") for s in violations):
-        # the tag routed the exception type; drop it from the message
-        raise CapacityError("; ".join(s[len("capacity:"):].strip() for s in violations))
-    raise ConfigValidationError(violations)
+    if all(kind is CapacityError for kind, _ in violations):
+        raise CapacityError("; ".join(m for _, m in violations))
+    raise ConfigValidationError(
+        [f"capacity: {m}" if kind is CapacityError else m for kind, m in violations]
+    )
 
 
 def _descriptor(config: ExperimentConfig):

@@ -21,26 +21,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TWO_PI, MapSpec, PhasePoint, wrap_unit
-from .errors import InvalidInputError
+from .dynamics import TWO_PI, MapSpec, is_integer, wrap_unit
+from .errors import CapacityError, InvalidInputError, raise_problem
 
 # relative size below which periodized-Gaussian image terms are dropped
 _IMAGE_TRUNCATION = 1e-16
 
 _GRID_ALIGN_TOL = 1e-9
 
+# capacity ceiling on the samples of one set
+_MAX_SAMPLES = 10_000_000
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """One phase-space sample; weight may be negative for general Wigner sources."""
+# Philox keys, and so seeds, are 128-bit unsigned integers
+_SEED_LIMIT = 2**128
 
-    point: PhasePoint
-    weight: float
+
+def alignment_problem(q0, dim_n):
+    """Why q0 is off the dim_n-point position grid (q0 * N not integral), or None."""
+    try:
+        j = q0 * dim_n
+        if abs(j - round(j)) <= _GRID_ALIGN_TOL:
+            return None
+    except (OverflowError, ValueError):  # q0 * N is inf or nan
+        pass
+    return InvalidInputError, f"q0={q0!r} is not aligned to the dim_n={dim_n} grid"
+
+
+def grid_count_problem(dim_n, count):
+    """Why `count` (None for N) is not the N samples a grid set has, or None."""
+    if count is None or count == dim_n:
+        return None
+    return InvalidInputError, (
+        f"grid sampling yields exactly dim_n={dim_n!r} samples; "
+        f"set samples to that or none, got {count!r}"
+    )
+
+
+def sample_count_problem(count):
+    """Why `count` is no sample count, as a (kind, message) problem, or None."""
+    if not is_integer(count) or count < 1:
+        return InvalidInputError, f"samples must be a positive integer, got {count!r}"
+    if count > _MAX_SAMPLES:
+        return CapacityError, f"samples {count} exceeds limit {_MAX_SAMPLES}"
+    return None
+
+
+def sigma_problem(sigma):
+    """Why sigma is no wavepacket width in (0, 0.5), or None."""
+    if 0.0 < sigma < 0.5:
+        return None
+    return InvalidInputError, f"sigma must lie in (0, 0.5), got {sigma!r}"
+
+
+def seed_problem(seed):
+    """Why `seed` is no Philox key, an integer in [0, 2**128), or None."""
+    if not is_integer(seed):
+        return InvalidInputError, f"seed must be an integer, got {seed!r}"
+    if not 0 <= seed < _SEED_LIMIT:
+        return InvalidInputError, f"seed must lie in [0, 2**128), got {seed!r}"
+    return None
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Vectorized container of weighted samples (sequence of WeightedSample).
+    """Vectorized container of weighted phase-space samples.
 
     kind is "grid" for exact-quadrature sets (deterministic, no statistical
     error bars) or "monte_carlo" for seeded random draws.
@@ -63,15 +107,6 @@ class SampleSet:
 
     def __len__(self):
         return len(self.q)
-
-    def __iter__(self):
-        for i in range(len(self.q)):
-            yield self[i]
-
-    def __getitem__(self, i) -> WeightedSample:
-        return WeightedSample(
-            PhasePoint(float(self.q[i]), float(self.p[i])), float(self.weights[i])
-        )
 
     @property
     def uniform(self) -> bool:
@@ -110,8 +145,7 @@ class GaussianWavepacket(InitialState):
     sigma: float
 
     def __post_init__(self):
-        if not (0.0 < self.sigma < 0.5):
-            raise InvalidInputError(f"sigma must lie in (0, 0.5), got {self.sigma!r}")
+        raise_problem(sigma_problem(self.sigma))
 
     def label(self) -> str:
         return f"gaussian(q0={self.q0!r},p0={self.p0!r},sigma={self.sigma!r})"
@@ -133,16 +167,13 @@ class WignerSampler(InitialState):
 
 def grid_index(spec: MapSpec, q0: float) -> int:
     """Grid index of a grid-aligned position; error if q0*N is not integral."""
-    j = q0 * spec.dim_n
-    j_round = round(j)
-    if not math.isfinite(j) or abs(j - j_round) > _GRID_ALIGN_TOL:
-        raise InvalidInputError(
-            f"q0={q0!r} is not aligned to the N={spec.dim_n} position grid"
-        )
-    return int(j_round) % spec.dim_n
+    raise_problem(alignment_problem(q0, spec.dim_n))
+    return int(round(q0 * spec.dim_n)) % spec.dim_n
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The package's one random stream constructor, keyed by a checked seed."""
+    raise_problem(seed_problem(seed))
     # Philox: counter-based, so substreams are reproducible under partitioning
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -173,17 +204,13 @@ def samples_position_state(
     q_val = np.float64(q0)
     if mode == "grid":
         n = spec.dim_n
-        if count is not None and count != n:
-            raise InvalidInputError(
-                f"grid mode yields exactly N={n} samples; got count={count}"
-            )
+        raise_problem(grid_count_problem(n, count))
         p = np.arange(n, dtype=np.float64) / n
         q = np.full(n, q_val)
         w = np.full(n, 1.0 / n)
         return SampleSet(q, p, w, "grid", f"position(q0={q0!r})", seed=None)
     if mode == "monte_carlo":
-        if count is None or count < 1:
-            raise InvalidInputError(f"monte_carlo mode requires count >= 1, got {count}")
+        raise_problem(sample_count_problem(count))
         p = _rng(seed).random(count)
         q = np.full(count, q_val)
         w = np.full(count, 1.0 / count)
@@ -211,8 +238,7 @@ def samples_gaussian(
     Draw order is q then p from one Philox stream keyed by `seed`.
     """
     state = GaussianWavepacket(q0, p0, sigma)  # validates sigma
-    if count < 1:
-        raise InvalidInputError(f"count must be >= 1, got {count}")
+    raise_problem(sample_count_problem(count))
     rng = _rng(seed)
     q = wrap_unit(q0 + sigma * rng.standard_normal(count))
     if mode == "position_only":

@@ -23,9 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .dephasing import FidelityCurve
-from .dynamics import TWO_PI, MapSpec
-from .errors import CapacityError, InvalidInputError
+from .dynamics import TWO_PI, MapSpec, steps_problem
+from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import (
+    _IMAGE_TRUNCATION,
     GaussianWavepacket,
     InitialState,
     PositionEigenstate,
@@ -34,9 +35,15 @@ from .initial_states import (
 )
 
 _NORM_GUARD = 1e-9
+# dense propagation costs N^2 per step and N^2 memory per unitary
 _DENSE_MAX_DIM = 256
-# periodized-Gaussian image terms below this relative size are dropped
-_IMAGE_TRUNCATION = 1e-16
+
+
+def dense_problem(dim_n):
+    """Why the dense oracle refuses a grid of dim_n points, or None."""
+    if dim_n <= _DENSE_MAX_DIM:
+        return None
+    return CapacityError, f"dense method supports dim_n <= {_DENSE_MAX_DIM}, got {dim_n}"
 
 
 @dataclass(frozen=True)
@@ -155,8 +162,7 @@ def exact_fidelity_curve(
     kick strength, the other with k + epsilon. stderr arrays are zero
     (no sampling is involved).
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise InvalidInputError(f"steps must be a nonnegative integer, got {steps!r}")
+    raise_problem(steps_problem(steps))
     psi0, label = _resolve_state(spec, state)
     if state_label is not None:
         label = state_label
@@ -220,12 +226,8 @@ def dense_oracle(
     phase or FFT code with step_quantum. Refuses grids above
     256 points (dense cost grows as N^2 per step).
     """
-    if spec.dim_n > _DENSE_MAX_DIM:
-        raise CapacityError(
-            f"dense oracle supports grids up to {_DENSE_MAX_DIM} points, got {spec.dim_n}"
-        )
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise InvalidInputError(f"steps must be a nonnegative integer, got {steps!r}")
+    raise_problem(dense_problem(spec.dim_n))
+    raise_problem(steps_problem(steps))
     psi0, label = _resolve_state(spec, state)
     if state_label is not None:
         label = state_label

@@ -25,13 +25,19 @@ from .dynamics import (
     TWO_PI,
     MapSpec,
     _step_in_place,
+    _tangent_blocks,
+    is_integer,
     step_ensemble,
+    steps_problem,
     torus_distance,
     wrap_unit,
 )
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, raise_problem
+from .initial_states import _rng
 
 _MAX_REFINE_STEPS = 10_000
+# orbits in one survey; each is generated, measured and refined in turn
+_MAX_SURVEY_COUNT = 100_000
 _MIN_TOL = 1e-13
 _MIN_DAMPING = 2.0**-16
 
@@ -105,8 +111,7 @@ def orbit_from_map(
     The first step is the checked `step_ensemble`; its 0-d outputs are
     then stepped in place by the map kernel.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise InvalidInputError(f"steps must be a positive integer, got {steps!r}")
+    raise_problem(steps_problem(steps, minimum=1))
     q, p = np.float64(start[0]), np.float64(start[1])
     pts = np.empty((steps + 1, 2))
     pts[0] = (q, p)
@@ -129,11 +134,10 @@ def noisy_orbit(
     so the segment is a (delta + epsilon/(2 pi))-pseudotrajectory of the
     unperturbed map.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise InvalidInputError(f"steps must be a positive integer, got {steps!r}")
+    raise_problem(steps_problem(steps, minimum=1))
     if not (0.0 <= delta < 0.5):
         raise InvalidInputError(f"delta must be in [0, 0.5), got {delta!r}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _rng(seed)
     q, p = np.float64(start[0]), np.float64(start[1])
     pts = np.empty((steps + 1, 2))
     pts[0] = (q, p)
@@ -189,13 +193,7 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     tridiagonal and positive definite, factored sparsely.
     """
     big_t = pts.shape[0] - 1
-    c = spec.kick_coefficient(perturbed)
-    kick = c * TWO_PI * np.cos(TWO_PI * pts[:-1, 0])  # dp'/dq at each step
-    a = np.empty((big_t, 2, 2))
-    a[:, 0, 0] = 1.0 - kick
-    a[:, 0, 1] = 1.0
-    a[:, 1, 0] = -kick
-    a[:, 1, 1] = 1.0
+    a = _tangent_blocks(spec.kick_coefficient(perturbed), pts[:-1, 0])
 
     diag = np.einsum("nij,nkj->nik", a, a)
     diag[:, 0, 0] += 1.0
@@ -328,15 +326,19 @@ def shadow_survey(
     fraction_converged below 1 is expected when orbits brush island
     regions (see refine_shadow); the residual bound diagnostics are
     unconditional.
+
+    Raises CapacityError for more than 10^5 orbits or segments longer
+    than 10^4 steps before any start is drawn.
     """
-    if count < 1:
-        raise InvalidInputError(f"count must be >= 1, got {count}")
+    if not is_integer(count) or count < 1:
+        raise InvalidInputError(f"count must be a positive integer, got {count!r}")
+    if count > _MAX_SURVEY_COUNT:
+        raise CapacityError(f"survey supports up to {_MAX_SURVEY_COUNT} orbits, got {count}")
     t_shadow = shadow_time_estimate(spec.epsilon)
     if steps is None:
         steps = max(2, int(round(t_shadow)))
     _check_refine_steps(steps)  # before any orbit is generated
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    starts = rng.random((count, 2))
+    starts = _rng(seed).random((count, 2))
     bound = spec.epsilon / TWO_PI
 
     residuals = np.empty(count)

@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusecho import (
+    CapacityError,
     InvalidInputError,
     MapSpec,
     PhasePoint,
+    SampleSet,
+    dr_curve,
     jacobian,
-    propagate,
+    orbit_from_map,
     step,
     step_ensemble,
     step_inverse,
     torus_distance,
     wrap_unit,
 )
-from torusecho.dynamics import _step_in_place, phase_scale_problem
+from torusecho.dynamics import _MAX_STEPS, _step_in_place, phase_scale_problem, steps_problem
 
 MIXED = MapSpec(0.8, 0.0, 1000)
 PERTURBED = MapSpec(0.8, 5e-3, 1000)
@@ -137,7 +140,7 @@ def test_spec_rejects_overflowing_phase_factor():
     assert MapSpec(0.8, 1e300, 1000).epsilon == 1e300  # large but finite phases
     # the bound grows with the step count of a run
     assert phase_scale_problem(0.8, 1e305, 1000) is None
-    assert "phase factor" in phase_scale_problem(0.8, 1e305, 1000, steps=50)
+    assert "phase factor" in phase_scale_problem(0.8, 1e305, 1000, steps=50)[1]
     assert phase_scale_problem(0.8, 1e300, 1000, steps=50) is None
 
 
@@ -205,36 +208,75 @@ def test_torus_distance_wraps():
     assert float(torus_distance(a, a)) == 0.0
 
 
+def _orbit_and_sums_ref(spec, q, p, steps):
+    """The unperturbed orbit from (q, p) and its action sums, written out.
+
+    sums[t] = sum_{m<t} cos(2 pi q_m), so dS(t) = epsilon sums[t] / 4pi^2.
+    One-element arrays, like the program's chunk of one sample.
+    """
+    c = spec.kick_coefficient(False)
+    q, p = _wrap_ref(np.array([q])), _wrap_ref(np.array([p]))
+    orbit, sums, s = [(q[0], p[0])], [0.0], np.zeros(1)
+    for _ in range(steps):
+        s = s + np.cos(2.0 * np.pi * q)
+        q, p = _step_ref(c, q, p)
+        orbit.append((q[0], p[0]))
+        sums.append(s[0])
+    return np.array(orbit), np.array(sums)
+
+
+def _one_sample(q, p):
+    return SampleSet(np.array([q]), np.array([p]), np.array([1.0]), "grid", "point")
+
+
 def test_propagate_action_matches_independent_values():
-    rec = propagate(PERTURBED, PhasePoint(0.4, 0.2), 3)
-    assert rec.delta_s == pytest.approx(-0.00028829426634786502, rel=1e-12)
-    rec1 = propagate(PERTURBED, PhasePoint(0.4, 0.0), 1)
-    assert rec1.delta_s == pytest.approx(-0.00010246319932104524, rel=1e-12)
+    _, sums = _orbit_and_sums_ref(PERTURBED, 0.4, 0.2, 3)
+    delta_s = PERTURBED.epsilon * sums / (4.0 * np.pi**2)
+    assert delta_s[3] == pytest.approx(-0.00028829426634786502, rel=1e-12)
+    _, sums1 = _orbit_and_sums_ref(PERTURBED, 0.4, 0.0, 1)
+    assert PERTURBED.epsilon * sums1[1] / (4.0 * np.pi**2) == pytest.approx(
+        -0.00010246319932104524, rel=1e-12
+    )
+    # the dr phase of one sample is that action over hbar
+    curve = dr_curve(PERTURBED, _one_sample(0.4, 0.2), 3)
+    assert np.abs(curve.amplitude - np.exp(1j * delta_s / PERTURBED.hbar)).max() < 1e-12
 
 
 def test_propagate_action_linear_in_epsilon():
-    # epsilon multiplies an orbit-only factor, so doubling it is exact
-    base = propagate(PERTURBED, PhasePoint(0.17, 0.58), 40).delta_s
-    doubled = propagate(PERTURBED.with_epsilon(0.01), PhasePoint(0.17, 0.58), 40).delta_s
-    assert doubled == 2.0 * base
-    assert propagate(PERTURBED.with_epsilon(0.0), PhasePoint(0.17, 0.58), 40).delta_s == 0.0
+    # epsilon multiplies an orbit-only sum, so the phase at 2 epsilon is
+    # exactly twice that at epsilon and the amplitudes follow bitwise
+    _, sums = _orbit_and_sums_ref(PERTURBED, 0.17, 0.58, 40)
+    factor = PERTURBED.epsilon * PERTURBED.dim_n / (2.0 * np.pi)
+    for scale in (1.0, 2.0, 0.0):
+        curve = dr_curve(PERTURBED.with_epsilon(scale * PERTURBED.epsilon), _one_sample(0.17, 0.58), 40)
+        for t in range(41):
+            phase = np.array([sums[t] * (scale * factor)])
+            assert curve.amplitude[t] == complex(np.cos(phase)[0], np.sin(phase)[0])
+    assert np.all(curve.amplitude == 1.0)
 
 
 def test_propagate_orbit_storage():
-    rec = propagate(PERTURBED, PhasePoint(0.4, 0.2), 5, store_orbit=True)
-    assert rec.orbit.shape == (6, 2)
-    assert rec.orbit[0, 0] == 0.4 and rec.orbit[0, 1] == 0.2
+    orbit = orbit_from_map(PERTURBED, (0.4, 0.2), 5, perturbed=False)
+    assert orbit.points.shape == (6, 2)
+    assert orbit.points[0, 0] == 0.4 and orbit.points[0, 1] == 0.2
+    want, _ = _orbit_and_sums_ref(PERTURBED, 0.4, 0.2, 5)
+    assert np.array_equal(orbit.points, want)
     x = PhasePoint(0.4, 0.2)
     for t in range(1, 6):
         x = step(PERTURBED, x)
-        assert rec.orbit[t, 0] == x.q and rec.orbit[t, 1] == x.p
-    assert rec.steps == 5
-    assert propagate(PERTURBED, PhasePoint(0.4, 0.2), 5).orbit is None
+        assert orbit.points[t, 0] == x.q and orbit.points[t, 1] == x.p
 
 
 def test_propagate_rejects_negative_steps():
-    with pytest.raises(InvalidInputError):
-        propagate(MIXED, PhasePoint(0.1, 0.1), -1)
+    for steps in (-1, 0, 2.0, True):
+        with pytest.raises(InvalidInputError, match="steps must be a positive integer"):
+            orbit_from_map(MIXED, (0.1, 0.1), steps)
+    assert steps_problem(0) is None and steps_problem(_MAX_STEPS) is None
+    assert steps_problem(-1)[0] is InvalidInputError
+    assert steps_problem(_MAX_STEPS + 1)[0] is CapacityError
+    # a capacity refusal, before the curve is allocated
+    with pytest.raises(CapacityError, match="exceeds limit"):
+        dr_curve(MIXED, _one_sample(0.1, 0.1), 10**15)
 
 
 @settings(deadline=None, max_examples=60)

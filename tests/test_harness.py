@@ -1,9 +1,14 @@
 """Config parsing/validation, experiment runs, serialization, CLI."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusecho import (
     PRESETS,
@@ -20,8 +25,15 @@ from torusecho import (
     samples_position_state,
     validate_config,
 )
+from torusecho import quantum, shadowing
 from torusecho.cli import emit_config, main
-from torusecho.harness import check_config, curve_rows, render_csv
+from torusecho.dynamics import _MAX_STEPS
+from torusecho.harness import _FIELD_PARSERS, check_config, curve_rows, render_csv
+from torusecho.shadowing import _MAX_SURVEY_COUNT
+
+
+def _messages(config):
+    return [m for _, m in validate_config(config)]
 
 
 def test_presets_known():
@@ -77,51 +89,52 @@ def test_validate_reports_all_semantic_violations():
         q0=1.5, p0=-0.1, steps=-3, samples=0, sample_mode="odd",
         methods=("dr", "warp"), format="xml", threads=0,
     )
-    msgs = validate_config(cfg)
+    msgs = _messages(cfg)
     for needle in ("k must", "epsilon must", "dim_n", "state", "q0", "p0",
                    "steps", "samples", "warp", "format", "threads"):
         assert any(needle in m for m in msgs), needle
     # mode checks hang off a valid state
-    msgs2 = validate_config(ExperimentConfig(state="position", sample_mode="odd"))
+    msgs2 = _messages(ExperimentConfig(state="position", sample_mode="odd"))
     assert any("sample_mode" in m for m in msgs2)
-    msgs3 = validate_config(ExperimentConfig(state="gaussian", sample_mode="grid", samples=10))
+    msgs3 = _messages(ExperimentConfig(state="gaussian", sample_mode="grid", samples=10))
     assert any("sample_mode" in m for m in msgs3)
 
 
 def test_validate_grid_alignment_and_sample_count():
     cfg = ExperimentConfig(q0=0.4005, dim_n=1000)
-    assert any("aligned" in m for m in validate_config(cfg))
+    assert any("aligned" in m for m in _messages(cfg))
     cfg2 = ExperimentConfig(samples=999, sample_mode="grid")
-    assert any("grid sampling" in m for m in validate_config(cfg2))
+    assert any("grid sampling" in m for m in _messages(cfg2))
     cfg3 = ExperimentConfig(sample_mode="monte_carlo", samples=None)
-    assert any("requires samples" in m for m in validate_config(cfg3))
+    assert any("requires samples" in m for m in _messages(cfg3))
     cfg4 = ExperimentConfig(state="gaussian", sample_mode="wigner", samples=None)
-    assert any("require samples" in m for m in validate_config(cfg4))
+    assert any("require samples" in m for m in _messages(cfg4))
     cfg5 = ExperimentConfig(state="gaussian", sample_mode="wigner", samples=100, sigma=0.9)
-    assert any("sigma" in m for m in validate_config(cfg5))
+    assert any("sigma" in m for m in _messages(cfg5))
 
 
 def test_validate_seed_range():
     assert validate_config(ExperimentConfig(seed=2**128 - 1)) == []
     for seed in (-1, 2**128):
-        msgs = validate_config(ExperimentConfig(seed=seed))
+        msgs = _messages(ExperimentConfig(seed=seed))
         assert any("seed must lie in [0, 2**128)" in m for m in msgs), seed
 
 
 def test_validate_rejects_overflowing_phase_factor():
-    msgs = validate_config(ExperimentConfig(epsilon=1e308))
+    msgs = _messages(ExperimentConfig(epsilon=1e308))
     assert any("phase factor" in m for m in msgs)
     with pytest.raises(ConfigValidationError):
         check_config(ExperimentConfig(k=1e308, dim_n=64, q0=0.25))
     assert validate_config(ExperimentConfig(epsilon=1e300)) == []
     # finite per step, but the dr phase sums up to 50 per-step factors
-    msgs = validate_config(ExperimentConfig(epsilon=1e305))
+    msgs = _messages(ExperimentConfig(epsilon=1e305))
     assert any("phase factor" in m for m in msgs)
     assert validate_config(ExperimentConfig(epsilon=1e305, steps=1)) == []
 
 
 def test_capacity_violations_raise_capacity_error():
     cfg = ExperimentConfig(dim_n=100_000)
+    assert validate_config(cfg) == [(CapacityError, "dim_n 100000 exceeds limit 65536")]
     with pytest.raises(CapacityError):
         check_config(cfg)
     cfg2 = ExperimentConfig(dim_n=1000, methods=("dr", "exact", "dense"))
@@ -316,23 +329,6 @@ def test_cli_presets_listing_and_emit(tmp_path, capsys):
     assert main(["presets", "--emit", "nope"]) == 2
 
 
-def test_cli_worker_cap_env(tmp_path, monkeypatch, capsys):
-    out1 = tmp_path / "w1.csv"
-    out8 = tmp_path / "w8.csv"
-    args = ["run", "--dim-n", "128", "--q0", "0.25", "--steps", "5",
-            "--sample-mode", "monte_carlo", "--samples", "9000",
-            "--methods", "dr", "--seed", "3"]
-    monkeypatch.setenv("TORUSECHO_MAX_WORKERS", "2")
-    assert main(args + ["--threads", "8", "--out", str(out8)]) == 0
-    monkeypatch.delenv("TORUSECHO_MAX_WORKERS")
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    # capped thread count still yields identical bytes
-    assert out1.read_bytes() == out8.read_bytes()
-    monkeypatch.setenv("TORUSECHO_MAX_WORKERS", "zero")
-    assert main(args) == 2
-    capsys.readouterr()
-
-
 def test_cli_shadow_and_oracle_check(capsys):
     assert main(["shadow", "--epsilon", "0.005", "--count", "4", "--steps", "10"]) == 0
     out = capsys.readouterr().out
@@ -340,3 +336,94 @@ def test_cli_shadow_and_oracle_check(capsys):
     assert main(["oracle-check", "--steps", "5"]) == 0
     out = capsys.readouterr().out
     assert "all 6 combinations" in out
+
+
+def test_cli_huge_q0_exits_2(tmp_path, capsys):
+    # q0 * N overflows to inf: refused as input, not a traceback
+    out = tmp_path / "q.csv"
+    assert main(["run", "--q0", "1e308", "--out", str(out)]) == 2
+    assert "q0 must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("q0 = 1e308\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_cli_shadow_out_of_range_seed_exits_2(capsys):
+    for seed in ("-1", str(2**128)):
+        assert main(["shadow", "--seed", seed, "--count", "1", "--steps", "3"]) == 2
+        assert "seed must lie in [0, 2**128)" in capsys.readouterr().err
+
+
+def test_cli_over_cap_steps_and_count_exit_3(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("work started at a refused size")
+
+    monkeypatch.setattr(quantum, "build_state", never)
+    monkeypatch.setattr(quantum, "step_quantum", never)
+    assert main(["oracle-check", "--steps", str(_MAX_STEPS + 1)]) == 3
+    assert "steps 1000001 exceeds limit" in capsys.readouterr().err
+    monkeypatch.setattr(shadowing, "_rng", never)
+    monkeypatch.setattr(shadowing, "orbit_from_map", never)
+    assert main(["shadow", "--count", str(_MAX_SURVEY_COUNT + 1), "--steps", "3"]) == 3
+    assert "orbits" in capsys.readouterr().err
+
+
+# ---- fuzz of the validation layer ----------------------------------------
+
+_ODD = st.one_of(
+    st.sampled_from([
+        math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 10**400, -(10**400),
+        2**128, -1, 0, 1, 2, True, False, 0.25, 0.4, 64, 1000, 65537, 10**7 + 1,
+    ]),
+    st.floats(),
+    st.integers(),
+)
+_FIELDS = {
+    "k": _ODD, "epsilon": _ODD, "dim_n": _ODD, "q0": _ODD, "p0": _ODD,
+    "sigma": _ODD, "steps": _ODD, "samples": st.none() | _ODD, "seed": _ODD,
+    "threads": _ODD,
+    "state": st.sampled_from(["position", "gaussian", "plasma"]),
+    "sample_mode": st.sampled_from(["grid", "monte_carlo", "wigner", "position_only", "odd"]),
+    "methods": st.lists(st.sampled_from(["dr", "exact", "dense", "warp"]), max_size=4).map(tuple),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+}
+
+
+@settings(deadline=None, max_examples=400)
+@given(fields=st.fixed_dictionaries({}, optional=_FIELDS))
+@example(fields={"q0": 1e308})
+@example(fields={"dim_n": 10**400})
+@example(fields={"k": 10**400, "sigma": 10**400, "state": "gaussian", "samples": 10})
+def test_check_config_refuses_any_field_values_cleanly(fields):
+    """Validation only: no config reaches a run, and none escapes as a crash."""
+    try:
+        check_config(ExperimentConfig(**fields))
+    except (ConfigValidationError, CapacityError):
+        pass
+
+
+_VALUE_TEXT = st.one_of(
+    st.sampled_from([
+        "1e308", "-1e308", "inf", "-inf", "nan", "1" + "0" * 400, "-1", "0", "2", "none",
+        "2.5", "0.25", "64", "100000", str(2**128), "True", "dr,dense", "dense", "position",
+        "gaussian", "monte_carlo", "wigner", "grid", "json", "xml",
+    ]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+_LINE = st.one_of(
+    st.tuples(st.sampled_from([*_FIELD_PARSERS, "bogus"]), _VALUE_TEXT).map(" = ".join),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=st.lists(_LINE, max_size=8).map("\n".join))
+@example(text="q0 = 1e308")
+@example(text="dim_n = 1" + "0" * 400)
+def test_cli_validate_any_config_text_exits_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) in (0, 2, 3, 4)

@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 
 from torusecho import (
+    CapacityError,
     GaussianWavepacket,
     InvalidInputError,
     MapSpec,
     PositionEigenstate,
     SampleSet,
-    WeightedSample,
     build_state,
     periodized_gaussian_density,
     samples_gaussian,
@@ -40,6 +40,10 @@ def test_grid_sampler_count_must_match_dim():
 def test_misaligned_q0_rejected():
     with pytest.raises(InvalidInputError):
         samples_position_state(SMALL, 0.4, count=None)  # 0.4 * 64 = 25.6
+    # q0 * N of inf or nan has no grid index
+    for q0 in (float("inf"), float("nan"), 1e308):
+        with pytest.raises(InvalidInputError, match="not aligned"):
+            samples_position_state(SPEC, q0)
     # aligned within 1e-9 * N is accepted
     s = samples_position_state(SPEC, 0.4 + 1e-13)
     assert len(s) == 1000
@@ -57,17 +61,9 @@ def test_monte_carlo_sampler_deterministic_per_seed():
         samples_position_state(SPEC, 0.4, count=None, mode="monte_carlo")
     with pytest.raises(InvalidInputError):
         samples_position_state(SPEC, 0.4, count=10, mode="fancy")
-
-
-def test_sample_set_sequence_protocol():
-    s = samples_position_state(SMALL, 0.25)
-    assert len(s) == 64
-    item = s[3]
-    assert isinstance(item, WeightedSample)
-    assert item.point.q == 0.25
-    assert item.point.p == 3 / 64
-    assert item.weight == pytest.approx(1 / 64)
-    assert len(list(iter(s))) == 64
+    for seed in (-1, 2**128, 1.5):
+        with pytest.raises(InvalidInputError, match="seed must"):
+            samples_position_state(SPEC, 0.4, count=10, mode="monte_carlo", seed=seed)
 
 
 def test_sample_set_validation():
@@ -131,6 +127,8 @@ def test_gaussian_count_validation():
         samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=0)
     with pytest.raises(InvalidInputError):
         samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10, mode="nope")
+    with pytest.raises(CapacityError, match="exceeds limit"):
+        samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10**12)  # refused before any draw
 
 
 def test_periodized_density_normalized():

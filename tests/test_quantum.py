@@ -36,8 +36,9 @@ def test_position_state_is_one_hot():
 
 
 def test_misaligned_position_state_rejected():
-    with pytest.raises(InvalidInputError):
-        build_state(SMALL, PositionEigenstate(0.4))
+    for q0 in (0.4, float("nan"), float("inf"), 1e308):
+        with pytest.raises(InvalidInputError, match="not aligned"):
+            build_state(SMALL, PositionEigenstate(q0))
 
 
 def test_norm_guard():

@@ -69,6 +69,8 @@ def test_noisy_orbit_residual_bounded():
     assert r <= delta + KICK_BOUND(MIXED)
     # noise-free residual vs the generating map is within delta alone
     assert pseudo_residual(MIXED, orb, against="perturbed") <= delta
+    with pytest.raises(InvalidInputError, match="seed must"):
+        noisy_orbit(MIXED, (0.3, 0.8), 4, delta=delta, seed=-1)
 
 
 def test_residual_against_validation():
