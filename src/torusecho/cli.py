@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import MapSpec
+from .dynamics import MapSpec, is_finite
 from .errors import CapacityError, ConfigValidationError, InvalidInputError
 from .harness import (
     PRESETS,
@@ -195,6 +195,9 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # a tolerance every combination meets (inf) or misses (nan, <= 0) checks nothing
+    if not (is_finite(args.tol) and args.tol > 0.0):
+        raise InvalidInputError(f"tol must be positive and finite, got {args.tol!r}")
     failures = 0
     for dim_n, k, eps in _ORACLE_COMBOS:
         spec = MapSpec(k, eps, dim_n)

@@ -90,7 +90,10 @@ def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1):
     of the run; where it overflows, the dr and exact routes would return nan.
     """
     # in the order the routes compute it: the factor first, then the sum
-    scale = (abs(k) + abs(epsilon)) * dim_n / TWO_PI * max(steps, 1)
+    try:
+        scale = (abs(k) + abs(epsilon)) * dim_n / TWO_PI * max(steps, 1)
+    except OverflowError:  # an N beyond the float range
+        scale = math.inf
     if math.isfinite(scale):
         return None
     return InvalidInputError, (

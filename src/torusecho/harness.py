@@ -24,7 +24,6 @@ from .dephasing import FidelityCurve, dr_curve, threads_problem
 from .dynamics import (
     MapSpec,
     dim_problem,
-    is_finite,
     map_problems,
     phase_scale_problem,
     steps_problem,
@@ -216,7 +215,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
     add(steps_bad)
     if not map_bad and config.dim_n <= _MAX_DIM and steps_bad is None:
         add(phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps))
-    if not 0.0 <= config.q0 < 1.0:
+    q0_ok = 0.0 <= config.q0 < 1.0
+    if not q0_ok:
         invalid(f"q0 must lie in [0, 1), got {config.q0!r}")
     if not 0.0 <= config.p0 < 1.0:
         invalid(f"p0 must lie in [0, 1), got {config.p0!r}")
@@ -245,7 +245,7 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
                 f"sample_mode for position states must be one of {_POSITION_MODES}, "
                 f"got {config.sample_mode!r}"
             )
-        if dim_ok and is_finite(config.q0):
+        if dim_ok and q0_ok:  # the range rule above reports any other q0
             add(alignment_problem(config.q0, config.dim_n))
         if config.sample_mode == "grid":
             add(grid_count_problem(config.dim_n, config.samples))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,13 +38,17 @@ _SEED_LIMIT = 2**128
 
 
 def alignment_problem(q0, dim_n):
-    """Why q0 is off the dim_n-point position grid (q0 * N not integral), or None."""
-    try:
-        j = q0 * dim_n
-        if abs(j - round(j)) <= _GRID_ALIGN_TOL:
+    """Why q0 is no point j/N of the dim_n-point grid on [0, 1), or None.
+
+    q0 * N is judged exactly, so grids beyond the float range are judged
+    too. q0 is on the grid within 1e-9 steps of a point j/N, or where it
+    is the float nearest j/N (0.4 on a grid of 10**12 points).
+    """
+    if 0.0 <= q0 < 1.0:
+        x = Fraction(float(q0)) * dim_n
+        j = round(x)
+        if abs(x - j) <= _GRID_ALIGN_TOL or j / dim_n == q0:
             return None
-    except (OverflowError, ValueError):  # q0 * N is inf or nan
-        pass
     return InvalidInputError, f"q0={q0!r} is not aligned to the dim_n={dim_n} grid"
 
 
@@ -168,7 +173,7 @@ class WignerSampler(InitialState):
 def grid_index(spec: MapSpec, q0: float) -> int:
     """Grid index of a grid-aligned position; error if q0*N is not integral."""
     raise_problem(alignment_problem(q0, spec.dim_n))
-    return int(round(q0 * spec.dim_n)) % spec.dim_n
+    return round(Fraction(float(q0)) * spec.dim_n) % spec.dim_n
 
 
 def _rng(seed: int) -> np.random.Generator:

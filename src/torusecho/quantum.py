@@ -10,6 +10,10 @@ applied as a position-space kick phase followed by a momentum-space drift
 phase via the unitary FFT pair. The perturbed branch uses the kick
 potential at strength k + epsilon.
 
+A state is checked (shape, norm) once, as a `QuantumState` where it
+enters; from there one in-place kernel steps both branches as one (2, N)
+array, perturbed row first, and builds no state and takes no norm.
+
 `dense_oracle` rebuilds the same unitary as an explicit matrix with its
 own DFT construction and no shared phase helpers, so split-operator and
 dense results are independent routes to the same curve.
@@ -76,19 +80,38 @@ class QuantumState:
         return complex(np.vdot(self.vector, other.vector))
 
 
-@lru_cache(maxsize=64)
-def _phase_factors(spec: MapSpec, perturbed: bool):
-    """(kick, drift) diagonal phase vectors for one split step."""
+@lru_cache(maxsize=32)
+def _phase_factors(spec: MapSpec):
+    """Read-only (kicks, drift) of one split step; kicks is (2, N), perturbed row first."""
     n = spec.dim_n
     j = np.arange(n)
+    cos_q = np.cos(TWO_PI * j / n)
     # -W(q)/hbar with W(q) = -(c / 4 pi^2) cos(2 pi q) and hbar = 1/(2 pi N)
-    c = spec.k + (spec.epsilon if perturbed else 0.0)
-    kick = np.exp(1j * (c * n / TWO_PI) * np.cos(TWO_PI * j / n))
+    kicks = np.stack(
+        [np.exp(1j * (c * n / TWO_PI) * cos_q) for c in (spec.k + spec.epsilon, spec.k)]
+    )
     # -p^2/(2 hbar) at p_m = m/N reduces to -pi m^2 / N
     drift = np.exp(-1j * np.pi * j * j / n)
-    kick.setflags(write=False)
+    kicks.setflags(write=False)
     drift.setflags(write=False)
-    return kick, drift
+    return kicks, drift
+
+
+def _split_step(psi: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> None:
+    """One split step in place on an (N,) psi or, row by row, a (2, N) psi."""
+    # kick * psi, in this operand order: psi *= kick moves the last bit
+    np.multiply(kick, psi, out=psi)
+    np.fft.fft(psi, axis=-1, norm="ortho", out=psi)
+    psi *= drift
+    np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
+
+
+def _split_step_adjoint(psi: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> None:
+    """Adjoint of `_split_step` in place: undo drift in momentum space, then the kick."""
+    np.fft.fft(psi, axis=-1, norm="ortho", out=psi)
+    psi *= np.conj(drift)
+    np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
+    np.multiply(np.conj(kick), psi, out=psi)
 
 
 def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
@@ -126,28 +149,29 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
 
 def step_quantum(state: QuantumState, perturbed: bool = False) -> QuantumState:
     """One split-operator step: kick phase, FFT, drift phase, inverse FFT."""
-    kick, drift = _phase_factors(state.spec, perturbed)
-    mom = np.fft.fft(kick * state.vector, norm="ortho")
-    mom *= drift
-    return QuantumState(np.fft.ifft(mom, norm="ortho"), state.spec)
+    kicks, drift = _phase_factors(state.spec)
+    psi = state.vector.copy()
+    _split_step(psi, kicks[0 if perturbed else 1], drift)
+    return QuantumState(psi, state.spec)
 
 
-def _step_quantum_inverse(state: QuantumState, perturbed: bool) -> QuantumState:
-    """Adjoint of step_quantum: undo drift in momentum space, then the kick."""
-    kick, drift = _phase_factors(state.spec, perturbed)
-    mom = np.fft.fft(state.vector, norm="ortho")
-    mom *= np.conj(drift)
-    return QuantumState(np.conj(kick) * np.fft.ifft(mom, norm="ortho"), state.spec)
-
-
-def _resolve_state(spec, state):
+def _resolve_state(spec, state, state_label=None):
+    """(checked grid vector, label) of a state descriptor or a QuantumState."""
     if isinstance(state, QuantumState):
         if state.spec.dim_n != spec.dim_n:
             raise InvalidInputError("state grid size does not match spec")
-        return state, f"vector(n={spec.dim_n})"
-    if isinstance(state, InitialState):
-        return build_state(spec, state), state.label()
-    raise InvalidInputError(f"unsupported state {type(state).__name__}")
+        psi0, label = state, f"vector(n={spec.dim_n})"
+    elif isinstance(state, InitialState):
+        psi0, label = build_state(spec, state), state.label()
+    else:
+        raise InvalidInputError(f"unsupported state {type(state).__name__}")
+    return psi0.vector, label if state_label is None else state_label
+
+
+def _grid_curve(amp, method, spec, label) -> FidelityCurve:
+    """Curve of an exact route: zero stderr, the N grid points as its sample count."""
+    zeros = np.zeros(len(amp))
+    return FidelityCurve(amp, zeros, zeros.copy(), method, spec, label, spec.dim_n)
 
 
 def exact_fidelity_curve(
@@ -163,28 +187,15 @@ def exact_fidelity_curve(
     (no sampling is involved).
     """
     raise_problem(steps_problem(steps))
-    psi0, label = _resolve_state(spec, state)
-    if state_label is not None:
-        label = state_label
-    plain = psi0
-    pert = psi0
+    psi0, label = _resolve_state(spec, state, state_label)
+    kicks, drift = _phase_factors(spec)
+    psi = np.stack([psi0, psi0])  # perturbed row first, as in kicks
     amp = np.empty(steps + 1, dtype=np.complex128)
-    amp[0] = np.vdot(pert.vector, plain.vector)
+    amp[0] = np.vdot(psi[0], psi[1])
     for t in range(1, steps + 1):
-        plain = step_quantum(plain, perturbed=False)
-        pert = step_quantum(pert, perturbed=True)
-        amp[t] = np.vdot(pert.vector, plain.vector)
-    zeros = np.zeros(steps + 1)
-    return FidelityCurve(
-        amplitude=amp,
-        stderr_re=zeros,
-        stderr_im=zeros.copy(),
-        method="exact",
-        spec=spec,
-        state_label=label,
-        sample_count=spec.dim_n,
-        seed=None,
-    )
+        _split_step(psi, kicks, drift)
+        amp[t] = np.vdot(psi[0], psi[1])
+    return _grid_curve(amp, "exact", spec, label)
 
 
 def loschmidt_equivalence(
@@ -200,16 +211,16 @@ def loschmidt_equivalence(
     """
     curve = exact_fidelity_curve(spec, state, steps)
     psi0, _ = _resolve_state(spec, state)
+    kicks, drift = _phase_factors(spec)
     dev = 0.0
-    plain = psi0
+    plain = psi0.copy()
     for t in range(steps + 1):
-        echo = plain
+        echo = plain.copy()
         for _ in range(t):
-            echo = _step_quantum_inverse(echo, perturbed=True)
-        amp_echo = np.vdot(psi0.vector, echo.vector)
-        dev = max(dev, abs(amp_echo - curve.amplitude[t]))
+            _split_step_adjoint(echo, kicks[0], drift)
+        dev = max(dev, abs(np.vdot(psi0, echo) - curve.amplitude[t]))
         if t < steps:
-            plain = step_quantum(plain, perturbed=False)
+            _split_step(plain, kicks[1], drift)
     return float(dev)
 
 
@@ -223,14 +234,12 @@ def dense_oracle(
 
     Builds the one-step unitary as an explicit matrix from its own DFT
     construction: U = F_inv @ diag(drift) @ F @ diag(kick). Shares no
-    phase or FFT code with step_quantum. Refuses grids above
+    phase or FFT code with the split route. Refuses grids above
     256 points (dense cost grows as N^2 per step).
     """
     raise_problem(dense_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
-    psi0, label = _resolve_state(spec, state)
-    if state_label is not None:
-        label = state_label
+    psi0, label = _resolve_state(spec, state, state_label)
 
     n = spec.dim_n
     two_pi = 2.0 * np.pi
@@ -250,22 +259,11 @@ def dense_oracle(
     u_plain = one_step(spec.k)
     u_pert = one_step(spec.k + spec.epsilon)
 
-    plain = psi0.vector.copy()
-    pert = psi0.vector.copy()
+    plain = pert = psi0
     amp = np.empty(steps + 1, dtype=np.complex128)
     amp[0] = np.vdot(pert, plain)
     for t in range(1, steps + 1):
         plain = u_plain @ plain
         pert = u_pert @ pert
         amp[t] = np.vdot(pert, plain)
-    zeros = np.zeros(steps + 1)
-    return FidelityCurve(
-        amplitude=amp,
-        stderr_re=zeros,
-        stderr_im=zeros.copy(),
-        method="dense",
-        spec=spec,
-        state_label=label,
-        sample_count=n,
-        seed=None,
-    )
+    return _grid_curve(amp, "dense", spec, label)

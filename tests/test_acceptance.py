@@ -12,6 +12,7 @@ import pytest
 
 from torusecho import (
     PRESETS,
+    GaussianWavepacket,
     MapSpec,
     PositionEigenstate,
     PseudoOrbit,
@@ -20,6 +21,7 @@ from torusecho import (
     exact_fidelity_curve,
     pseudo_residual,
     run_experiment,
+    samples_gaussian,
     samples_position_state,
     shadow_time_estimate,
     step_ensemble,
@@ -229,3 +231,44 @@ def test_c8_output_bytes_independent_of_workers(tmp_path):
     assert b1 == b8
     # and the rendered text is derived purely from the curves
     assert render_csv(curve_rows(r1.curves)).encode() == b1
+
+
+def test_c9_gaussian_states():
+    """Gaussian wavepackets: split vs dense to 1e-9, dr (Wigner) tracks exact."""
+    t0 = time.perf_counter()
+    worst_dense = 0.0
+    for dim in (64, 256):
+        for k, eps in ((0.8, 5e-3), (10.0, 2e-3)):
+            spec = MapSpec(k, eps, dim)
+            state = GaussianWavepacket(0.4, 0.3, 0.05)
+            split = exact_fidelity_curve(spec, state, 30)
+            dense = dense_oracle(spec, state, 30)
+            worst_dense = max(worst_dense, float(np.abs(split.amplitude - dense.amplitude).max()))
+    # (k, epsilon, p0): MAD gate at about twice the largest MAD over sample
+    # seeds 0-5 (N = 1000, 10^5 Wigner samples, 50 steps), which was
+    # 0.0101, 0.0059, 0.0173 and 0.0036 for the cases in this order
+    gates = {
+        (0.8, 5e-3, 0.0): 0.02, (0.8, 5e-3, 0.3): 0.012,
+        (10.0, 2e-3, 0.0): 0.035, (10.0, 2e-3, 0.3): 0.008,
+    }
+    measured = {}
+    for k, eps, p0 in gates:
+        spec = MapSpec(k, eps, 1000)
+        samples = samples_gaussian(spec, 0.4, p0, 0.05, 100_000, mode="wigner", seed=0)
+        dr = dr_curve(spec, samples, 50)
+        ex = exact_fidelity_curve(spec, GaussianWavepacket(0.4, p0, 0.05), 50)
+        measured[k, eps, p0] = float(np.mean(np.abs(dr.fidelity - ex.fidelity)))
+    elapsed = time.perf_counter() - t0
+    mads_ok = all(measured[key] < gate for key, gate in gates.items())
+    ok = worst_dense < 1e-9 and mads_ok and elapsed < 60.0
+    assert _line(
+        "criterion 9 (Gaussian states)",
+        ok,
+        f"split vs dense max |amp dev| = {worst_dense:.2e}; dr vs exact mad "
+        + ", ".join(f"k={key[0]:g} p0={key[2]:g}: {m:.4f} (< {gates[key]:g})"
+                    for key, m in measured.items())
+        + f", {elapsed:.2f}s (budget 60s)",
+    )
+    assert worst_dense < 1e-9
+    assert mads_ok, measured
+    assert elapsed < 60.0

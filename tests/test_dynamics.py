@@ -137,6 +137,8 @@ def test_spec_rejects_overflowing_phase_factor():
         MapSpec(0.8, 1e308, 1000)
     with pytest.raises(InvalidInputError, match="phase factor"):
         MapSpec(-1e306, 0.0, 65536)
+    with pytest.raises(InvalidInputError, match="phase factor"):
+        MapSpec(0.8, 5e-3, 10**400)  # N beyond the float range
     assert MapSpec(0.8, 1e300, 1000).epsilon == 1e300  # large but finite phases
     # the bound grows with the step count of a run
     assert phase_scale_problem(0.8, 1e305, 1000) is None

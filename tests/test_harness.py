@@ -361,13 +361,38 @@ def test_cli_over_cap_steps_and_count_exit_3(monkeypatch, capsys):
         raise AssertionError("work started at a refused size")
 
     monkeypatch.setattr(quantum, "build_state", never)
-    monkeypatch.setattr(quantum, "step_quantum", never)
+    monkeypatch.setattr(quantum, "_split_step", never)
     assert main(["oracle-check", "--steps", str(_MAX_STEPS + 1)]) == 3
     assert "steps 1000001 exceeds limit" in capsys.readouterr().err
     monkeypatch.setattr(shadowing, "_rng", never)
     monkeypatch.setattr(shadowing, "orbit_from_map", never)
     assert main(["shadow", "--count", str(_MAX_SURVEY_COUNT + 1), "--steps", "3"]) == 3
     assert "orbits" in capsys.readouterr().err
+
+
+def test_cli_oracle_check_bad_tol_exits_2(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("curve built under a refused tolerance")
+
+    monkeypatch.setattr(quantum, "build_state", never)
+    for tol in ("nan", "inf", "-1", "0"):
+        assert main(["oracle-check", "--steps", "3", "--tol", tol]) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):
+    # q0 * N is beyond the float range, and 0.4 lies on that grid: capacity only
+    huge = ExperimentConfig(dim_n=10**400, q0=0.4)
+    assert [kind for kind, _ in validate_config(huge)] == [CapacityError]
+    # the float 0.4 is 2.2e-5 steps off 2/5 on 10**12 points, but the float nearest it
+    for dim_n in (10**400, 10**12, 100000):
+        assert main(["run", "--dim-n", str(dim_n), "--q0", "0.4"]) == 3
+    # over the cap and off the grid (0.4 * 100001 = 40000.4): a config error
+    assert main(["run", "--dim-n", "100001", "--q0", "0.4"]) == 2
+    assert "not aligned" in capsys.readouterr().err
+    for q0 in ("inf", "nan"):
+        assert main(["run", "--q0", q0]) == 2
+        assert capsys.readouterr().err == f"error: q0 must lie in [0, 1), got {q0}\n"
 
 
 # ---- fuzz of the validation layer ----------------------------------------
@@ -427,3 +452,72 @@ def test_cli_validate_any_config_text_exits_with_a_documented_code(text):
         path = Path(tmp) / "fuzz.cfg"
         path.write_text(text)
         assert main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
+
+
+_ODD_FLAG_TEXT = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1", "2.5", "x", "",
+                  "1" + "0" * 400, str(2**128)]
+
+
+def _flag(valid, odd=st.sampled_from(_ODD_FLAG_TEXT)):
+    """Flag text: a valid value in three draws of four, else an odd one.
+
+    Valid counts stay small; odd ones are refused or over a cap, so no draw
+    starts a long run.
+    """
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else valid.map(str))
+
+
+def _any_float(valid):
+    return _flag(valid, st.sampled_from(_ODD_FLAG_TEXT) | st.floats().map(str))
+
+
+_SHADOW_FLAGS = {
+    "--k": _any_float(st.floats(-20.0, 20.0)),
+    "--epsilon": _any_float(st.floats(1e-4, 0.5)),
+    "--dim-n": _flag(st.integers(2, 10**6), st.sampled_from(_ODD_FLAG_TEXT) | st.integers().map(str)),
+    "--count": _flag(st.integers(1, 2)),
+    "--steps": _flag(st.integers(1, 5), st.sampled_from([*_ODD_FLAG_TEXT, "10001"])),
+    "--seed": _flag(st.integers(0, 2**128 - 1), st.sampled_from(_ODD_FLAG_TEXT) | st.integers().map(str)),
+    "--tol": _any_float(st.floats(1e-13, 1.0)),
+    # no valid iteration cap above 20: a refinement may take every one
+    "--max-iter": _flag(st.integers(1, 20), st.sampled_from(["0", "-1", "2.5", "nan", "x", ""])),
+}
+_ORACLE_FLAGS = {
+    "--steps": _flag(st.integers(0, 5), st.sampled_from([*_ODD_FLAG_TEXT, str(_MAX_STEPS + 1)])),
+    "--tol": _any_float(st.floats(1e-300, 1.0)),
+}
+
+
+def _argv(command, flags, required=()):
+    chosen = st.fixed_dictionaries(
+        {f: flags[f] for f in required},
+        optional={f: v for f, v in flags.items() if f not in required},
+    )
+    return chosen.map(lambda d: [command, *(f"{f}={v}" for f, v in d.items())])
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refusing a flag value
+        return exc.code
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=_argv("shadow", _SHADOW_FLAGS, required=("--count", "--steps")))
+@example(argv=["shadow", "--count=1", "--steps=3", "--dim-n=" + "1" + "0" * 400])
+@example(argv=["shadow", "--count=1", "--steps=3", "--k=1e300"])
+def test_cli_shadow_any_flags_exit_with_a_documented_code(argv):
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(argv=_argv("oracle-check", _ORACLE_FLAGS, required=("--steps",)))
+@example(argv=["oracle-check", "--steps=2", "--tol=nan"])
+@example(argv=["oracle-check", "--steps=2", "--tol=5e-324"])
+def test_cli_oracle_check_any_flags_exit_with_a_documented_code(argv):
+    code = _exit_code(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:  # a self-test failure only under a tolerance that can pass
+        tol = float(next((a for a in argv if a.startswith("--tol=")), "--tol=1e-9")[6:])
+        assert math.isfinite(tol) and tol > 0.0

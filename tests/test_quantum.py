@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torusecho import quantum
 from torusecho import (
     CapacityError,
     GaussianWavepacket,
@@ -76,6 +77,67 @@ def test_unitarity_over_long_evolution():
     for _ in range(1000):
         psi = step_quantum(psi, perturbed=True)
     assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-12  # measured ~3e-14
+
+
+def _per_branch_amplitudes(spec, psi0, steps):
+    """<pert|plain> with each branch stepped alone: kick * psi, then one np.fft pair."""
+    n = spec.dim_n
+    j = np.arange(n)
+    cos_q = np.cos(2.0 * np.pi * j / n)
+    drift = np.exp(-1j * np.pi * j * j / n)
+    kick_pert = np.exp(1j * ((spec.k + spec.epsilon) * n / (2.0 * np.pi)) * cos_q)
+    kick_plain = np.exp(1j * (spec.k * n / (2.0 * np.pi)) * cos_q)
+    pert = plain = psi0
+    amp = [np.vdot(pert, plain)]
+    for _ in range(steps):
+        branches = []
+        for kick, psi in ((kick_pert, pert), (kick_plain, plain)):
+            mom = np.fft.fft(kick * psi, norm="ortho")
+            mom *= drift
+            branches.append(np.fft.ifft(mom, norm="ortho"))
+        pert, plain = branches
+        amp.append(np.vdot(pert, plain))
+    return np.array(amp)
+
+
+@pytest.mark.parametrize(
+    "spec, state",
+    [
+        (CHAOTIC_SMALL, PositionEigenstate(0.25)),
+        (MapSpec(0.8, 5e-3, 1000), GaussianWavepacket(0.4, 0.3, 0.05)),
+        (MapSpec(10.0, 2e-3, 256), "vector"),
+        (MapSpec(10.0, 0.0, 128), PositionEigenstate(0.25)),
+    ],
+)
+def test_exact_curve_matches_per_branch_loop_bitwise(spec, state):
+    psi = _random_state(spec) if state == "vector" else build_state(spec, state)
+    before = psi.vector.copy()
+    curve = exact_fidelity_curve(spec, psi if state == "vector" else state, 40)
+    ref = _per_branch_amplitudes(spec, psi.vector, 40)
+    assert curve.amplitude.tobytes() == ref.tobytes()
+    assert np.array_equal(psi.vector, before)  # the caller's state is not stepped
+
+
+def test_exact_loop_builds_no_state_and_takes_no_norm(monkeypatch):
+    psi = _random_state(MapSpec(10.0, 2e-3, 256))
+
+    def never(*args, **kwargs):
+        raise AssertionError("norm taken inside the step loop")
+
+    monkeypatch.setattr(np.linalg, "norm", never)
+    curve = exact_fidelity_curve(psi.spec, psi, 30)
+    assert curve.sample_count == 256
+
+
+def test_phase_factors_hold_one_entry_per_spec():
+    quantum._phase_factors.cache_clear()
+    psi = build_state(SMALL, PositionEigenstate(0.25))
+    exact_fidelity_curve(SMALL, psi, 3)
+    step_quantum(step_quantum(psi), perturbed=True)
+    assert quantum._phase_factors.cache_info().currsize == 1
+    kicks, drift = quantum._phase_factors(SMALL)
+    assert kicks.shape == (2, 64) and drift.shape == (64,)
+    assert not kicks.flags.writeable and not drift.flags.writeable
 
 
 def test_zero_perturbation_fidelity_stays_unity():
