@@ -8,6 +8,21 @@ unperturbed orbit near a pseudo-orbit by Newton iteration on the orbit
 equations, using the minimum-norm correction at each step (the orbit has
 free endpoints, so the linearized system is underdetermined).
 
+Each Newton step solves the banded system (J J^T) lambda = -G, where J
+is the orbit Jacobian: J J^T is symmetric positive definite with
+half-bandwidth 3, so one banded Cholesky solve (LAPACK pbsv) costs O(T)
+for a segment of T steps. scipy is imported inside that step only, so
+`import torusecho` does not load it.
+
+Orbit segments are generated as an ensemble: `_orbits` steps every start
+of a block together, the first step through the checked `step_ensemble`
+and every later one through the in-place kernel, and `_residuals` takes
+the pseudo-residuals of a whole block in one call. Every operation is
+elementwise, so each orbit and residual is bitwise the one-start result;
+`orbit_from_map` is the one-start case. `shadow_survey` takes its starts
+in blocks of `_SURVEY_BLOCK`, so its orbit storage is bounded by the
+block, not by the orbit count.
+
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as
 epsilon^(-1/2); `shadow_time_estimate` returns that scale.
@@ -18,14 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .dynamics import (
     TWO_PI,
     MapSpec,
     _step_in_place,
     _tangent_blocks,
+    is_finite,
     is_integer,
     step_ensemble,
     steps_problem,
@@ -36,8 +50,11 @@ from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import _rng
 
 _MAX_REFINE_STEPS = 10_000
-# orbits in one survey; each is generated, measured and refined in turn
+# orbits in one survey; each is refined in turn
 _MAX_SURVEY_COUNT = 100_000
+# starts a survey steps together; at the step cap one block of orbits
+# holds 64 x (10^4 + 1) x 2 floats, about 10 MB
+_SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
 _MIN_DAMPING = 2.0**-16
 
@@ -108,21 +125,30 @@ def orbit_from_map(
 ) -> PseudoOrbit:
     """Orbit segment generated by iterating the (default: perturbed) map.
 
-    The first step is the checked `step_ensemble`; its 0-d outputs are
-    then stepped in place by the map kernel.
+    The one-start case of the ensemble generator `_orbits`.
     """
     raise_problem(steps_problem(steps, minimum=1))
-    q, p = np.float64(start[0]), np.float64(start[1])
-    pts = np.empty((steps + 1, 2))
-    pts[0] = (q, p)
-    q, p = step_ensemble(spec, q, p, perturbed=perturbed)
-    pts[1] = (q, p)
+    starts = np.array([(start[0], start[1])], dtype=np.float64)
+    return PseudoOrbit(_orbits(spec, starts, steps, perturbed)[0], generator="perturbed_map")
+
+
+def _orbits(spec, starts, steps, perturbed):
+    """Orbit segments of every start at once, as a (len(starts), steps + 1, 2) array.
+
+    The first step is the checked `step_ensemble`; its outputs are then
+    stepped in place by the map kernel, one call per step for the whole
+    ensemble.
+    """
+    pts = np.empty((starts.shape[0], steps + 1, 2))
+    pts[:, 0] = starts
+    q, p = step_ensemble(spec, starts[:, 0], starts[:, 1], perturbed=perturbed)
+    pts[:, 1, 0], pts[:, 1, 1] = q, p
     c = spec.kick_coefficient(perturbed)
     arg, tmp = np.empty_like(q), np.empty_like(q)
     for t in range(2, steps + 1):
         _step_in_place(c, q, p, arg, tmp)
-        pts[t] = (q, p)
-    return PseudoOrbit(pts, generator="perturbed_map", noise_delta=0.0)
+        pts[:, t, 0], pts[:, t, 1] = q, p
+    return pts
 
 
 def noisy_orbit(
@@ -158,11 +184,14 @@ def pseudo_residual(
     max over steps t of the torus sup-distance between points[t+1] and
     the image of points[t]; zero iff the segment is a true orbit.
     """
-    perturbed = _against_flag(against)
-    pts = orbit.points
-    q1, p1 = step_ensemble(spec, pts[:-1, 0], pts[:-1, 1], perturbed=perturbed)
+    return float(_residuals(spec, orbit.points, _against_flag(against)))
+
+
+def _residuals(spec, pts, perturbed):
+    """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call."""
+    q1, p1 = step_ensemble(spec, pts[..., :-1, 0], pts[..., :-1, 1], perturbed=perturbed)
     image = np.stack([q1, p1], axis=-1)
-    return float(torus_distance(pts[1:], image).max())
+    return torus_distance(pts[..., 1:, :], image).max(axis=-1)
 
 
 def _against_flag(against: str) -> bool:
@@ -189,36 +218,33 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     """Minimum-norm correction dX with J dX = -G for the orbit equations.
 
     J is the 2T x 2(T+1) block bidiagonal orbit Jacobian (blocks -A_t and
-    I); the least-norm solution is J^T (J J^T)^{-1} (-G) with J J^T block
-    tridiagonal and positive definite, factored sparsely.
+    I); the least-norm solution is J^T (J J^T)^{-1} (-G). J J^T is block
+    tridiagonal, with diagonal blocks D_t = A_t A_t^T + I and upper blocks
+    (t, t+1) = -A_{t+1}^T, so it is symmetric positive definite with
+    half-bandwidth 3. It is written straight into LAPACK upper band
+    storage, ab[3 + i - j, j] = (J J^T)[i, j], and solved by banded
+    Cholesky (pbsv). Returns None where no step exists in double
+    precision: at kicks beyond about 10^7, A_t A_t^T + I rounds to a
+    singular matrix.
     """
+    from scipy.linalg import solveh_banded  # here, so `import torusecho` loads no scipy
+
     big_t = pts.shape[0] - 1
     a = _tangent_blocks(spec.kick_coefficient(perturbed), pts[:-1, 0])
 
     diag = np.einsum("nij,nkj->nik", a, a)
-    diag[:, 0, 0] += 1.0
-    diag[:, 1, 1] += 1.0
-
-    rows, cols, data = [], [], []
-    idx = np.arange(big_t) * 2
-    for r in range(2):
-        for c2 in range(2):
-            rows.append(idx + r)
-            cols.append(idx + c2)
-            data.append(diag[:, r, c2])
-            if big_t > 1:
-                # upper block (t, t+1) = -A_{t+1}^T, lower is its transpose
-                rows.append(idx[:-1] + r)
-                cols.append(idx[1:] + c2)
-                data.append(-a[1:, c2, r])
-                rows.append(idx[1:] + r)
-                cols.append(idx[:-1] + c2)
-                data.append(-a[1:, r, c2])
-    mat = csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * big_t, 2 * big_t),
-    )
-    lam = splu(mat).solve(-defect.reshape(-1)).reshape(big_t, 2)
+    ab = np.zeros((4, 2 * big_t))
+    ab[3, 0::2] = diag[:, 0, 0] + 1.0
+    ab[3, 1::2] = diag[:, 1, 1] + 1.0
+    ab[2, 1::2] = diag[:, 0, 1]
+    ab[2, 2::2] = -a[1:, 0, 1]
+    ab[1, 2::2] = -a[1:, 0, 0]
+    ab[1, 3::2] = -a[1:, 1, 1]
+    ab[0, 3::2] = -a[1:, 1, 0]
+    try:
+        lam = solveh_banded(ab, -defect.reshape(-1)).reshape(big_t, 2)
+    except ValueError:  # LinAlgError too: J J^T overflowed or is singular in double precision
+        return None
 
     dx = np.empty((big_t + 1, 2))
     dx[0] = -a[0].T @ lam[0]
@@ -228,11 +254,21 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     return dx
 
 
-def _check_refine_steps(steps):
+def _refine_problem(steps, tol, max_iter):
+    """Why a refinement of `steps` steps at tol and max_iter cannot run, or None.
+
+    The first of: segments longer than 10^4 steps (capacity), a tolerance
+    that is not finite or below 1e-13 (under double precision the orbit
+    equations cannot be satisfied more tightly), a max_iter that is no
+    integer >= 1.
+    """
     if steps > _MAX_REFINE_STEPS:
-        raise CapacityError(
-            f"refinement supports up to {_MAX_REFINE_STEPS} steps, got {steps}"
-        )
+        return CapacityError, f"refinement supports up to {_MAX_REFINE_STEPS} steps, got {steps}"
+    if not (is_finite(tol) and tol >= _MIN_TOL):
+        return InvalidInputError, f"tol must be >= {_MIN_TOL}, got {tol!r}"
+    if not (is_integer(max_iter) and max_iter >= 1):
+        return InvalidInputError, f"max_iter must be an integer >= 1, got {max_iter!r}"
+    return None
 
 
 def refine_shadow(
@@ -254,17 +290,16 @@ def refine_shadow(
     The result then carries converged=False with the best points found,
     and the leftover defect is concentrated at the offending steps;
     the sub-segments on either side typically refine to full precision.
+    Under kicks so strong (|k| beyond about 10^7) that the Newton system
+    is singular in double precision, refinement stops the same way.
 
     Raises CapacityError for segments longer than 10^4 steps and
     InvalidInputError for tolerances below 1e-13 (under double
-    precision the orbit equations cannot be satisfied more tightly).
+    precision the orbit equations cannot be satisfied more tightly) or
+    a max_iter that is no integer >= 1.
     """
     perturbed = _against_flag(against)
-    _check_refine_steps(orbit.steps)
-    if not np.isfinite(tol) or tol < _MIN_TOL:
-        raise InvalidInputError(f"tol must be >= {_MIN_TOL}, got {tol!r}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter!r}")
+    raise_problem(_refine_problem(orbit.steps, tol, max_iter))
 
     pts = orbit.points.copy()
     defect = _orbit_defect(spec, pts, perturbed)
@@ -274,6 +309,8 @@ def refine_shadow(
 
     while not converged and iterations < max_iter:
         dx = _min_norm_newton_step(spec, pts, defect, perturbed)
+        if dx is None:
+            break  # no Newton step; report best point found
         scale = 1.0
         while True:
             trial = wrap_unit(pts + scale * dx)
@@ -323,12 +360,17 @@ def shadow_survey(
     each toward a true unperturbed orbit, and summarizes convergence,
     shadow distances, and the epsilon^(-1/2) horizon.
 
+    The segments are generated and measured `_SURVEY_BLOCK` starts at a
+    time as one ensemble (bitwise the one-start orbits), then refined one
+    by one, in start order, through `refine_shadow`.
+
     fraction_converged below 1 is expected when orbits brush island
     regions (see refine_shadow); the residual bound diagnostics are
     unconditional.
 
-    Raises CapacityError for more than 10^5 orbits or segments longer
-    than 10^4 steps before any start is drawn.
+    Every argument is checked before any start is drawn: CapacityError
+    for more than 10^5 orbits or segments longer than 10^4 steps,
+    InvalidInputError for the other rules of refine_shadow.
     """
     if not is_integer(count) or count < 1:
         raise InvalidInputError(f"count must be a positive integer, got {count!r}")
@@ -337,7 +379,8 @@ def shadow_survey(
     t_shadow = shadow_time_estimate(spec.epsilon)
     if steps is None:
         steps = max(2, int(round(t_shadow)))
-    _check_refine_steps(steps)  # before any orbit is generated
+    raise_problem(steps_problem(steps, minimum=1))
+    raise_problem(_refine_problem(steps, tol, max_iter))
     starts = _rng(seed).random((count, 2))
     bound = spec.epsilon / TWO_PI
 
@@ -345,13 +388,15 @@ def shadow_survey(
     distances = np.empty(count)
     final_residuals = np.empty(count)
     converged = np.zeros(count, dtype=bool)
-    for i in range(count):
-        orb = orbit_from_map(spec, starts[i], steps, perturbed=True)
-        residuals[i] = pseudo_residual(spec, orb, against="unperturbed")
-        result = refine_shadow(spec, orb, tol=tol, max_iter=max_iter)
-        distances[i] = result.shadow_distance
-        final_residuals[i] = result.residual
-        converged[i] = result.converged
+    for lo in range(0, count, _SURVEY_BLOCK):
+        block = _orbits(spec, starts[lo : lo + _SURVEY_BLOCK], steps, perturbed=True)
+        residuals[lo : lo + len(block)] = _residuals(spec, block, perturbed=False)
+        for i, pts in enumerate(block, start=lo):
+            orb = PseudoOrbit(pts, generator="perturbed_map")
+            result = refine_shadow(spec, orb, tol=tol, max_iter=max_iter)
+            distances[i] = result.shadow_distance
+            final_residuals[i] = result.residual
+            converged[i] = result.converged
     return {
         "count": count,
         "steps": int(steps),

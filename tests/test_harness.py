@@ -365,7 +365,7 @@ def test_cli_over_cap_steps_and_count_exit_3(monkeypatch, capsys):
     assert main(["oracle-check", "--steps", str(_MAX_STEPS + 1)]) == 3
     assert "steps 1000001 exceeds limit" in capsys.readouterr().err
     monkeypatch.setattr(shadowing, "_rng", never)
-    monkeypatch.setattr(shadowing, "orbit_from_map", never)
+    monkeypatch.setattr(shadowing, "_orbits", never)
     assert main(["shadow", "--count", str(_MAX_SURVEY_COUNT + 1), "--steps", "3"]) == 3
     assert "orbits" in capsys.readouterr().err
 

@@ -1,5 +1,11 @@
 """Pseudo-orbit residual bounds and Newton shadow refinement."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +23,7 @@ from torusecho import (
 )
 from torusecho import shadowing
 from torusecho.cli import main
-from torusecho.shadowing import wrap_signed
+from torusecho.shadowing import _min_norm_newton_step, _orbit_defect, wrap_signed
 
 MIXED = MapSpec(0.8, 5e-3, 1000)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -120,8 +126,10 @@ def test_refine_capacity_and_tolerance_limits():
     orb = orbit_from_map(MIXED, (0.4, 0.2), 10)
     with pytest.raises(InvalidInputError):
         refine_shadow(MIXED, orb, tol=1e-14)
-    with pytest.raises(InvalidInputError):
-        refine_shadow(MIXED, orb, max_iter=0)
+    for max_iter in (0, -1, 2.5, float("nan"), True, 3.0):
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer >= 1"):
+            refine_shadow(MIXED, orb, max_iter=max_iter)
+    assert refine_shadow(MIXED, orb, max_iter=np.int64(1)).iterations == 1
     long_pts = np.full((10_002, 2), 0.25)
     with pytest.raises(CapacityError):
         refine_shadow(MIXED, PseudoOrbit(long_pts), tol=1e-10)
@@ -188,3 +196,196 @@ def test_glitch_orbit_reports_honest_failure():
     head = refine_shadow(CHAOTIC, PseudoOrbit(orb.points[:worst]), tol=1e-11, max_iter=60)
     tail = refine_shadow(CHAOTIC, PseudoOrbit(orb.points[worst + 2 :]), tol=1e-11, max_iter=60)
     assert head.converged and tail.converged
+
+
+def _fail_on_map_step(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("map step taken under a refused argument")
+
+    monkeypatch.setattr(shadowing, "step_ensemble", never)
+    monkeypatch.setattr(shadowing, "_step_in_place", never)
+    monkeypatch.setattr(shadowing, "_rng", never)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": 1e-14},
+        {"tol": float("nan")},
+        {"max_iter": 0},
+        {"max_iter": 2.5},
+        {"max_iter": float("nan")},
+        {"max_iter": True},
+        {"steps": 0},
+        {"steps": 2.5},
+    ],
+)
+def test_survey_checks_every_argument_before_any_start_is_drawn(monkeypatch, kwargs):
+    _fail_on_map_step(monkeypatch)
+    with pytest.raises(InvalidInputError):
+        shadow_survey(MIXED, **{"count": 20_000, "steps": 5_000, **kwargs})
+
+
+def test_cli_shadow_refused_refinement_exits_2_without_a_map_step(monkeypatch, capsys):
+    _fail_on_map_step(monkeypatch)
+    argv = ["shadow", "--count", "20000", "--steps", "5000"]
+    assert main([*argv, "--tol", "1e-14"]) == 2
+    assert "tol must be >= 1e-13" in capsys.readouterr().err
+    assert main([*argv, "--max-iter", "0"]) == 2
+    assert "max_iter must be an integer >= 1" in capsys.readouterr().err
+    assert main(["shadow", "--count", "1", "--steps", "0"]) == 2
+    assert "steps must be a positive integer" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    """scipy is loaded by the Newton step, not by `import torusecho`."""
+    import torusecho
+
+    env = dict(os.environ)
+    src = str(Path(torusecho.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, torusecho\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _orbit_jacobian_ref(c, pts):
+    """The 2T x 2(T+1) orbit Jacobian written out: row block t is [.. -A_t  I ..]."""
+    big_t = pts.shape[0] - 1
+    jac = np.zeros((2 * big_t, 2 * (big_t + 1)))
+    for t in range(big_t):
+        kick = c * 2.0 * math.pi * math.cos(2.0 * math.pi * pts[t, 0])
+        jac[2 * t : 2 * t + 2, 2 * t : 2 * t + 2] = -np.array([[1.0 - kick, 1.0], [-kick, 1.0]])
+        jac[2 * t : 2 * t + 2, 2 * t + 2 : 2 * t + 4] = np.eye(2)
+    return jac
+
+
+@pytest.mark.parametrize("spec", [MIXED, CHAOTIC])
+@pytest.mark.parametrize("steps", [1, 2, 22, 200])
+def test_newton_step_is_the_written_out_min_norm_solution(spec, steps):
+    orb = orbit_from_map(spec, (0.37, 0.61), steps, perturbed=True)
+    defect = _orbit_defect(spec, orb.points, False)
+    jac = _orbit_jacobian_ref(spec.kick_coefficient(False), orb.points)
+    g = defect.reshape(-1)
+    ref = jac.T @ np.linalg.solve(jac @ jac.T, -g)
+    dx = _min_norm_newton_step(spec, orb.points, defect, False)
+    assert dx.shape == orb.points.shape
+    assert np.abs(dx.reshape(-1) - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.abs(jac @ dx.reshape(-1) + g).max() <= 1e-10 * np.abs(g).max()
+
+
+def test_newton_step_without_a_double_precision_solution_stalls():
+    """At |k| = 1e8, A A^T + I rounds to a singular matrix: no step, no exception."""
+    spec = MapSpec(1e8, 5e-3, 1000)
+    orb = orbit_from_map(spec, (0.37, 0.61), 30, perturbed=True)
+    defect = _orbit_defect(spec, orb.points, False)
+    assert _min_norm_newton_step(spec, orb.points, defect, False) is None
+    res = refine_shadow(spec, orb, tol=1e-10)
+    assert not res.converged and res.iterations == 0
+    assert np.array_equal(res.shadow_points, orb.points)
+    assert main(["shadow", "--k", "1e8", "--count", "4", "--steps", "30"]) == 0
+
+
+def _survey_orbits_ref(spec, count, steps, seed):
+    """Each start's perturbed orbit, stepped alone with the step written out."""
+    starts = np.random.Generator(np.random.Philox(key=seed)).random((count, 2))
+    c = spec.kick_coefficient(True)
+    orbits = []
+    for q, p in starts:
+        pts = [(q, p)]
+        for _ in range(steps):
+            p = p - c * np.sin(2.0 * np.pi * q)
+            p = p - np.floor(p)
+            p = p - np.floor(p)
+            q = q + p
+            q = q - np.floor(q)
+            q = q - np.floor(q)
+            pts.append((q, p))
+        orbits.append(np.array(pts))
+    return orbits
+
+
+def _residual_ref(spec, pts):
+    """Sup torus distance between points[t+1] and the unperturbed image of points[t]."""
+    c = spec.kick_coefficient(False)
+    worst = 0.0
+    for (q, p), nxt in zip(pts[:-1], pts[1:]):
+        p1 = p - c * np.sin(2.0 * np.pi * q)
+        p1 = p1 - np.floor(p1)
+        p1 = p1 - np.floor(p1)
+        q1 = q + p1
+        q1 = q1 - np.floor(q1)
+        q1 = q1 - np.floor(q1)
+        for a, b in zip(nxt, (q1, p1)):
+            d = abs(a - b) % 1.0
+            worst = max(worst, min(d, 1.0 - d))
+    return worst
+
+
+def _recorded_survey(monkeypatch, spec, **kwargs):
+    """Run a survey; return its report, the orbits refined and the residuals measured."""
+    refine, residuals = shadowing.refine_shadow, shadowing._residuals
+    orbits, measured, results = [], [], []
+
+    def keep_refine(spec_, orbit, *args, **kw):
+        orbits.append(orbit.points.copy())
+        results.append(refine(spec_, orbit, *args, **kw))
+        return results[-1]
+
+    def keep_residuals(*args, **kw):
+        measured.append(residuals(*args, **kw))
+        return measured[-1]
+
+    monkeypatch.setattr(shadowing, "refine_shadow", keep_refine)
+    monkeypatch.setattr(shadowing, "_residuals", keep_residuals)
+    report = shadow_survey(spec, **kwargs)
+    monkeypatch.undo()
+    return report, orbits, np.concatenate(measured), results
+
+
+@pytest.mark.parametrize("spec,seed", [(CHAOTIC, 0), (MIXED, 3)])
+def test_survey_orbits_and_residuals_match_a_per_start_loop_bitwise(monkeypatch, spec, seed):
+    count, steps = 70, 25  # more than one block of starts
+    report, orbits, residuals, _ = _recorded_survey(
+        monkeypatch, spec, count=count, steps=steps, seed=seed, max_iter=3
+    )
+    expected = _survey_orbits_ref(spec, count, steps, seed)
+    assert len(orbits) == count
+    for got, want in zip(orbits, expected):
+        assert got.tobytes() == want.tobytes()
+    want_res = np.array([_residual_ref(spec, pts) for pts in expected])
+    assert residuals.tobytes() == want_res.tobytes()
+    bound = spec.epsilon / (2 * np.pi)
+    assert report["max_pseudo_residual"] == want_res.max()
+    assert report["bound_violations"] == int(np.sum(want_res > bound))
+    # orbit_from_map is the one-start case of the same generator
+    for i in (0, count - 1):
+        start = np.random.Generator(np.random.Philox(key=seed)).random((count, 2))[i]
+        assert orbit_from_map(spec, start, steps).points.tobytes() == expected[i].tobytes()
+
+
+def test_survey_report_does_not_depend_on_the_block_size(monkeypatch):
+    kwargs = dict(count=10, steps=30, seed=4, max_iter=10)
+    one_block, orbits, residuals, _ = _recorded_survey(monkeypatch, CHAOTIC, **kwargs)
+    monkeypatch.setattr(shadowing, "_SURVEY_BLOCK", 3)
+    blocks, orbits3, residuals3, _ = _recorded_survey(monkeypatch, CHAOTIC, **kwargs)
+    assert shadowing._SURVEY_BLOCK != 3  # restored by the recording helper
+    assert blocks == one_block
+    assert residuals3.tobytes() == residuals.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(orbits3, orbits))
+
+
+@pytest.mark.parametrize(
+    "spec,seed,converged,iterations", [(CHAOTIC, 0, 217, 1205), (MIXED, 3, 256, 519)]
+)
+def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, converged, iterations):
+    """The benchmark's surveys: one refinement per orbit, same outcomes as before."""
+    report, _, _, results = _recorded_survey(monkeypatch, spec, count=256, seed=seed, tol=1e-9)
+    assert len(results) == 256
+    assert sum(r.converged for r in results) == converged
+    assert report["fraction_converged"] == converged / 256
+    assert sum(r.iterations for r in results) == iterations
