@@ -8,20 +8,12 @@ unperturbed orbit near a pseudo-orbit by Newton iteration on the orbit
 equations, using the minimum-norm correction at each step (the orbit has
 free endpoints, so the linearized system is underdetermined).
 
-Each Newton step solves the banded system (J J^T) lambda = -G, where J
-is the orbit Jacobian: J J^T is symmetric positive definite with
-half-bandwidth 3, so one banded Cholesky solve (LAPACK pbsv) costs O(T)
-for a segment of T steps. scipy is imported inside that step only, so
-`import torusecho` does not load it.
-
-Orbit segments are generated as an ensemble: `_orbits` steps every start
-of a block together, the first step through the checked `step_ensemble`
-and every later one through the in-place kernel, and `_residuals` takes
-the pseudo-residuals of a whole block in one call. Every operation is
-elementwise, so each orbit and residual is bitwise the one-start result;
-`orbit_from_map` is the one-start case. `shadow_survey` takes its starts
-in blocks of `_SURVEY_BLOCK`, so its orbit storage is bounded by the
-block, not by the orbit count.
+Each Newton step is one banded Cholesky solve (LAPACK pbsv) of J J^T,
+O(T) for T steps; scipy is imported there only, so `import torusecho`
+does not load it. Orbits and their pseudo-residuals are computed for a
+whole ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
+one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
+time, so its orbit storage does not grow with the orbit count.
 
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as
@@ -255,13 +247,7 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
 
 
 def _refine_problem(steps, tol, max_iter):
-    """Why a refinement of `steps` steps at tol and max_iter cannot run, or None.
-
-    The first of: segments longer than 10^4 steps (capacity), a tolerance
-    that is not finite or below 1e-13 (under double precision the orbit
-    equations cannot be satisfied more tightly), a max_iter that is no
-    integer >= 1.
-    """
+    """Why a refinement of `steps` steps at tol and max_iter cannot run, or None."""
     if steps > _MAX_REFINE_STEPS:
         return CapacityError, f"refinement supports up to {_MAX_REFINE_STEPS} steps, got {steps}"
     if not (is_finite(tol) and tol >= _MIN_TOL):
