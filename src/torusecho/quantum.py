@@ -106,6 +106,17 @@ def _split_step(psi: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> None:
     np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
 
 
+def _overlap(psi: np.ndarray, buf: np.ndarray) -> complex:
+    """<psi[0]|psi[1]> as one numpy pairwise sum through buf, with no BLAS call.
+
+    A BLAS dot product splits its sum over however many threads the library
+    starts, so its bits would depend on the machine; this sum does not.
+    """
+    np.conjugate(psi[0], out=buf)
+    buf *= psi[1]
+    return buf.sum()
+
+
 def _split_step_adjoint(psi: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> None:
     """Adjoint of `_split_step` in place: undo drift in momentum space, then the kick."""
     np.fft.fft(psi, axis=-1, norm="ortho", out=psi)
@@ -190,11 +201,12 @@ def exact_fidelity_curve(
     psi0, label = _resolve_state(spec, state, state_label)
     kicks, drift = _phase_factors(spec)
     psi = np.stack([psi0, psi0])  # perturbed row first, as in kicks
+    buf = np.empty(spec.dim_n, dtype=np.complex128)
     amp = np.empty(steps + 1, dtype=np.complex128)
-    amp[0] = np.vdot(psi[0], psi[1])
+    amp[0] = _overlap(psi, buf)
     for t in range(1, steps + 1):
         _split_step(psi, kicks, drift)
-        amp[t] = np.vdot(psi[0], psi[1])
+        amp[t] = _overlap(psi, buf)
     return _grid_curve(amp, "exact", spec, label)
 
 

@@ -15,23 +15,23 @@ from torusecho.cli import main
 GOLDEN = {
     "fig1-mixed": (
         ["--preset", "fig1-mixed"],
-        "4bbc744fc457543568c694d8a45f8f83ee4b585727006bb54ce5cc0d1a4bb108",
+        "44df436e0dae8ce1b17c0048e6be068f8f42ed656115246d34576f1a574571f8",
     ),
     "fig1-chaotic": (
         ["--preset", "fig1-chaotic"],
-        "a9ae21165b6f2596a1b658c9a0a80d9e7b6c868c66b6eb0866fea50f51b9f6ff",
+        "d03f73999e98e5d76d668c1622293b7c0cde8c7f496c441231811a26d33531d6",
     ),
     # three 4096-sample chunks over two threads
     "monte-carlo": (
         ["--preset", "fig1-chaotic", "--sample-mode", "monte_carlo",
          "--samples", "10000", "--seed", "11", "--threads", "2"],
-        "2a369331d82f0da7cb9d2925c096d654bac50656ac739ee8a10ef8346113796e",
+        "887030ecd00d3f5aadf636256fe0d31d4c8464c4f4985298ee71d4871c343a81",
     ),
     "gaussian-wigner": (
         ["--state", "gaussian", "--sample-mode", "wigner", "--samples", "10000",
          "--seed", "5", "--k", "10", "--epsilon", "2e-3", "--q0", "0.4",
          "--p0", "0.3", "--sigma", "0.05"],
-        "350b90fa54eba88907ab49868d46592e391cff0af3691bbe180e4a59dcc9010d",
+        "697211b7d36c6692fcd8a558587c0c2d75352f2f41cc9a2b50477606353b0127",
     ),
 }
 
