@@ -1,5 +1,11 @@
 """Split-operator propagation, dense oracle, echo equivalence."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +140,79 @@ def test_exact_loop_builds_no_state_and_takes_no_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", never)
     curve = exact_fidelity_curve(psi.spec, psi, 30)
     assert curve.sample_count == 256
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    spec = MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM)
+    psi = build_state(spec, PositionEigenstate(0.25))
+    pools = []
+
+    class CountedPool(quantum.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "ThreadPoolExecutor", CountedPool)
+    _usable_cpus(monkeypatch, 1)
+    serial = exact_fidelity_curve(spec, psi, 8).amplitude
+    assert pools == []
+    _usable_cpus(monkeypatch, 64)
+    threaded = exact_fidelity_curve(spec, psi, 8).amplitude
+    assert pools == [{"max_workers": 1}]  # one worker, for the second branch
+    assert threaded.tobytes() == serial.tobytes()
+    assert threaded.tobytes() == _per_branch_amplitudes(spec, psi.vector, 8).tobytes()
+
+
+def test_exact_curve_below_the_cut_starts_no_thread(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("thread pool started below the cut")
+
+    monkeypatch.setattr(quantum, "ThreadPoolExecutor", never)
+    _usable_cpus(monkeypatch, 64)
+    psi = _random_state(MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM - 1))
+    curve = exact_fidelity_curve(psi.spec, psi, 5)
+    assert curve.amplitude.tobytes() == _per_branch_amplitudes(psi.spec, psi.vector, 5).tobytes()
+
+
+@pytest.mark.parametrize("dim_n", [256, quantum._THREAD_MIN_DIM])
+def test_exact_loop_makes_no_blas_call(monkeypatch, dim_n):
+    psi = _random_state(MapSpec(10.0, 2e-3, dim_n))
+
+    def never(*args, **kwargs):
+        raise AssertionError("BLAS call in the exact route")
+
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(np, name, never)
+    _usable_cpus(monkeypatch, 64)
+    curve = exact_fidelity_curve(psi.spec, psi, 5)
+    assert curve.amplitude[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_curve_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product over its threads above 10000 points
+    import torusecho
+
+    src = str(Path(torusecho.__file__).resolve().parent.parent)
+    code = (
+        "import hashlib\n"
+        "from torusecho import MapSpec, PositionEigenstate, exact_fidelity_curve\n"
+        "c = exact_fidelity_curve(MapSpec(10.0, 2.0 / 16384, 16384), PositionEigenstate(0.5), 10)\n"
+        "print(hashlib.sha256(c.amplitude.tobytes()).hexdigest())"
+    )
+    digests = set()
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        digests.add(out.strip())
+    spec = MapSpec(10.0, 2.0 / 16384, 16384)
+    here = exact_fidelity_curve(spec, PositionEigenstate(0.5), 10).amplitude
+    assert digests == {hashlib.sha256(here.tobytes()).hexdigest()}
 
 
 def test_phase_factors_hold_one_entry_per_spec():
