@@ -48,7 +48,6 @@ from .quantum import (
     build_state,
     dense_oracle,
     exact_fidelity_curve,
-    loschmidt_equivalence,
     step_quantum,
 )
 from .shadowing import (
@@ -91,7 +90,6 @@ __all__ = [
     "exact_fidelity_curve",
     "jacobian",
     "load_config",
-    "loschmidt_equivalence",
     "noisy_orbit",
     "orbit_from_map",
     "parse_config",

@@ -83,12 +83,6 @@ class QuantumState:
         """Probability per grid cell, |psi_j|^2 (sums to 1)."""
         return np.abs(self.vector) ** 2
 
-    def overlap(self, other: "QuantumState") -> complex:
-        """<self|other> on the shared grid."""
-        if other.spec.dim_n != self.spec.dim_n:
-            raise InvalidInputError("overlap requires matching grid sizes")
-        return complex(np.vdot(self.vector, other.vector))
-
 
 @lru_cache(maxsize=32)
 def _phase_factors(spec: MapSpec):
@@ -125,14 +119,6 @@ def _overlap(psi: np.ndarray, buf: np.ndarray) -> complex:
     np.conjugate(psi[0], out=buf)
     buf *= psi[1]
     return buf.sum()
-
-
-def _split_step_adjoint(psi: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> None:
-    """Adjoint of `_split_step` in place: undo drift in momentum space, then the kick."""
-    np.fft.fft(psi, axis=-1, norm="ortho", out=psi)
-    psi *= np.conj(drift)
-    np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
-    np.multiply(np.conj(kick), psi, out=psi)
 
 
 def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
@@ -232,32 +218,6 @@ def exact_fidelity_curve(
                 plain.result()
                 amp[t] = _overlap(psi, buf)
     return _grid_curve(amp, "exact", spec, label)
-
-
-def loschmidt_equivalence(
-    spec: MapSpec, state: InitialState | QuantumState, steps: int
-) -> float:
-    """Max deviation between the two readings of the fidelity amplitude.
-
-    Forward form: overlap of the two branches at time t. Echo form:
-    evolve forward t steps with the bare map, undo t steps with the
-    perturbed map's adjoint, overlap with the initial state. They agree
-    identically; the return value is the floating-point residual
-    max_t |amp_forward(t) - amp_echo(t)| (expected < 1e-10).
-    """
-    curve = exact_fidelity_curve(spec, state, steps)
-    psi0, _ = _resolve_state(spec, state)
-    kicks, drift = _phase_factors(spec)
-    dev = 0.0
-    plain = psi0.copy()
-    for t in range(steps + 1):
-        echo = plain.copy()
-        for _ in range(t):
-            _split_step_adjoint(echo, kicks[0], drift)
-        dev = max(dev, abs(np.vdot(psi0, echo) - curve.amplitude[t]))
-        if t < steps:
-            _split_step(plain, kicks[1], drift)
-    return float(dev)
 
 
 def dense_oracle(

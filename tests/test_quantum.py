@@ -21,7 +21,6 @@ from torusecho import (
     dense_oracle,
     dr_curve,
     exact_fidelity_curve,
-    loschmidt_equivalence,
     samples_position_state,
     step_quantum,
 )
@@ -92,14 +91,20 @@ def _overlap(pert, plain):
     return prod.sum()
 
 
-def _per_branch_amplitudes(spec, psi0, steps):
-    """<pert|plain> with each branch stepped alone: kick * psi, then one np.fft pair."""
+def _phases(spec):
+    """(perturbed kick, bare kick, drift) of one split step, written out."""
     n = spec.dim_n
     j = np.arange(n)
     cos_q = np.cos(2.0 * np.pi * j / n)
     drift = np.exp(-1j * np.pi * j * j / n)
     kick_pert = np.exp(1j * ((spec.k + spec.epsilon) * n / (2.0 * np.pi)) * cos_q)
     kick_plain = np.exp(1j * (spec.k * n / (2.0 * np.pi)) * cos_q)
+    return kick_pert, kick_plain, drift
+
+
+def _per_branch_amplitudes(spec, psi0, steps):
+    """<pert|plain> with each branch stepped alone: kick * psi, then one np.fft pair."""
+    kick_pert, kick_plain, drift = _phases(spec)
     pert = plain = psi0
     amp = [_overlap(pert, plain)]
     for _ in range(steps):
@@ -256,13 +261,29 @@ def test_dense_oracle_capacity_limit():
         dense_oracle(spec, PositionEigenstate(0.0), 5)
 
 
+def _echo_amplitudes(spec, psi0, steps):
+    """<psi0|U_pert^-t U^t|psi0>: t bare steps forward, then t perturbed steps undone."""
+    kick_pert, kick_plain, drift = _phases(spec)
+    amp = []
+    plain = psi0
+    for t in range(steps + 1):
+        echo = plain
+        for _ in range(t):  # adjoint step: undo the drift, then the kick
+            mom = np.fft.fft(echo, norm="ortho") * np.conj(drift)
+            echo = np.conj(kick_pert) * np.fft.ifft(mom, norm="ortho")
+        amp.append(np.vdot(psi0, echo))
+        plain = np.fft.ifft(np.fft.fft(kick_plain * plain, norm="ortho") * drift, norm="ortho")
+    return np.array(amp)
+
+
 def test_echo_reading_equals_two_branch_reading():
-    dev = loschmidt_equivalence(CHAOTIC_SMALL, PositionEigenstate(0.25), 20)
-    assert dev < 1e-10
-    dev_g = loschmidt_equivalence(
-        MapSpec(0.8, 5e-3, 128), GaussianWavepacket(0.5, 0.0, 0.05), 15
-    )
-    assert dev_g < 1e-10
+    for spec, state, steps in (
+        (CHAOTIC_SMALL, PositionEigenstate(0.25), 20),
+        (MapSpec(0.8, 5e-3, 128), GaussianWavepacket(0.5, 0.0, 0.05), 15),
+    ):
+        forward = exact_fidelity_curve(spec, state, steps).amplitude
+        echo = _echo_amplitudes(spec, build_state(spec, state).vector, steps)
+        assert np.abs(echo - forward).max() < 1e-10
 
 
 def test_single_kick_amplitude_is_conjugate_across_routes():
@@ -276,14 +297,8 @@ def test_single_kick_amplitude_is_conjugate_across_routes():
     assert abs(dr.amplitude[1] - np.conj(ex.amplitude[1])) < 1e-12
 
 
-def test_overlap_and_state_mismatch():
-    a = _random_state(SMALL, seed=1)
-    b = _random_state(SMALL, seed=2)
-    assert abs(a.overlap(a) - 1.0) < 1e-12
-    assert a.overlap(b) != a.overlap(a)
-    with pytest.raises(InvalidInputError):
-        a.overlap(_random_state(MapSpec(0.8, 5e-3, 32)))
-    with pytest.raises(InvalidInputError):
+def test_state_grid_mismatch_rejected():
+    with pytest.raises(InvalidInputError, match="grid size"):
         exact_fidelity_curve(SMALL, _random_state(MapSpec(0.8, 5e-3, 32)), 3)
 
 
