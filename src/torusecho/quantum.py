@@ -162,7 +162,7 @@ def step_quantum(state: QuantumState, perturbed: bool = False) -> QuantumState:
     return QuantumState(psi, state.spec)
 
 
-def _resolve_state(spec, state, state_label=None):
+def _resolve_state(spec, state, state_label):
     """(checked grid vector, label) of a state descriptor or a QuantumState."""
     if isinstance(state, QuantumState):
         if state.spec.dim_n != spec.dim_n:

@@ -166,7 +166,12 @@ def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
     serial = exact_fidelity_curve(spec, psi, 8).amplitude
     assert pools == []
     _usable_cpus(monkeypatch, 64)
-    threaded = exact_fidelity_curve(spec, psi, 8).amplitude
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
+    try:
+        threaded = exact_fidelity_curve(spec, psi, 8).amplitude
+    finally:
+        sys.setswitchinterval(interval)
     assert pools == [{"max_workers": 1}]  # one worker, for the second branch
     assert threaded.tobytes() == serial.tobytes()
     assert threaded.tobytes() == _per_branch_amplitudes(spec, psi.vector, 8).tobytes()
@@ -202,10 +207,11 @@ def test_exact_curve_bits_do_not_depend_on_blas_threads():
     import torusecho
 
     src = str(Path(torusecho.__file__).resolve().parent.parent)
+    n, steps = 16384, 10
     code = (
         "import hashlib\n"
         "from torusecho import MapSpec, PositionEigenstate, exact_fidelity_curve\n"
-        "c = exact_fidelity_curve(MapSpec(10.0, 2.0 / 16384, 16384), PositionEigenstate(0.5), 10)\n"
+        f"c = exact_fidelity_curve(MapSpec(10.0, 2.0 / {n}, {n}), PositionEigenstate(0.5), {steps})\n"
         "print(hashlib.sha256(c.amplitude.tobytes()).hexdigest())"
     )
     digests = set()
@@ -215,9 +221,8 @@ def test_exact_curve_bits_do_not_depend_on_blas_threads():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         digests.add(out.strip())
-    spec = MapSpec(10.0, 2.0 / 16384, 16384)
-    here = exact_fidelity_curve(spec, PositionEigenstate(0.5), 10).amplitude
-    assert digests == {hashlib.sha256(here.tobytes()).hexdigest()}
+    here = exact_fidelity_curve(MapSpec(10.0, 2.0 / n, n), PositionEigenstate(0.5), steps)
+    assert digests == {hashlib.sha256(here.amplitude.tobytes()).hexdigest()}
 
 
 def test_phase_factors_hold_one_entry_per_spec():
