@@ -13,10 +13,11 @@ potential at strength k + epsilon.
 A state is checked (shape, norm) once, as a `QuantumState` where it
 enters; from there one in-place kernel steps both branches as one (2, N)
 array, perturbed row first, and builds no state and takes no norm. From
-N = 8192 up, where two CPUs are usable, the two rows are stepped on two
-threads instead, whatever thread count the run was given. The overlap of
-the rows is a numpy pairwise sum, not a BLAS dot, so an exact curve's
-bits depend neither on the thread count nor on the BLAS library's threads.
+N = 8192 up the two rows are stepped one call each instead, on two threads
+where two CPUs are usable, whatever thread count the run was given. The
+overlap of the rows is a numpy pairwise sum, not a BLAS dot, so an exact
+curve's bits depend neither on the thread count nor on the BLAS library's
+threads.
 
 `dense_oracle` rebuilds the same unitary as an explicit matrix with its
 own DFT construction and no shared phase helpers, so split-operator and
@@ -195,9 +196,10 @@ def exact_fidelity_curve(
 
     From N = `_THREAD_MIN_DIM` up, and where two CPUs are usable, one pool
     worker steps the bare row while the calling thread steps the perturbed
-    one (np.fft releases the GIL); they join before each overlap. The rows
-    are stepped exactly as in the serial (2, N) step, so the curve's bits
-    do not depend on the thread count.
+    one (np.fft releases the GIL); they join before each overlap. With one
+    usable CPU the two rows are stepped one call each, in turn; below the
+    cut, as one (2, N) array. The rows are stepped exactly as in the (2, N)
+    step, so the curve's bits do not depend on the thread count.
     """
     raise_problem(steps_problem(steps))
     psi0, label = _resolve_state(spec, state, state_label)
@@ -206,17 +208,24 @@ def exact_fidelity_curve(
     buf = np.empty(spec.dim_n, dtype=np.complex128)
     amp = np.empty(steps + 1, dtype=np.complex128)
     amp[0] = _overlap(psi, buf)
-    if spec.dim_n < _THREAD_MIN_DIM or _worker_count(2, 2) < 2:
-        for t in range(1, steps + 1):
-            _split_step(psi, kicks, drift)
-            amp[t] = _overlap(psi, buf)
-    else:
+    if spec.dim_n >= _THREAD_MIN_DIM and _worker_count(2, 2) >= 2:
         with ThreadPoolExecutor(max_workers=1) as pool:
             for t in range(1, steps + 1):
                 plain = pool.submit(_split_step, psi[1], kicks[1], drift)
                 _split_step(psi[0], kicks[0], drift)
                 plain.result()
                 amp[t] = _overlap(psi, buf)
+    else:
+        # from the cut up, one call per row even on one thread: the (2, N)
+        # call faults its temporaries' pages in afresh on every step
+        if spec.dim_n < _THREAD_MIN_DIM:
+            rows = [(psi, kicks)]
+        else:
+            rows = [(psi[0], kicks[0]), (psi[1], kicks[1])]
+        for t in range(1, steps + 1):
+            for row, kick in rows:
+                _split_step(row, kick, drift)
+            amp[t] = _overlap(psi, buf)
     return _grid_curve(amp, "exact", spec, label)
 
 

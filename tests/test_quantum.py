@@ -162,9 +162,18 @@ def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(quantum, "ThreadPoolExecutor", CountedPool)
+    step, stepped = quantum._split_step, []
+
+    def counted_step(rows, *args):
+        stepped.append(rows.ndim)
+        step(rows, *args)
+
     _usable_cpus(monkeypatch, 1)
-    serial = exact_fidelity_curve(spec, psi, 8).amplitude
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum, "_split_step", counted_step)
+        serial = exact_fidelity_curve(spec, psi, 8).amplitude
     assert pools == []
+    assert stepped == [1] * 16  # one call per row per step, no (2, N) call
     _usable_cpus(monkeypatch, 64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
