@@ -53,7 +53,6 @@ from .quantum import (
 from .shadowing import (
     PseudoOrbit,
     ShadowResult,
-    noisy_orbit,
     orbit_from_map,
     pseudo_residual,
     refine_shadow,
@@ -90,7 +89,6 @@ __all__ = [
     "exact_fidelity_curve",
     "jacobian",
     "load_config",
-    "noisy_orbit",
     "orbit_from_map",
     "parse_config",
     "periodized_gaussian_density",

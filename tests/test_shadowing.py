@@ -14,12 +14,13 @@ from torusecho import (
     InvalidInputError,
     MapSpec,
     PseudoOrbit,
-    noisy_orbit,
     orbit_from_map,
     pseudo_residual,
     refine_shadow,
     shadow_survey,
     shadow_time_estimate,
+    step_ensemble,
+    wrap_unit,
 )
 from torusecho import shadowing
 from torusecho.cli import main
@@ -67,16 +68,26 @@ def test_perturbed_orbit_residual_bounded_by_kick(spec):
         assert 0.0 < r <= KICK_BOUND(spec)
 
 
+def _noisy_orbit(spec, start, steps, delta, seed):
+    """Perturbed-map orbit with uniform jump noise in [-delta, delta]^2 after each step."""
+    jumps = (2.0 * np.random.Generator(np.random.Philox(key=seed)).random((steps, 2)) - 1.0)
+    jumps *= delta
+    pts = np.empty((steps + 1, 2))
+    pts[0] = start
+    for t in range(steps):
+        q, p = step_ensemble(spec, pts[t, 0], pts[t, 1], perturbed=True)
+        pts[t + 1] = wrap_unit(q + jumps[t, 0]), wrap_unit(p + jumps[t, 1])
+    return PseudoOrbit(pts, generator="noisy", noise_delta=delta)
+
+
 def test_noisy_orbit_residual_bounded():
     delta = 2e-4
-    orb = noisy_orbit(MIXED, (0.3, 0.8), 400, delta=delta, seed=5)
+    orb = _noisy_orbit(MIXED, (0.3, 0.8), 400, delta=delta, seed=5)
     assert orb.generator == "noisy" and orb.noise_delta == delta
     r = pseudo_residual(MIXED, orb, against="unperturbed")
     assert r <= delta + KICK_BOUND(MIXED)
     # noise-free residual vs the generating map is within delta alone
     assert pseudo_residual(MIXED, orb, against="perturbed") <= delta
-    with pytest.raises(InvalidInputError, match="seed must"):
-        noisy_orbit(MIXED, (0.3, 0.8), 4, delta=delta, seed=-1)
 
 
 def test_residual_against_validation():
@@ -115,7 +126,7 @@ def test_true_orbit_needs_no_iterations():
 
 
 def test_refine_toward_perturbed_map():
-    orb = noisy_orbit(CHAOTIC, (0.2, 0.9), 80, delta=1e-4, seed=8)
+    orb = _noisy_orbit(CHAOTIC, (0.2, 0.9), 80, delta=1e-4, seed=8)
     res = refine_shadow(CHAOTIC, orb, against="perturbed", tol=1e-11)
     assert res.converged
     refined = PseudoOrbit(res.shadow_points)
@@ -387,3 +398,97 @@ def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, conve
     assert sum(r.converged for r in results) == converged
     assert report["fraction_converged"] == converged / 256
     assert sum(r.iterations for r in results) == iterations
+
+
+def _refine_ref(spec, orbit, tol, max_iter):
+    """refine_shadow written out with the damping scales tried one at a time."""
+
+    def defect(pts):
+        q, p = step_ensemble(spec, pts[:-1, 0], pts[:-1, 1], perturbed=False)
+        return wrap_signed(pts[1:] - np.stack([q, p], axis=-1))
+
+    pts = orbit.points.copy()
+    d = defect(pts)
+    res = float(np.abs(d).max())
+    iterations, converged = 0, res <= tol
+    while not converged and iterations < max_iter:
+        dx = _min_norm_newton_step(spec, pts, d, False)
+        iterations += 1
+        scale = 1.0
+        while scale >= 2.0**-16:
+            trial = wrap_unit(pts + scale * dx)
+            trial_d = defect(trial)
+            if float(np.abs(trial_d).max()) < res:
+                break
+            scale *= 0.5
+        else:
+            return pts, res, False, iterations  # stalled
+        pts, d, res = trial, trial_d, float(np.abs(trial_d).max())
+        converged = res <= tol
+    return pts, res, converged, iterations
+
+
+def _survey_orbit(spec, seed, index, steps):
+    """Orbit `index` of a survey at `seed`, built as the survey builds it."""
+    starts = np.random.Generator(np.random.Philox(key=seed)).random((index + 1, 2))
+    return orbit_from_map(spec, starts[index], steps)
+
+
+@pytest.mark.parametrize(
+    "spec,orbit,tol",
+    [
+        # converging orbits
+        (MIXED, lambda: orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11),
+        (CHAOTIC, lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 100), 1e-11),
+        # k=10, seed-0 survey: orbit 18 stalls, orbit 42 takes scales from the
+        # inside of groups on most of its 40 iterations, often where a later
+        # scale of the same group has the lower residual
+        (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9),
+        (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 42, 22), 1e-9),
+        # longer orbits, whose groups are split: 5 scales a call at 401 points,
+        # one at 2001
+        (CHAOTIC, lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10),
+        (CHAOTIC, lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 2000), 1e-10),
+        # at k = 10^4 the residual's rounding floor is above 1e-13: the orbit
+        # stalls there, on trials whose residual equals the current one
+        (MapSpec(1e4, 2e-3, 1000), lambda: _survey_orbit(MapSpec(1e4, 2e-3, 1000), 1, 1, 22),
+         1e-13),
+    ],
+)
+def test_damping_ladder_matches_a_sequential_ladder_bitwise(spec, orbit, tol):
+    orb = orbit()
+    res = refine_shadow(spec, orb, tol=tol, max_iter=40)
+    pts, residual, converged, iterations = _refine_ref(spec, orb, tol, 40)
+    assert res.shadow_points.tobytes() == pts.tobytes()
+    assert (res.residual, res.converged, res.iterations) == (residual, converged, iterations)
+
+
+def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
+    defect, newton = shadowing._orbit_defect, shadowing._min_norm_newton_step
+    events = []
+
+    def counted_defect(spec, pts, perturbed):
+        events.append(len(pts) if pts.ndim == 3 else None)
+        return defect(spec, pts, perturbed)
+
+    def counted_newton(*args):
+        events.append("newton")
+        return newton(*args)
+
+    def refined(spec, orb, tol):
+        """The result, and the trial stack sizes of each iteration."""
+        events.clear()
+        result = refine_shadow(spec, orb, tol=tol, max_iter=40)
+        marks = [i for i, e in enumerate(events) if e == "newton"] + [len(events)]
+        assert len(marks) == result.iterations + 1
+        return result, [events[a + 1 : b] for a, b in zip(marks, marks[1:])]
+
+    monkeypatch.setattr(shadowing, "_orbit_defect", counted_defect)
+    monkeypatch.setattr(shadowing, "_min_norm_newton_step", counted_newton)
+    stalled, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9)
+    assert not stalled.converged and stalled.iterations < 40
+    assert all(len(c) <= 5 for c in calls)
+    assert calls[-1] == [1, 2, 4, 8, 2]  # the stall: 17 scales in 5 calls
+    converged, calls = refined(MIXED, orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11)
+    assert converged.converged and converged.iterations >= 2
+    assert calls == [[1]] * converged.iterations  # scale 1 taken: one call
