@@ -253,7 +253,8 @@ def _damped_trial(spec, pts, dx, res, perturbed):
             trial_res = np.abs(defects).max(axis=(1, 2))
             first = int(np.argmax(trial_res < res))
             if trial_res[first] < res:
-                return trials[first], defects[first], float(trial_res[first])
+                # a copy: a view would keep the whole stack alive in the result
+                return trials[first].copy(), defects[first], float(trial_res[first])
     return None
 
 
