@@ -13,7 +13,6 @@ from .dephasing import CHUNK, FidelityCurve, dr_conjugation_check, dr_curve
 from .dynamics import (
     MapSpec,
     PhasePoint,
-    jacobian,
     step,
     step_ensemble,
     step_inverse,
@@ -87,7 +86,6 @@ __all__ = [
     "dr_conjugation_check",
     "dr_curve",
     "exact_fidelity_curve",
-    "jacobian",
     "load_config",
     "orbit_from_map",
     "parse_config",

@@ -241,26 +241,3 @@ def step_inverse(spec: MapSpec, x: PhasePoint, perturbed: bool = False) -> Phase
     q = wrap_unit(np.float64(x.q) - np.float64(x.p))
     p = wrap_unit(np.float64(x.p) + c * np.sin(TWO_PI * q))
     return PhasePoint(float(q), float(p))
-
-
-def jacobian(spec: MapSpec, x: PhasePoint, perturbed: bool = False) -> np.ndarray:
-    """Analytic tangent map of `step` at x, in (q, p) ordering.
-
-    det = 1 exactly in exact arithmetic (the map is area-preserving).
-    """
-    _require_finite(x.q, x.p)
-    return _tangent_blocks(spec.kick_coefficient(perturbed), np.float64(x.q))
-
-
-def _tangent_blocks(c, q):
-    """Tangent maps [[1 - K, 1], [-K, 1]] of the step at positions q, K = dp'/dq.
-
-    c is the kick coefficient; the result has shape q.shape + (2, 2).
-    """
-    kick = c * TWO_PI * np.cos(TWO_PI * q)
-    a = np.empty(np.shape(q) + (2, 2))
-    a[..., 0, 0] = 1.0 - kick
-    a[..., 0, 1] = 1.0
-    a[..., 1, 0] = -kick
-    a[..., 1, 1] = 1.0
-    return a

@@ -8,9 +8,11 @@ unperturbed orbit near a pseudo-orbit by Newton iteration on the orbit
 equations, using the minimum-norm correction at each step (the orbit has
 free endpoints, so the linearized system is underdetermined).
 
-Each Newton step is one banded Cholesky solve (LAPACK pbsv) of J J^T,
-O(T) for T steps; scipy is imported there only, so `import torusecho`
-does not load it. Orbits and their pseudo-residuals are computed for a
+Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
+steps: the band is built straight from the map's kick slope and solved
+by a direct LAPACK dpbsv call, after the finite check that scipy's
+`solveh_banded` would make. scipy is imported there only, so `import
+torusecho` does not load it. Orbits and their pseudo-residuals are computed for a
 whole ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
 one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
 time, so its orbit storage does not grow with the orbit count.
@@ -30,13 +32,12 @@ from .dynamics import (
     TWO_PI,
     MapSpec,
     _step_in_place,
-    _tangent_blocks,
+    _wrap_in_place,
     is_finite,
     is_integer,
     step_ensemble,
     steps_problem,
     torus_distance,
-    wrap_unit,
 )
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import _rng
@@ -183,8 +184,9 @@ def _orbit_defect(spec, pts, perturbed):
     """Signed defect G[t] = points[t+1] - f(points[t]), torus-wrapped.
 
     pts has shape (..., T+1, 2), the defect (..., T, 2); a leading axis
-    stacks trial orbits. pts are PseudoOrbit points or wrap_unit trials, so
-    finite and in [0, 1): the unchecked map kernel applies.
+    stacks trial orbits. pts are PseudoOrbit points or wrapped trials, so
+    finite and in [0, 1): the unchecked map kernel applies. The defect is
+    wrapped in place, as `wrap_signed` does.
     """
     q = pts[..., :-1, 0].copy()
     p = pts[..., :-1, 1].copy()
@@ -192,46 +194,58 @@ def _orbit_defect(spec, pts, perturbed):
     defect = np.empty(q.shape + (2,))
     np.subtract(pts[..., 1:, 0], q, out=defect[..., 0])
     np.subtract(pts[..., 1:, 1], p, out=defect[..., 1])
-    return wrap_signed(defect)
+    defect -= np.round(defect)
+    return defect
 
 
 def _min_norm_newton_step(spec, pts, defect, perturbed):
     """Minimum-norm correction dX with J dX = -G for the orbit equations.
 
     J is the 2T x 2(T+1) block bidiagonal orbit Jacobian (blocks -A_t and
-    I); the least-norm solution is J^T (J J^T)^{-1} (-G). J J^T is block
-    tridiagonal, with diagonal blocks D_t = A_t A_t^T + I and upper blocks
-    (t, t+1) = -A_{t+1}^T, so it is symmetric positive definite with
-    half-bandwidth 3. It is written straight into LAPACK upper band
-    storage, ab[3 + i - j, j] = (J J^T)[i, j], and solved by banded
-    Cholesky (pbsv). Returns None where no step exists in double
-    precision: at kicks beyond about 10^7, A_t A_t^T + I rounds to a
-    singular matrix.
+    I, A_t = [[1 - K_t, 1], [-K_t, 1]] the tangent map at q_t, with kick
+    slope K_t = dp'/dq); the least-norm solution is J^T (J J^T)^{-1} (-G).
+    J J^T is block tridiagonal, with diagonal blocks D_t = A_t A_t^T + I
+    and upper blocks (t, t+1) = -A_{t+1}^T, so it is symmetric positive
+    definite with half-bandwidth 3. Its entries are written from K_t
+    straight into LAPACK upper band storage, ab[3 + i - j, j] =
+    (J J^T)[i, j], in the order of the products and sums of A_t A_t^T, and
+    solved by a direct LAPACK dpbsv call (banded Cholesky). Returns None
+    where no step exists in double precision: a band or right-hand side
+    that is not finite, or a band that is not positive definite (at kicks
+    beyond about 10^7, A_t A_t^T + I rounds to a singular matrix).
     """
-    from scipy.linalg import solveh_banded  # here, so `import torusecho` loads no scipy
+    from scipy.linalg.lapack import dpbsv  # here, so `import torusecho` loads no scipy
 
     big_t = pts.shape[0] - 1
-    a = _tangent_blocks(spec.kick_coefficient(perturbed), pts[:-1, 0])
+    # a kick slope beyond about 1e154 overflows the band; that is refused
+    # by the finite check below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        kick = spec.kick_coefficient(perturbed) * TWO_PI * np.cos(TWO_PI * pts[:-1, 0])
+        a00 = 1.0 - kick
+        ab = np.zeros((4, 2 * big_t))
+        ab[3, 0::2] = a00 * a00 + 1.0 + 1.0
+        ab[3, 1::2] = kick * kick + 1.0 + 1.0
+        ab[2, 1::2] = a00 * -kick + 1.0
+        ab[2, 2::2] = -1.0
+        ab[1, 2::2] = -a00[1:]
+        ab[1, 3::2] = -1.0
+        ab[0, 3::2] = kick[1:]
+        rhs = -defect.reshape(-1)
+        if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+            return None  # J J^T overflowed, or the defect is not finite
+        _, lam, info = dpbsv(ab, rhs)
+        if info != 0:
+            return None  # J J^T is singular in double precision
+        lam = lam.reshape(big_t, 2)
 
-    diag = np.einsum("nij,nkj->nik", a, a)
-    ab = np.zeros((4, 2 * big_t))
-    ab[3, 0::2] = diag[:, 0, 0] + 1.0
-    ab[3, 1::2] = diag[:, 1, 1] + 1.0
-    ab[2, 1::2] = diag[:, 0, 1]
-    ab[2, 2::2] = -a[1:, 0, 1]
-    ab[1, 2::2] = -a[1:, 0, 0]
-    ab[1, 3::2] = -a[1:, 1, 1]
-    ab[0, 3::2] = -a[1:, 1, 0]
-    try:
-        lam = solveh_banded(ab, -defect.reshape(-1)).reshape(big_t, 2)
-    except ValueError:  # LinAlgError too: J J^T overflowed or is singular in double precision
-        return None
-
-    dx = np.empty((big_t + 1, 2))
-    dx[0] = -a[0].T @ lam[0]
-    if big_t > 1:
-        dx[1:big_t] = lam[:-1] - np.einsum("nji,nj->ni", a[1:], lam[1:])
-    dx[big_t] = lam[big_t - 1]
+        dx = np.empty((big_t + 1, 2))
+        a0 = np.array([[a00[0], 1.0], [-kick[0], 1.0]])
+        dx[0] = -a0.T @ lam[0]
+        if big_t > 1:
+            l0, l1 = lam[1:, 0], lam[1:, 1]
+            np.subtract(lam[:-1, 0], a00[1:] * l0 + -kick[1:] * l1, out=dx[1:big_t, 0])
+            np.subtract(lam[:-1, 1], l0 + l1, out=dx[1:big_t, 1])
+        dx[big_t] = lam[big_t - 1]
     return dx
 
 
@@ -248,7 +262,8 @@ def _damped_trial(spec, pts, dx, res, perturbed):
     for group in _DAMPING_GROUPS:
         for lo in range(0, len(group), per_call):
             scales = group[lo : lo + per_call]
-            trials = wrap_unit(pts + scales[:, None, None] * dx)
+            trials = pts + scales[:, None, None] * dx
+            _wrap_in_place(trials, np.empty_like(trials))
             defects = _orbit_defect(spec, trials, perturbed)
             trial_res = np.abs(defects).max(axis=(1, 2))
             first = int(np.argmax(trial_res < res))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,83 @@ def test_newton_step_without_a_double_precision_solution_stalls():
     assert not res.converged and res.iterations == 0
     assert np.array_equal(res.shadow_points, orb.points)
     assert main(["shadow", "--k", "1e8", "--count", "4", "--steps", "30"]) == 0
+
+
+def _newton_step_ref(spec, pts, defect):
+    """The Newton step as built from (T, 2, 2) tangent blocks: band by einsum,
+    scipy.linalg.solveh_banded, back-substitution by matmul and einsum."""
+    from scipy.linalg import solveh_banded
+
+    big_t = pts.shape[0] - 1
+    kick = spec.kick_coefficient(False) * (2.0 * np.pi) * np.cos(2.0 * np.pi * pts[:-1, 0])
+    a = np.empty((big_t, 2, 2))
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1] = 1.0 - kick, 1.0, -kick, 1.0
+    diag = np.einsum("nij,nkj->nik", a, a)
+    ab = np.zeros((4, 2 * big_t))
+    ab[3, 0::2] = diag[:, 0, 0] + 1.0
+    ab[3, 1::2] = diag[:, 1, 1] + 1.0
+    ab[2, 1::2] = diag[:, 0, 1]
+    ab[2, 2::2] = -a[1:, 0, 1]
+    ab[1, 2::2] = -a[1:, 0, 0]
+    ab[1, 3::2] = -a[1:, 1, 1]
+    ab[0, 3::2] = -a[1:, 1, 0]
+    lam = solveh_banded(ab, -defect.reshape(-1)).reshape(big_t, 2)
+    dx = np.empty((big_t + 1, 2))
+    dx[0] = -a[0].T @ lam[0]
+    if big_t > 1:
+        dx[1:big_t] = lam[:-1] - np.einsum("nji,nj->ni", a[1:], lam[1:])
+    dx[big_t] = lam[big_t - 1]
+    return dx
+
+
+@pytest.mark.parametrize(
+    "spec,orbit",
+    [
+        *[
+            (spec, lambda spec=spec, steps=steps: orbit_from_map(spec, (0.37, 0.61), steps))
+            for spec in (MIXED, CHAOTIC)
+            for steps in (1, 2, 22, 200, 2000)
+        ],
+        # k=10, seed-0 benchmark survey: orbit 18 stalls, orbit 42 is damped
+        (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 18, 22)),
+        (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 42, 22)),
+    ],
+)
+def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, orbit):
+    """Every Newton step of a refinement, bitwise the block-and-einsum construction."""
+    newton, compared = shadowing._min_norm_newton_step, []
+
+    def checked(spec_, pts, defect, perturbed):
+        dx = newton(spec_, pts, defect, perturbed)
+        assert dx.tobytes() == _newton_step_ref(spec_, pts, defect).tobytes()
+        compared.append(len(compared))
+        return dx
+
+    monkeypatch.setattr(shadowing, "_min_norm_newton_step", checked)
+    result = refine_shadow(spec, orbit(), tol=1e-10, max_iter=40)
+    assert compared and len(compared) == result.iterations
+
+
+def test_newton_step_refuses_a_band_or_defect_that_is_not_finite():
+    """nan in the defect, or a kick slope that overflows the band: no step, no exception."""
+    orb = orbit_from_map(CHAOTIC, (0.37, 0.61), 30)
+    defect = _orbit_defect(CHAOTIC, orb.points, False)
+    assert _min_norm_newton_step(CHAOTIC, orb.points, defect, False) is not None
+    defect[7, 1] = np.nan
+    assert _min_norm_newton_step(CHAOTIC, orb.points, defect, False) is None
+    # at |k| = 1e200 the squared kick slopes are +inf and the off-diagonal
+    # products -inf or +inf; the map itself is still finite
+    pts = np.random.Generator(np.random.Philox(key=11)).random((31, 2))
+    for k in (1e200, -1e200):
+        spec = MapSpec(k, 5e-3, 1000)
+        defect = _orbit_defect(spec, pts, False)
+        assert np.all(np.isfinite(defect)) and np.abs(defect).max() > 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _min_norm_newton_step(spec, pts, defect, False) is None
+            res = refine_shadow(spec, PseudoOrbit(pts), tol=1e-10)
+        assert not res.converged and res.iterations == 0
+        assert np.array_equal(res.shadow_points, pts)
 
 
 def _step_ref(c, q, p):
