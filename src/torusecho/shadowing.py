@@ -12,10 +12,11 @@ Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
 steps: the band is built straight from the map's kick slope and solved
 by a direct LAPACK dpbsv call, after the finite check that scipy's
 `solveh_banded` would make. scipy is imported there only, so `import
-torusecho` does not load it. Orbits and their pseudo-residuals are computed for a
-whole ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
-one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
-time, so its orbit storage does not grow with the orbit count.
+torusecho` does not load it. Orbits and their pseudo-residuals are
+computed for a whole ensemble of starts at once (`_orbits`,
+`_residuals`), bitwise the one-start results; `shadow_survey` takes its
+starts `_SURVEY_BLOCK` at a time, so its orbit storage does not grow
+with the orbit count.
 
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as

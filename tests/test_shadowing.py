@@ -344,17 +344,17 @@ def _newton_step_ref(spec, pts, defect):
 )
 def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, orbit):
     """Every Newton step of a refinement, bitwise the block-and-einsum construction."""
-    newton, compared = shadowing._min_norm_newton_step, []
+    newton, steps = shadowing._min_norm_newton_step, []
 
     def checked(spec_, pts, defect, perturbed):
         dx = newton(spec_, pts, defect, perturbed)
         assert dx.tobytes() == _newton_step_ref(spec_, pts, defect).tobytes()
-        compared.append(len(compared))
+        steps.append(dx)
         return dx
 
     monkeypatch.setattr(shadowing, "_min_norm_newton_step", checked)
     result = refine_shadow(spec, orbit(), tol=1e-10, max_iter=40)
-    assert compared and len(compared) == result.iterations
+    assert steps and len(steps) == result.iterations
 
 
 def test_newton_step_refuses_a_band_or_defect_that_is_not_finite():
