@@ -12,10 +12,7 @@ __version__ = "0.1.0"
 from .dephasing import CHUNK, FidelityCurve, dr_conjugation_check, dr_curve
 from .dynamics import (
     MapSpec,
-    PhasePoint,
-    step,
     step_ensemble,
-    step_inverse,
     torus_distance,
     wrap_unit,
 )
@@ -37,8 +34,6 @@ from .initial_states import (
     InitialState,
     PositionEigenstate,
     SampleSet,
-    WignerSampler,
-    periodized_gaussian_density,
     samples_gaussian,
     samples_position_state,
 )
@@ -72,14 +67,12 @@ __all__ = [
     "InitialState",
     "InvalidInputError",
     "MapSpec",
-    "PhasePoint",
     "PositionEigenstate",
     "PseudoOrbit",
     "QuantumState",
     "RunResult",
     "SampleSet",
     "ShadowResult",
-    "WignerSampler",
     "build_state",
     "compare",
     "dense_oracle",
@@ -89,7 +82,6 @@ __all__ = [
     "load_config",
     "orbit_from_map",
     "parse_config",
-    "periodized_gaussian_density",
     "pseudo_residual",
     "refine_shadow",
     "run_experiment",
@@ -97,9 +89,7 @@ __all__ = [
     "samples_position_state",
     "shadow_survey",
     "shadow_time_estimate",
-    "step",
     "step_ensemble",
-    "step_inverse",
     "step_quantum",
     "torus_distance",
     "validate_config",

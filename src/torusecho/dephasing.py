@@ -85,14 +85,6 @@ class FidelityCurve:
         return len(self.amplitude) - 1
 
     @property
-    def amplitude_re(self) -> np.ndarray:
-        return self.amplitude.real
-
-    @property
-    def amplitude_im(self) -> np.ndarray:
-        return self.amplitude.imag
-
-    @property
     def fidelity_stderr(self) -> np.ndarray:
         """First-order error propagation through M = re^2 + im^2."""
         return 2.0 * np.sqrt(

@@ -142,14 +142,6 @@ class MapSpec:
         return MapSpec(self.k, epsilon, self.dim_n)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (q, p) on the unit phase-space torus."""
-
-    q: float
-    p: float
-
-
 def wrap_unit(x):
     """Map values onto [0, 1) as a fresh float64 array (see `_wrap_in_place`)."""
     out = np.array(x, dtype=np.float64)
@@ -227,17 +219,3 @@ def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
     _step_in_place(spec.kick_coefficient(perturbed), q1, p1, np.empty_like(q1), np.empty_like(q1))
     return q1, p1
 
-
-def step(spec: MapSpec, x: PhasePoint, perturbed: bool = False) -> PhasePoint:
-    """Advance a single phase-space point by one map step."""
-    q1, p1 = step_ensemble(spec, np.float64(x.q), np.float64(x.p), perturbed)
-    return PhasePoint(float(q1), float(p1))
-
-
-def step_inverse(spec: MapSpec, x: PhasePoint, perturbed: bool = False) -> PhasePoint:
-    """Exact inverse map: undo the drift, then undo the kick."""
-    _require_finite(x.q, x.p)
-    c = spec.kick_coefficient(perturbed)
-    q = wrap_unit(np.float64(x.q) - np.float64(x.p))
-    p = wrap_unit(np.float64(x.p) + c * np.sin(TWO_PI * q))
-    return PhasePoint(float(q), float(p))

@@ -104,8 +104,6 @@ class ComparisonReport:
     mad: float
     max_dev: float
     argmax: int
-    curve_a: FidelityCurve
-    curve_b: FidelityCurve
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,6 @@ def _parse_value(key, raw):
         return None if raw.lower() == "none" else raw
     if parser == "method_list":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if parser is int:
-        return int(raw)
     return parser(raw)
 
 
@@ -186,7 +182,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
+    """Parse a UTF-8 config file; text that is not UTF-8 is a config error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigValidationError(
+            [f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}"]
+        ) from None
+    return parse_config(text)
 
 
 def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
@@ -311,8 +314,6 @@ def compare(curve_a: FidelityCurve, curve_b: FidelityCurve) -> ComparisonReport:
         mad=float(dev.mean()),
         max_dev=float(dev.max()),
         argmax=int(dev.argmax()),
-        curve_a=curve_a,
-        curve_b=curve_b,
     )
 
 

@@ -1,12 +1,11 @@
 """Initial quantum states and their weighted phase-space samplers.
 
-Three state families feed the dephasing estimator:
+Two state families feed the dephasing estimator:
 
 * position eigenstates -- fixed grid-aligned q0, momenta spread over the
   torus (full grid by default, one sample per momentum grid point);
 * Gaussian wavepackets -- positions drawn from |psi(q)|^2 with either a
-  fixed mean momentum or momenta drawn from the Gaussian Wigner function;
-* an abstract WignerSampler hook for general (possibly signed) weights.
+  fixed mean momentum or momenta drawn from the Gaussian Wigner function.
 
 Samplers are deterministic functions of (spec, params, seed); the stream
 is counter-based (Philox) so partitioned generation can reproduce any
@@ -15,14 +14,13 @@ index range independently.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import TWO_PI, MapSpec, is_integer, wrap_unit
+from .dynamics import MapSpec, is_integer, wrap_unit
 from .errors import CapacityError, InvalidInputError, raise_problem
 
 # relative size below which periodized-Gaussian image terms are dropped
@@ -156,20 +154,6 @@ class GaussianWavepacket(InitialState):
         return f"gaussian(q0={self.q0!r},p0={self.p0!r},sigma={self.sigma!r})"
 
 
-class WignerSampler(InitialState):
-    """Abstract weighted-sample source for general Wigner distributions.
-
-    Weights may be signed; only nonnegative-Wigner states ship in-tree.
-    """
-
-    @abstractmethod
-    def sample(self, spec: MapSpec, count: int, seed: int) -> SampleSet:
-        """Draw `count` weighted phase-space samples."""
-
-    def label(self) -> str:
-        return f"wigner_sampler({type(self).__name__})"
-
-
 def grid_index(spec: MapSpec, q0: float) -> int:
     """Grid index of a grid-aligned position; error if q0*N is not integral."""
     raise_problem(alignment_problem(q0, spec.dim_n))
@@ -256,20 +240,3 @@ def samples_gaussian(
     w = np.full(count, 1.0 / count)
     return SampleSet(q, p, w, "monte_carlo", state.label(), seed=seed)
 
-
-def periodized_gaussian_density(state: GaussianWavepacket, q) -> np.ndarray:
-    """Wrapped-normal position density of the wavepacket, sum over images.
-
-    Image terms below 1e-16 of the peak are dropped; the wrapped density
-    integrates to 1 over [0, 1) exactly (it is a reshuffled normal density).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    # exp(-d^2/(2 sigma^2)) < 1e-16  <=>  |d| > sigma * sqrt(-2 ln 1e-16)
-    reach = state.sigma * math.sqrt(-2.0 * math.log(_IMAGE_TRUNCATION))
-    n_images = int(math.ceil(reach)) + 1
-    dens = np.zeros_like(q)
-    norm = 1.0 / (state.sigma * math.sqrt(TWO_PI))
-    for n in range(-n_images, n_images + 1):
-        d = q + n - state.q0
-        dens += norm * np.exp(-0.5 * (d / state.sigma) ** 2)
-    return dens

@@ -40,7 +40,6 @@ from .initial_states import (
     GaussianWavepacket,
     InitialState,
     PositionEigenstate,
-    WignerSampler,
     grid_index,
 )
 
@@ -78,11 +77,6 @@ class QuantumState:
         if abs(norm - 1.0) > _NORM_GUARD:
             raise InvalidInputError(f"state vector must be normalized, |psi| = {norm!r}")
         object.__setattr__(self, "vector", vec)
-
-    @property
-    def position_density(self) -> np.ndarray:
-        """Probability per grid cell, |psi_j|^2 (sums to 1)."""
-        return np.abs(self.vector) ** 2
 
 
 @lru_cache(maxsize=32)
@@ -126,8 +120,8 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
     """Grid wavefunction for an initial-state descriptor.
 
     Position eigenstates require grid alignment. Gaussian wavepackets are
-    periodized over torus images and normalized on the grid. Abstract
-    Wigner samplers carry no wavefunction and are rejected.
+    periodized over torus images and normalized on the grid. Any other
+    state is refused.
     """
     if isinstance(state, PositionEigenstate):
         vec = np.zeros(spec.dim_n, dtype=np.complex128)
@@ -147,11 +141,6 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
             )
         vec /= np.linalg.norm(vec)
         return QuantumState(vec, spec)
-    if isinstance(state, WignerSampler):
-        raise InvalidInputError(
-            "abstract Wigner samplers carry no wavefunction; "
-            "use the dephasing route for such states"
-        )
     raise InvalidInputError(f"unknown initial state type {type(state).__name__}")
 
 

@@ -16,7 +16,9 @@ torusecho` does not load it. Orbits and their pseudo-residuals are
 computed for a whole ensemble of starts at once (`_orbits`,
 `_residuals`), bitwise the one-start results; `shadow_survey` takes its
 starts `_SURVEY_BLOCK` at a time, so its orbit storage does not grow
-with the orbit count.
+with the orbit count. The one-step defect has one implementation,
+`_orbit_defect`: the Newton iteration solves against it, and a
+pseudo-residual is its largest magnitude.
 
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as
@@ -118,12 +120,6 @@ class ShadowResult:
     iterations: int
 
 
-def wrap_signed(d) -> np.ndarray:
-    """Shortest signed torus displacement, elementwise into [-0.5, 0.5]."""
-    d = np.asarray(d, dtype=np.float64)
-    return d - np.round(d)
-
-
 def orbit_from_map(
     spec: MapSpec, start, steps: int, perturbed: bool = True
 ) -> PseudoOrbit:
@@ -168,9 +164,7 @@ def pseudo_residual(
 
 def _residuals(spec, pts, perturbed):
     """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call."""
-    q1, p1 = step_ensemble(spec, pts[..., :-1, 0], pts[..., :-1, 1], perturbed=perturbed)
-    image = np.stack([q1, p1], axis=-1)
-    return torus_distance(pts[..., 1:, :], image).max(axis=-1)
+    return np.abs(_orbit_defect(spec, pts, perturbed)).max(axis=(-2, -1))
 
 
 def _against_flag(against: str) -> bool:
@@ -187,7 +181,7 @@ def _orbit_defect(spec, pts, perturbed):
     pts has shape (..., T+1, 2), the defect (..., T, 2); a leading axis
     stacks trial orbits. pts are PseudoOrbit points or wrapped trials, so
     finite and in [0, 1): the unchecked map kernel applies. The defect is
-    wrapped in place, as `wrap_signed` does.
+    wrapped in place into [-0.5, 0.5], the shortest signed displacement.
     """
     q = pts[..., :-1, 0].copy()
     p = pts[..., :-1, 1].copy()

@@ -55,7 +55,7 @@ def test_curve_metadata_and_properties():
     assert curve.steps == 10
     assert curve.sample_count == 64
     assert curve.state_label == s.state_label
-    assert np.array_equal(curve.fidelity, curve.amplitude_re**2 + curve.amplitude_im**2)
+    assert np.array_equal(curve.fidelity, curve.amplitude.real**2 + curve.amplitude.imag**2)
     assert np.all(curve.stderr_re == 0.0)  # grid sets carry no statistical error
     assert np.all(curve.fidelity_stderr == 0.0)
 

@@ -11,13 +11,10 @@ from torusecho import (
     CapacityError,
     InvalidInputError,
     MapSpec,
-    PhasePoint,
     SampleSet,
     dr_curve,
     orbit_from_map,
-    step,
     step_ensemble,
-    step_inverse,
     torus_distance,
     wrap_unit,
 )
@@ -49,29 +46,18 @@ def test_spec_rejects_nonfinite():
 def test_step_matches_independent_value():
     # hand-computed with plain math; implementation may differ by ~1 ulp
     # through association order, hence the tight relative tolerance
-    x1 = step(MIXED, PhasePoint(0.4, 0.0))
-    assert x1.p == pytest.approx(0.92516085729690889, rel=1e-12)
-    assert x1.q == pytest.approx(0.32516085729690891, rel=1e-12)
+    q1, p1 = step_ensemble(MIXED, 0.4, 0.0)
+    assert q1.shape == p1.shape == ()
+    assert p1 == pytest.approx(0.92516085729690889, rel=1e-12)
+    assert q1 == pytest.approx(0.32516085729690891, rel=1e-12)
 
 
 def test_step_order_is_kick_then_drift():
     # p updates first, then q advances by the *new* p
-    x1 = step(MIXED, PhasePoint(0.25, 0.5))
+    q1, p1 = step_ensemble(MIXED, 0.25, 0.5)
     p_expect = wrap_unit(0.5 - (0.8 / (2 * np.pi)) * np.sin(2 * np.pi * 0.25))
-    assert x1.p == pytest.approx(float(p_expect), abs=1e-15)
-    assert x1.q == pytest.approx(float(wrap_unit(0.25 + x1.p)), abs=1e-15)
-
-
-@pytest.mark.parametrize("spec", [MIXED, PERTURBED, CHAOTIC])
-@pytest.mark.parametrize("perturbed", [False, True])
-def test_step_inverse_round_trip(spec, perturbed):
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = PhasePoint(*rng.random(2))
-        y = step(spec, x, perturbed=perturbed)
-        back = step_inverse(spec, y, perturbed=perturbed)
-        d = torus_distance(np.array([x.q, x.p]), np.array([back.q, back.p]))
-        assert float(d) < 1e-14
+    assert p1 == pytest.approx(float(p_expect), abs=1e-15)
+    assert q1 == pytest.approx(float(wrap_unit(0.25 + p1)), abs=1e-15)
 
 
 def test_step_ensemble_matches_scalar_loop():
@@ -80,9 +66,9 @@ def test_step_ensemble_matches_scalar_loop():
     p = rng.random(40)
     q1, p1 = step_ensemble(CHAOTIC, q, p, perturbed=True)
     for i in range(40):
-        xi = step(CHAOTIC, PhasePoint(q[i], p[i]), perturbed=True)
-        assert q1[i] == xi.q
-        assert p1[i] == xi.p
+        qi, pi = step_ensemble(CHAOTIC, q[i], p[i], perturbed=True)
+        assert q1[i] == qi
+        assert p1[i] == pi
 
 
 def _wrap_ref(x):
@@ -97,6 +83,23 @@ def _step_ref(c, q, p):
     q = _wrap_ref(q)
     p1 = _wrap_ref(_wrap_ref(p) - c * np.sin(2.0 * np.pi * q))
     return _wrap_ref(q + p1), p1
+
+
+def _step_inverse_ref(c, q, p):
+    """The inverse step written out: undo the drift, then undo the kick."""
+    q0 = _wrap_ref(q - p)
+    return q0, _wrap_ref(p + c * np.sin(2.0 * np.pi * q0))
+
+
+@pytest.mark.parametrize("spec", [MIXED, PERTURBED, CHAOTIC])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_step_inverse_round_trip(spec, perturbed):
+    rng = np.random.default_rng(3)
+    c = spec.kick_coefficient(perturbed)
+    for _ in range(50):
+        x = rng.random(2)
+        back = _step_inverse_ref(c, *step_ensemble(spec, x[0], x[1], perturbed=perturbed))
+        assert float(torus_distance(x, np.array(back))) < 1e-14
 
 
 def test_kernel_matches_explicit_formula_bitwise():
@@ -129,8 +132,7 @@ def test_step_ensemble_broadcasts_and_keeps_inputs():
     assert q1.shape == p1.shape == (3,)
     assert np.array_equal(q, q_before)
     for i in range(3):
-        xi = step(CHAOTIC, PhasePoint(q[i], 0.25))
-        assert (q1[i], p1[i]) == (xi.q, xi.p)
+        assert (q1[i], p1[i]) == step_ensemble(CHAOTIC, q[i], 0.25)
 
 
 def test_spec_rejects_overflowing_phase_factor():
@@ -149,12 +151,12 @@ def test_spec_rejects_overflowing_phase_factor():
 
 def test_step_rejects_nonfinite_point():
     with pytest.raises(InvalidInputError):
-        step(MIXED, PhasePoint(float("nan"), 0.0))
+        step_ensemble(MIXED, float("nan"), 0.0)
 
 
-def _tangent_ref(spec, x, perturbed):
-    """Tangent map [[1 - K, 1], [-K, 1]] of `step` at x, K = dp'/dq, written out."""
-    kick = spec.kick_coefficient(perturbed) * 2.0 * math.pi * math.cos(2.0 * math.pi * x.q)
+def _tangent_ref(spec, q, perturbed):
+    """Tangent map [[1 - K, 1], [-K, 1]] of the step at position q, K = dp'/dq, written out."""
+    kick = spec.kick_coefficient(perturbed) * 2.0 * math.pi * math.cos(2.0 * math.pi * q)
     return np.array([[1.0 - kick, 1.0], [-kick, 1.0]])
 
 
@@ -163,22 +165,21 @@ def test_jacobian_determinant_is_one():
     # band from this tangent map
     rng = np.random.default_rng(7)
     for _ in range(100):
-        x = PhasePoint(*rng.random(2))
-        j = _tangent_ref(CHAOTIC, x, perturbed=True)
+        j = _tangent_ref(CHAOTIC, rng.random(), perturbed=True)
         assert abs(np.linalg.det(j) - 1.0) < 1e-13
 
 
 def test_jacobian_matches_finite_differences():
-    x = PhasePoint(0.3, 0.62)
-    j = _tangent_ref(PERTURBED, x, perturbed=True)
+    q, p = 0.3, 0.62
+    j = _tangent_ref(PERTURBED, q, perturbed=True)
     h = 1e-7
     num = np.empty((2, 2))
     for col, (dq, dp) in enumerate([(h, 0.0), (0.0, h)]):
-        plus = step(PERTURBED, PhasePoint(x.q + dq, x.p + dp), perturbed=True)
-        minus = step(PERTURBED, PhasePoint(x.q - dq, x.p - dp), perturbed=True)
+        q_plus, p_plus = step_ensemble(PERTURBED, q + dq, p + dp, perturbed=True)
+        q_minus, p_minus = step_ensemble(PERTURBED, q - dq, p - dp, perturbed=True)
         # central difference with torus-wrapped numerator
-        dq_out = (plus.q - minus.q + 0.5) % 1.0 - 0.5
-        dp_out = (plus.p - minus.p + 0.5) % 1.0 - 0.5
+        dq_out = (q_plus - q_minus + 0.5) % 1.0 - 0.5
+        dp_out = (p_plus - p_minus + 0.5) % 1.0 - 0.5
         num[0, col] = dq_out / (2 * h)
         num[1, col] = dp_out / (2 * h)
     assert np.abs(j - num).max() < 1e-6
@@ -272,10 +273,10 @@ def test_propagate_orbit_storage():
     assert orbit.points[0, 0] == 0.4 and orbit.points[0, 1] == 0.2
     want, _ = _orbit_and_sums_ref(PERTURBED, 0.4, 0.2, 5)
     assert np.array_equal(orbit.points, want)
-    x = PhasePoint(0.4, 0.2)
+    q, p = 0.4, 0.2
     for t in range(1, 6):
-        x = step(PERTURBED, x)
-        assert orbit.points[t, 0] == x.q and orbit.points[t, 1] == x.p
+        q, p = step_ensemble(PERTURBED, q, p)
+        assert orbit.points[t, 0] == q and orbit.points[t, 1] == p
 
 
 def test_propagate_rejects_negative_steps():
@@ -298,6 +299,6 @@ def test_propagate_rejects_negative_steps():
 )
 def test_step_stays_on_torus(q, p, k):
     spec = MapSpec(k, 1e-3, 100)
-    y = step(spec, PhasePoint(q, p), perturbed=True)
-    assert 0.0 <= y.q < 1.0
-    assert 0.0 <= y.p < 1.0
+    q1, p1 = step_ensemble(spec, q, p, perturbed=True)
+    assert 0.0 <= q1 < 1.0
+    assert 0.0 <= p1 < 1.0

@@ -282,6 +282,21 @@ def test_cli_validate_good_and_bad(tmp_path, capsys):
     assert "state" in err and "steps" in err
 
 
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"k = 0.8\n\xff\xfe = 1\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(bad) in err and "byte 8" in err
+    # UTF-8 text beyond ASCII is read as such, whatever the locale
+    good = tmp_path / "good.cfg"
+    good.write_bytes("# ε = 5e-3, k = 0.8\nk = 0.8\n".encode("utf-8"))
+    assert main(["validate", "--config", str(good)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # capacity: dense on a large grid
     cap = tmp_path / "cap.cfg"

@@ -1,0 +1,51 @@
+"""The public surface: what `torusecho` exports, and the names the benchmark traces."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import torusecho
+from torusecho import dephasing, dynamics, harness, initial_states, quantum, shadowing
+
+TRACING = Path(__file__).resolve().parents[1] / "torusbench" / "tracing.py"
+
+# names that had callers only in tests, and were removed from the program
+REMOVED = (
+    (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian")),
+    (initial_states, ("WignerSampler", "periodized_gaussian_density")),
+    (shadowing, ("wrap_signed", "noisy_orbit")),
+    (quantum, ("loschmidt_equivalence",)),
+    (quantum.QuantumState, ("position_density", "overlap")),
+    (dephasing.FidelityCurve, ("amplitude_re", "amplitude_im")),
+)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(torusecho.__all__)) == len(torusecho.__all__)
+    missing = [name for name in torusecho.__all__ if not hasattr(torusecho, name)]
+    assert missing == []
+
+
+def test_removed_names_are_not_exported():
+    for owner, names in REMOVED:
+        for name in names:
+            assert name not in torusecho.__all__
+            assert not hasattr(torusecho, name)
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    fields = {f.name for f in dataclasses.fields(harness.ComparisonReport)}
+    assert not fields & {"curve_a", "curve_b"}
+
+
+def test_every_traced_name_resolves():
+    # the benchmark replaces each traced function in the module its callers
+    # look it up in; a name that no longer resolves there breaks its runs
+    spec = importlib.util.spec_from_file_location("torusbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, *_ in tracing.TRACED
+        if not callable(getattr(module, attr, None))
+    ]
+    assert missing == []

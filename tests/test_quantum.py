@@ -13,6 +13,7 @@ from torusecho import quantum
 from torusecho import (
     CapacityError,
     GaussianWavepacket,
+    InitialState,
     InvalidInputError,
     MapSpec,
     PositionEigenstate,
@@ -59,7 +60,7 @@ def test_gaussian_state_shape_and_width():
     sigma = 0.05
     psi = build_state(spec, GaussianWavepacket(0.4, 0.0, sigma))
     assert np.linalg.norm(psi.vector) == pytest.approx(1.0, abs=1e-12)
-    dens = psi.position_density
+    dens = np.abs(psi.vector) ** 2
     q = np.arange(1000) / 1000
     mean = float(np.sum(q * dens))
     var = float(np.sum((q - mean) ** 2 * dens))
@@ -323,16 +324,13 @@ def test_steps_validation():
         dense_oracle(SMALL, PositionEigenstate(0.25), -1)
 
 
-def test_wigner_sampler_has_no_wavefunction():
-    from torusecho import SampleSet, WignerSampler
+def test_unknown_state_type_is_refused_by_every_route():
+    # a state none of the routes knows, such as one with no wavefunction
+    class Unknown(InitialState):
+        def label(self):
+            return "unknown"
 
-    class Flat(WignerSampler):
-        def sample(self, spec, count, seed):
-            rng = np.random.default_rng(seed)
-            return SampleSet(
-                rng.random(count), rng.random(count),
-                np.full(count, 1.0 / count), "monte_carlo", self.label(), seed=seed,
-            )
-
-    with pytest.raises(InvalidInputError):
-        build_state(SMALL, Flat())
+    for route in (build_state, exact_fidelity_curve, dense_oracle):
+        args = (SMALL, Unknown()) if route is build_state else (SMALL, Unknown(), 3)
+        with pytest.raises(InvalidInputError, match="unknown initial state type Unknown"):
+            route(*args)

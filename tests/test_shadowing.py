@@ -25,7 +25,7 @@ from torusecho import (
 )
 from torusecho import shadowing
 from torusecho.cli import main
-from torusecho.shadowing import _min_norm_newton_step, _orbit_defect, wrap_signed
+from torusecho.shadowing import _min_norm_newton_step, _orbit_defect
 
 MIXED = MapSpec(0.8, 5e-3, 1000)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -45,12 +45,19 @@ def test_orbit_container_validation():
     assert len(orb) == 5 and orb.steps == 4
 
 
-def test_wrap_signed_range():
-    d = wrap_signed(np.array([0.6, -0.6, 0.49, 1.2, -3.3]))
-    assert np.all(np.abs(d) <= 0.5)
-    assert d[0] == pytest.approx(-0.4)
-    assert d[1] == pytest.approx(0.4)
-    assert d[2] == pytest.approx(0.49)
+def test_orbit_defect_is_the_shortest_signed_displacement():
+    # each point is its predecessor's image moved by a known jump; the defect
+    # recovers the jump wrapped into [-0.5, 0.5], and the residual is its sup
+    jumps = np.array([[0.6, -0.6], [0.49, 1.2], [-3.3, 0.45]])
+    pts = np.empty((4, 2))
+    pts[0] = (0.37, 0.21)
+    for t, (dq, dp) in enumerate(jumps):
+        q, p = step_ensemble(MIXED, pts[t, 0], pts[t, 1])
+        pts[t + 1] = wrap_unit(q + dq), wrap_unit(p + dp)
+    defect = _orbit_defect(MIXED, pts, False)
+    assert np.all(np.abs(defect) <= 0.5)
+    assert np.abs(defect - [[-0.4, 0.4], [0.49, 0.2], [-0.3, 0.45]]).max() < 1e-12
+    assert pseudo_residual(MIXED, PseudoOrbit(pts)) == np.abs(defect).max()
 
 
 @pytest.mark.parametrize("spec", [MIXED, CHAOTIC])
@@ -483,7 +490,8 @@ def _refine_ref(spec, orbit, tol, max_iter):
 
     def defect(pts):
         q, p = step_ensemble(spec, pts[:-1, 0], pts[:-1, 1], perturbed=False)
-        return wrap_signed(pts[1:] - np.stack([q, p], axis=-1))
+        d = pts[1:] - np.stack([q, p], axis=-1)
+        return d - np.round(d)  # the shortest signed displacement
 
     pts = orbit.points.copy()
     d = defect(pts)
