@@ -218,4 +218,3 @@ def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
         q1, p1 = (np.array(a) for a in np.broadcast_arrays(q1, p1))
     _step_in_place(spec.kick_coefficient(perturbed), q1, p1, np.empty_like(q1), np.empty_like(q1))
     return q1, p1
-

@@ -239,4 +239,3 @@ def samples_gaussian(
         raise InvalidInputError(f"unknown mode {mode!r}")
     w = np.full(count, 1.0 / count)
     return SampleSet(q, p, w, "monte_carlo", state.label(), seed=seed)
-

@@ -179,9 +179,10 @@ def _orbit_defect(spec, pts, perturbed):
     """Signed defect G[t] = points[t+1] - f(points[t]), torus-wrapped.
 
     pts has shape (..., T+1, 2), the defect (..., T, 2); a leading axis
-    stacks trial orbits. pts are PseudoOrbit points or wrapped trials, so
-    finite and in [0, 1): the unchecked map kernel applies. The defect is
-    wrapped in place into [-0.5, 0.5], the shortest signed displacement.
+    stacks orbits. pts are PseudoOrbit points, `_orbits` blocks or wrapped
+    trials, so finite and in [0, 1): the unchecked map kernel applies. The
+    defect is wrapped in place into [-0.5, 0.5], the shortest signed
+    displacement.
     """
     q = pts[..., :-1, 0].copy()
     p = pts[..., :-1, 1].copy()
