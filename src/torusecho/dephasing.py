@@ -93,13 +93,14 @@ class FidelityCurve:
         )
 
 
-def _chunk_sums(spec, q, p, scale, steps, phase_factor):
+def _chunk_sums(spec, q, p, scale, steps, phase_factor, squares=True):
     """Raw partial sums over one chunk of samples.
 
     Returns (S, R2, I2): S[t] = sum_j scale_j z_j(t) as complex,
     R2[t] = sum_j (scale_j Re z_j)^2, I2[t] = sum_j (scale_j Im z_j)^2.
     scale is None for uniform weights (treated as exactly 1, no multiply,
-    so the epsilon = 0 sum of ones stays integral).
+    so the epsilon = 0 sum of ones stays integral). Without squares, R2
+    and I2 are left zero: only a Monte Carlo stderr reads them.
     """
     cos_sum = np.zeros_like(q)
     re = np.empty_like(q)  # holds the phase, then its cos in place
@@ -109,8 +110,8 @@ def _chunk_sums(spec, q, p, scale, steps, phase_factor):
     n_t = steps + 1
     s_re = np.empty(n_t)
     s_im = np.empty(n_t)
-    r2 = np.empty(n_t)
-    i2 = np.empty(n_t)
+    r2 = np.zeros(n_t)
+    i2 = np.zeros(n_t)
 
     def record(t):
         np.multiply(cos_sum, phase_factor, out=re)
@@ -121,9 +122,9 @@ def _chunk_sums(spec, q, p, scale, steps, phase_factor):
             np.multiply(im, scale, out=im)
         s_re[t] = re.sum()
         s_im[t] = im.sum()
-        # (x*x).sum() keeps numpy's pairwise summation order; a BLAS dot would not
-        r2[t] = np.multiply(re, re, out=tmp).sum()
-        i2[t] = np.multiply(im, im, out=tmp).sum()
+        if squares:  # (x*x).sum() keeps numpy's pairwise order; a BLAS dot would not
+            r2[t] = np.multiply(re, re, out=tmp).sum()
+            i2[t] = np.multiply(im, im, out=tmp).sum()
 
     record(0)
     if steps > 0:
@@ -199,10 +200,11 @@ def dr_curve(
     q = np.asarray(samples.q, dtype=np.float64)
     p = np.asarray(samples.p, dtype=np.float64)
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+    monte_carlo = samples.kind == "monte_carlo"
 
     def job(lo, hi):
         sc = None if scales is None else scales[lo:hi]
-        return _chunk_sums(spec, q[lo:hi], p[lo:hi], sc, steps, phase_factor)
+        return _chunk_sums(spec, q[lo:hi], p[lo:hi], sc, steps, phase_factor, monte_carlo)
 
     workers = _worker_count(int(threads), len(bounds))
     if workers == 1:
@@ -222,7 +224,7 @@ def dr_curve(
         i2_tot += i2
 
     amp = s_tot / n
-    if samples.kind == "monte_carlo":
+    if monte_carlo:
         var_re = np.maximum(r2_tot / n - amp.real**2, 0.0)
         var_im = np.maximum(i2_tot / n - amp.imag**2, 0.0)
         stderr_re = np.sqrt(var_re / n)

@@ -154,9 +154,8 @@ def torus_distance(a, b):
 
     Accepts arrays whose last axis is (q, p); broadcasts over leading axes.
     """
-    d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    d = np.minimum(d % 1.0, 1.0 - (d % 1.0))
-    return d.max(axis=-1)
+    d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) % 1.0
+    return np.minimum(d, 1.0 - d).max(axis=-1)
 
 
 def _require_finite(q, p):

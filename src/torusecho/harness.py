@@ -182,9 +182,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a UTF-8 config file; text that is not UTF-8 is a config error."""
+    """Parse a UTF-8 config file, a leading byte-order mark dropped; non-UTF-8 is a config error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigValidationError(
             [f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}"]

@@ -11,14 +11,17 @@ free endpoints, so the linearized system is underdetermined).
 Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
 steps: the band is built straight from the map's kick slope and solved
 by a direct LAPACK dpbsv call, after the finite check that scipy's
-`solveh_banded` would make. scipy is imported there only, so `import
-torusecho` does not load it. Orbits and their pseudo-residuals are
-computed for a whole ensemble of starts at once (`_orbits`,
-`_residuals`), bitwise the one-start results; `shadow_survey` takes its
-starts `_SURVEY_BLOCK` at a time, so its orbit storage does not grow
-with the orbit count. The one-step defect has one implementation,
-`_orbit_defect`: the Newton iteration solves against it, and a
-pseudo-residual is its largest magnitude.
+`solveh_banded` would make; scipy is loaded by the first step, not by
+`import torusecho`. The step is damped by the first of the scales 1,
+1/2, ..., 2^-16 that lowers the residual: scale 1 is tried alone, the
+other 16 in one stacked defect call (split on long orbits), so an
+iteration on a short orbit makes one or two calls. Orbits and their
+pseudo-residuals are computed for a whole ensemble of starts at once
+(`_orbits`, `_residuals`), bitwise the one-start results;
+`shadow_survey` takes its starts `_SURVEY_BLOCK` at a time, so its orbit
+storage does not grow with the orbit count. The one-step defect has one
+implementation, `_orbit_defect`: the Newton iteration solves against it,
+and a pseudo-residual is its largest magnitude.
 
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as
@@ -27,6 +30,7 @@ epsilon^(-1/2); `shadow_time_estimate` returns that scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +56,13 @@ _MAX_SURVEY_COUNT = 100_000
 # holds 64 x (10^4 + 1) x 2 floats, about 10 MB
 _SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
-# the damping scales 1, 1/2, ..., 2^-16 in the order refine_shadow tries
-# them, split into groups of doubling size 1, 2, 4, 8, 2; each group is one
-# stacked _orbit_defect call, so a stalled iteration makes 5 calls, not 17,
-# and no iteration evaluates twice the trials of a one-scale-at-a-time ladder
-_DAMPING_GROUPS = tuple(np.split(0.5 ** np.arange(17.0), [1, 3, 7, 15]))
-# most orbit points one stacked trial call holds: up to 256 points a group is
-# one call, beyond that it is split, down to one scale per call from 1025
-# points. On long orbits a call's overhead is small against its arithmetic, so
-# stacking saved nothing there, and the trials past the accepted scale (and
-# page faults on megabyte temporaries) made whole groups 1.4x slower at 10^4 steps
+# the damping scales 1, 1/2, ..., 2^-16 in ladder order: scale 1 alone, then
+# the other 16, each group one stacked _orbit_defect call
+_DAMPING_GROUPS = tuple(np.split(0.5 ** np.arange(17.0), [1]))
+# most orbit points one stacked trial call holds: the 16 damped scales are one
+# call up to 128 points, one scale per call from 1025. On long orbits a call's
+# overhead is small against its arithmetic, so stacking saves nothing there, and
+# trials past the accepted scale made whole groups 1.4x slower at 10^4 steps
 _TRIAL_POINTS = 2048
 
 _GENERATORS = ("perturbed_map", "noisy", "external")
@@ -82,12 +83,10 @@ class PseudoOrbit:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise InvalidInputError(
-                f"orbit needs shape (L, 2) with L >= 2, got {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("orbit contains non-finite coordinates")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
+            raise InvalidInputError(f"orbit needs shape (L, 2) with L >= 2, got {pts.shape}")
+        if not ((pts >= 0.0) & (pts < 1.0)).all():  # nan fails this test too
+            if not np.isfinite(pts).all():
+                raise InvalidInputError("orbit contains non-finite coordinates")
             raise InvalidInputError("orbit coordinates must lie in [0, 1)")
         if self.generator not in _GENERATORS:
             raise InvalidInputError(f"unknown generator {self.generator!r}")
@@ -120,9 +119,7 @@ class ShadowResult:
     iterations: int
 
 
-def orbit_from_map(
-    spec: MapSpec, start, steps: int, perturbed: bool = True
-) -> PseudoOrbit:
+def orbit_from_map(spec: MapSpec, start, steps: int, perturbed: bool = True) -> PseudoOrbit:
     """Orbit segment generated by iterating the (default: perturbed) map.
 
     The one-start case of the ensemble generator `_orbits`.
@@ -151,9 +148,7 @@ def _orbits(spec, starts, steps, perturbed):
     return pts
 
 
-def pseudo_residual(
-    spec: MapSpec, orbit: PseudoOrbit, against: str = "unperturbed"
-) -> float:
+def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit, against: str = "unperturbed") -> float:
     """Sup one-step defect of the orbit under the chosen map.
 
     max over steps t of the torus sup-distance between points[t+1] and
@@ -168,11 +163,9 @@ def _residuals(spec, pts, perturbed):
 
 
 def _against_flag(against: str) -> bool:
-    if against == "unperturbed":
-        return False
-    if against == "perturbed":
-        return True
-    raise InvalidInputError(f"against must be 'unperturbed' or 'perturbed', got {against!r}")
+    if against not in ("unperturbed", "perturbed"):
+        raise InvalidInputError(f"against must be 'unperturbed' or 'perturbed', got {against!r}")
+    return against == "perturbed"
 
 
 def _orbit_defect(spec, pts, perturbed):
@@ -181,17 +174,23 @@ def _orbit_defect(spec, pts, perturbed):
     pts has shape (..., T+1, 2), the defect (..., T, 2); a leading axis
     stacks orbits. pts are PseudoOrbit points, `_orbits` blocks or wrapped
     trials, so finite and in [0, 1): the unchecked map kernel applies. The
-    defect is wrapped in place into [-0.5, 0.5], the shortest signed
-    displacement.
+    images are stepped in one coordinate-first copy, (2, ..., T), so q and
+    p are contiguous at every length; the defect is a view of that copy,
+    wrapped in place into [-0.5, 0.5], the shortest signed displacement.
     """
-    q = pts[..., :-1, 0].copy()
-    p = pts[..., :-1, 1].copy()
+    coords_first = (pts.ndim - 1, *range(pts.ndim - 1))
+    q, p = image = pts[..., :-1, :].transpose(coords_first).copy()
     _step_in_place(spec.kick_coefficient(perturbed), q, p, np.empty_like(q), np.empty_like(q))
-    defect = np.empty(q.shape + (2,))
-    np.subtract(pts[..., 1:, 0], q, out=defect[..., 0])
-    np.subtract(pts[..., 1:, 1], p, out=defect[..., 1])
-    defect -= np.round(defect)
-    return defect
+    defect = np.subtract(pts[..., 1:, :].transpose(coords_first), image, out=image)
+    defect -= np.rint(defect)
+    return defect.transpose((*range(1, pts.ndim), 0))
+
+
+@functools.cache
+def _dpbsv():
+    """LAPACK's banded Cholesky solver, imported on first use: `import torusecho` loads no scipy."""
+    from scipy.linalg.lapack import dpbsv
+    return dpbsv
 
 
 def _min_norm_newton_step(spec, pts, defect, perturbed):
@@ -210,18 +209,18 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     that is not finite, or a band that is not positive definite (at kicks
     beyond about 10^7, A_t A_t^T + I rounds to a singular matrix).
     """
-    from scipy.linalg.lapack import dpbsv  # here, so `import torusecho` loads no scipy
-
     big_t = pts.shape[0] - 1
     # a kick slope beyond about 1e154 overflows the band; that is refused
     # by the finite check below, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         kick = spec.kick_coefficient(perturbed) * TWO_PI * np.cos(TWO_PI * pts[:-1, 0])
+        neg_kick = -kick
         a00 = 1.0 - kick
-        ab = np.zeros((4, 2 * big_t))
+        # Fortran order and the overwrite flags: f2py hands both arrays to LAPACK uncopied
+        ab = np.zeros((4, 2 * big_t), order="F")
         ab[3, 0::2] = a00 * a00 + 1.0 + 1.0
         ab[3, 1::2] = kick * kick + 1.0 + 1.0
-        ab[2, 1::2] = a00 * -kick + 1.0
+        ab[2, 1::2] = a00 * neg_kick + 1.0
         ab[2, 2::2] = -1.0
         ab[1, 2::2] = -a00[1:]
         ab[1, 3::2] = -1.0
@@ -229,17 +228,17 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
         rhs = -defect.reshape(-1)
         if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
             return None  # J J^T overflowed, or the defect is not finite
-        _, lam, info = dpbsv(ab, rhs)
+        _, lam, info = _dpbsv()(ab, rhs, overwrite_ab=1, overwrite_b=1)
         if info != 0:
             return None  # J J^T is singular in double precision
         lam = lam.reshape(big_t, 2)
 
         dx = np.empty((big_t + 1, 2))
-        a0 = np.array([[a00[0], 1.0], [-kick[0], 1.0]])
+        a0 = np.array([[a00[0], 1.0], [neg_kick[0], 1.0]])
         dx[0] = -a0.T @ lam[0]
         if big_t > 1:
             l0, l1 = lam[1:, 0], lam[1:, 1]
-            np.subtract(lam[:-1, 0], a00[1:] * l0 + -kick[1:] * l1, out=dx[1:big_t, 0])
+            np.subtract(lam[:-1, 0], a00[1:] * l0 + neg_kick[1:] * l1, out=dx[1:big_t, 0])
             np.subtract(lam[:-1, 1], l0 + l1, out=dx[1:big_t, 1])
         dx[big_t] = lam[big_t - 1]
     return dx
@@ -248,11 +247,11 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
 def _damped_trial(spec, pts, dx, res, perturbed):
     """(points, defect, residual) at the first damping scale whose residual is below res.
 
-    The scales are tried in ladder order, one group of them (at most
-    `_TRIAL_POINTS` orbit points) per stacked defect call; None when no
-    scale lowers the residual (a stall). Every step is elementwise or an
-    exact max, so the accepted trial is bitwise the one a
-    one-scale-at-a-time ladder accepts.
+    The scales are tried in ladder order: scale 1 alone, then the other 16
+    in one stacked defect call, split where it would hold more than
+    `_TRIAL_POINTS` orbit points; None when no scale lowers the residual (a
+    stall). Every step is elementwise or an exact max, so the accepted trial
+    is bitwise the one a one-scale-at-a-time ladder accepts.
     """
     per_call = max(1, _TRIAL_POINTS // len(pts))
     for group in _DAMPING_GROUPS:
@@ -262,7 +261,7 @@ def _damped_trial(spec, pts, dx, res, perturbed):
             _wrap_in_place(trials, np.empty_like(trials))
             defects = _orbit_defect(spec, trials, perturbed)
             trial_res = np.abs(defects).max(axis=(1, 2))
-            first = int(np.argmax(trial_res < res))
+            first = (trial_res < res).argmax()
             if trial_res[first] < res:
                 # a copy: a view would keep the whole stack alive in the result
                 return trials[first].copy(), defects[first], float(trial_res[first])
@@ -289,11 +288,11 @@ def refine_shadow(
 ) -> ShadowResult:
     """Newton-refine a pseudo-orbit toward a true orbit of the target map.
 
-    Endpoints are free; each iteration applies the minimum-norm
-    correction at the largest damping scale 1, 1/2, ..., 2^-16 that
-    lowers the sup residual, and stops (stalled) where none does; the
-    scales are tested a few at a time (`_DAMPING_GROUPS`). Convergence
-    means sup residual <= tol.
+    Endpoints are free; each iteration applies the minimum-norm correction
+    at the largest damping scale 1, 1/2, ..., 2^-16 that lowers the sup
+    residual, and stops (stalled) where none does; scale 1 is tested alone,
+    the other 16 in one stacked call (`_DAMPING_GROUPS`, split on orbits of
+    more than 128 points). Convergence means sup residual <= tol.
 
     Refinement can fail honestly: a segment that brushes a
     non-hyperbolic region (an island pass, where the one-step stability
@@ -315,8 +314,7 @@ def refine_shadow(
     pts = orbit.points.copy()
     defect = _orbit_defect(spec, pts, perturbed)
     res = float(np.abs(defect).max())
-    iterations = 0
-    converged = res <= tol
+    iterations, converged = 0, res <= tol
 
     while not converged and iterations < max_iter:
         dx = _min_norm_newton_step(spec, pts, defect, perturbed)
@@ -330,13 +328,8 @@ def refine_shadow(
         converged = res <= tol
 
     distance = float(torus_distance(pts, orbit.points).max())
-    return ShadowResult(
-        shadow_points=pts,
-        shadow_distance=distance,
-        residual=res,
-        converged=bool(converged),
-        iterations=iterations,
-    )
+    return ShadowResult(shadow_points=pts, shadow_distance=distance, residual=res,
+                        converged=bool(converged), iterations=iterations)
 
 
 def shadow_time_estimate(epsilon: float) -> float:

@@ -1,5 +1,7 @@
 """Config parsing/validation, experiment runs, serialization, CLI."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -27,6 +29,7 @@ from torusecho import (
 )
 from torusecho import quantum, shadowing
 from torusecho.cli import emit_config, main
+from torusecho.harness import load_config
 from torusecho.dynamics import _MAX_STEPS
 from torusecho.harness import _FIELD_PARSERS, check_config, curve_rows, render_csv
 from torusecho.shadowing import _MAX_SURVEY_COUNT
@@ -297,6 +300,24 @@ def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    """A UTF-8 byte-order mark, as some editors write it, is not part of the first key."""
+    text = "k = 0.8\ndim_n = 100\nsteps = 3\nmethods = dr,exact\n"
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(cfg) == parse_config(text)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out = tmp_path / "bom.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists() and capsys.readouterr().err == ""
+    # after the mark, bytes that are not UTF-8 are still a config error
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xef\xbb\xbfk = 0.8\n\xff = 1\n")
+    assert main(["validate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # capacity: dense on a large grid
     cap = tmp_path / "cap.cfg"
@@ -458,15 +479,23 @@ _LINE = st.one_of(
 )
 
 
+# raw bytes around the text: none, a UTF-8 byte-order mark, or any bytes
+_RAW = st.one_of(st.just(b""), st.just(b"\xef\xbb\xbf"), st.binary(max_size=4))
+
+
 @settings(deadline=None, max_examples=300)
-@given(text=st.lists(_LINE, max_size=8).map("\n".join))
-@example(text="q0 = 1e308")
-@example(text="dim_n = 1" + "0" * 400)
-def test_cli_validate_any_config_text_exits_with_a_documented_code(text):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(head=_RAW, text=st.lists(_LINE, max_size=8).map("\n".join), tail=_RAW)
+@example(head=b"", text="q0 = 1e308", tail=b"")
+@example(head=b"", text="dim_n = 1" + "0" * 400, tail=b"")
+@example(head=b"\xef\xbb\xbf", text="k = 0.8", tail=b"")
+@example(head=b"\xef\xbb\xbf", text="k = 0.8\n", tail=b"\xff = 1")
+def test_cli_validate_any_config_text_exits_with_a_documented_code(head, text, tail):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         path = Path(tmp) / "fuzz.cfg"
-        path.write_text(text)
-        assert main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
+        path.write_bytes(head + text.encode("utf-8") + tail)
+        code = main(["validate", "--config", str(path)])
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
 
 
 _ODD_FLAG_TEXT = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1", "2.5", "x", "",

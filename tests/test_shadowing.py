@@ -549,6 +549,19 @@ def test_damping_ladder_matches_a_sequential_ladder_bitwise(spec, orbit, tol):
     assert (res.residual, res.converged, res.iterations) == (residual, converged, iterations)
 
 
+def test_benchmark_survey_refinements_match_a_sequential_ladder_bitwise(monkeypatch):
+    """Every refinement of the k=10, seed-0 benchmark survey, stalled orbits
+    included, is bitwise the one-scale-at-a-time ladder's."""
+    _, orbits, _, results = _recorded_survey(monkeypatch, CHAOTIC, count=256, seed=0, tol=1e-9)
+    assert len(results) == 256
+    for orb, got in zip(orbits, results):
+        pts, residual, converged, iterations = _refine_ref(CHAOTIC, PseudoOrbit(orb), 1e-9, 40)
+        assert got.shadow_points.tobytes() == pts.tobytes()
+        assert (got.residual, got.converged, got.iterations) == (residual, converged, iterations)
+        d = np.abs(pts - orb) % 1.0
+        assert got.shadow_distance == np.minimum(d, 1.0 - d).max()
+
+
 def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     defect, newton = shadowing._orbit_defect, shadowing._min_norm_newton_step
     events = []
@@ -573,8 +586,13 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     monkeypatch.setattr(shadowing, "_min_norm_newton_step", counted_newton)
     stalled, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9)
     assert not stalled.converged and stalled.iterations < 40
-    assert all(len(c) <= 5 for c in calls)
-    assert calls[-1] == [1, 2, 4, 8, 2]  # the stall: 17 scales in 5 calls
+    assert all(c in ([1], [1, 16]) for c in calls)
+    assert calls[-1] == [1, 16]  # the stall: 17 scales in 2 calls
+    # at 401 points a call holds at most 2048 // 401 = 5 scales
+    long, calls = refined(CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10)
+    assert not long.converged
+    ladder = [1, 5, 5, 5, 1]  # the stall: 17 scales in 5 calls
+    assert all(c == ladder[: len(c)] for c in calls) and calls[-1] == ladder
     converged, calls = refined(MIXED, orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11)
     assert converged.converged and converged.iterations >= 2
     assert calls == [[1]] * converged.iterations  # scale 1 taken: one call
