@@ -328,8 +328,13 @@ def refine_shadow(
         converged = res <= tol
 
     distance = float(torus_distance(pts, orbit.points).max())
-    return ShadowResult(shadow_points=pts, shadow_distance=distance, residual=res,
-                        converged=bool(converged), iterations=iterations)
+    return ShadowResult(
+        shadow_points=pts,
+        shadow_distance=distance,
+        residual=res,
+        converged=bool(converged),
+        iterations=iterations,
+    )
 
 
 def shadow_time_estimate(epsilon: float) -> float:

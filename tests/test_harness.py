@@ -29,9 +29,8 @@ from torusecho import (
 )
 from torusecho import quantum, shadowing
 from torusecho.cli import emit_config, main
-from torusecho.harness import load_config
 from torusecho.dynamics import _MAX_STEPS
-from torusecho.harness import _FIELD_PARSERS, check_config, curve_rows, render_csv
+from torusecho.harness import _FIELD_PARSERS, check_config, curve_rows, load_config, render_csv
 from torusecho.shadowing import _MAX_SURVEY_COUNT
 
 

@@ -589,8 +589,8 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     assert all(c in ([1], [1, 16]) for c in calls)
     assert calls[-1] == [1, 16]  # the stall: 17 scales in 2 calls
     # at 401 points a call holds at most 2048 // 401 = 5 scales
-    long, calls = refined(CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10)
-    assert not long.converged
+    stalled, calls = refined(CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10)
+    assert not stalled.converged
     ladder = [1, 5, 5, 5, 1]  # the stall: 17 scales in 5 calls
     assert all(c == ladder[: len(c)] for c in calls) and calls[-1] == ladder
     converged, calls = refined(MIXED, orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11)
