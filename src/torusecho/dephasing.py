@@ -1,11 +1,11 @@
 """Semiclassical fidelity decay from dephasing over unperturbed orbits.
 
-The estimator propagates weighted phase-space samples with the
-*unperturbed* classical map, accumulates the action difference picked up
-from the kick-potential perturbation along each orbit, and averages the
-resulting pure phases:
+The estimator propagates phase-space samples with the *unperturbed*
+classical map, accumulates the action difference picked up from the
+kick-potential perturbation along each orbit, and averages the resulting
+pure phases with the sample set's uniform weights 1/n:
 
-    amp(t) = sum_j w_j * exp(i * dS_j(t) / hbar),    M(t) = |amp(t)|^2
+    amp(t) = (1/n) sum_j exp(i * dS_j(t) / hbar),    M(t) = |amp(t)|^2
 
 No stability prefactors enter; all decay comes from phase cancellation
 across the ensemble.
@@ -93,14 +93,13 @@ class FidelityCurve:
         )
 
 
-def _chunk_sums(spec, q, p, scale, steps, phase_factor, squares=True):
+def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     """Raw partial sums over one chunk of samples.
 
-    Returns (S, R2, I2): S[t] = sum_j scale_j z_j(t) as complex,
-    R2[t] = sum_j (scale_j Re z_j)^2, I2[t] = sum_j (scale_j Im z_j)^2.
-    scale is None for uniform weights (treated as exactly 1, no multiply,
-    so the epsilon = 0 sum of ones stays integral). Without squares, R2
-    and I2 are left zero: only a Monte Carlo stderr reads them.
+    Returns (S, R2, I2): S[t] = sum_j z_j(t) as complex, R2[t] = sum_j
+    (Re z_j)^2, I2[t] = sum_j (Im z_j)^2, unweighted (so the epsilon = 0
+    sum of ones stays integral). Without squares, R2 and I2 are left
+    zero: only a Monte Carlo stderr reads them.
     """
     cos_sum = np.zeros_like(q)
     re = np.empty_like(q)  # holds the phase, then its cos in place
@@ -117,9 +116,6 @@ def _chunk_sums(spec, q, p, scale, steps, phase_factor, squares=True):
         np.multiply(cos_sum, phase_factor, out=re)
         np.sin(re, out=im)
         np.cos(re, out=re)
-        if scale is not None:
-            np.multiply(re, scale, out=re)
-            np.multiply(im, scale, out=im)
         s_re[t] = re.sum()
         s_im[t] = im.sum()
         if squares:  # (x*x).sum() keeps numpy's pairwise order; a BLAS dot would not
@@ -168,7 +164,7 @@ def dr_curve(
         Map parameters; spec.epsilon is the perturbation strength whose
         accumulated action difference drives the dephasing.
     samples : SampleSet
-        Weighted phase-space samples of the initial state.
+        Phase-space samples of the initial state, each of weight 1/n.
     steps : int
         Number of map iterations (curve has steps + 1 entries); more
         than 10^6 is refused with CapacityError.
@@ -191,20 +187,13 @@ def dr_curve(
     # |action sum| <= steps, so the check above keeps every phase finite
     phase_factor = spec.epsilon * spec.dim_n / TWO_PI
 
-    uniform = samples.uniform
-    if uniform:
-        scales = None
-    else:
-        scales = n * samples.weights  # importance ratio relative to uniform
-
     q = np.asarray(samples.q, dtype=np.float64)
     p = np.asarray(samples.p, dtype=np.float64)
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
     monte_carlo = samples.kind == "monte_carlo"
 
     def job(lo, hi):
-        sc = None if scales is None else scales[lo:hi]
-        return _chunk_sums(spec, q[lo:hi], p[lo:hi], sc, steps, phase_factor, monte_carlo)
+        return _chunk_sums(spec, q[lo:hi], p[lo:hi], steps, phase_factor, monte_carlo)
 
     workers = _worker_count(int(threads), len(bounds))
     if workers == 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -40,7 +41,7 @@ from .initial_states import (
     seed_problem,
     sigma_problem,
 )
-from .quantum import dense_oracle, dense_problem, exact_fidelity_curve
+from .quantum import dense_oracle, dense_problem, exact_fidelity_curve, grid_problem
 
 METHOD_ORDER = ("dr", "exact", "dense")
 COMPARISON_PRIORITY = (("dr", "exact"), ("dr", "dense"), ("exact", "dense"))
@@ -50,10 +51,6 @@ _STATES = ("position", "gaussian")
 _POSITION_MODES = ("grid", "monte_carlo")
 _GAUSSIAN_MODES = ("wigner", "position_only")
 _FORMATS = ("csv", "json")
-
-# capacity ceiling on the grid of a run; the step, sample and dense
-# ceilings live with the rules of the modules that own them
-_MAX_DIM = 65536
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class ExperimentConfig:
     sample_mode: str = "grid"
     seed: int = 0
     methods: tuple[str, ...] = ("dr", "exact")
-    out: str | None = None
+    out: str | os.PathLike | None = None
     format: str = "csv"
     threads: int = 1
 
@@ -210,13 +207,13 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
     def invalid(message):
         v.append((InvalidInputError, message))
 
-    if dim_ok and config.dim_n > _MAX_DIM:
-        add((CapacityError, f"dim_n {config.dim_n} exceeds limit {_MAX_DIM}"))
+    grid_bad = grid_problem(config.dim_n) if dim_ok else None
+    add(grid_bad)
     if config.state not in _STATES:
         invalid(f"state must be one of {_STATES}, got {config.state!r}")
     steps_bad = steps_problem(config.steps)
     add(steps_bad)
-    if not map_bad and config.dim_n <= _MAX_DIM and steps_bad is None:
+    if not map_bad and grid_bad is None and steps_bad is None:
         add(phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps))
     q0_ok = 0.0 <= config.q0 < 1.0
     if not q0_ok:
@@ -357,12 +354,11 @@ def render_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def write_result(result: "RunResult", out, fmt: str | None = None):
-    """Write the data table and its .meta.json sidecar next to it."""
+def write_result(result: "RunResult", out):
+    """Write the data table, in the config's format, and its .meta.json sidecar next to it."""
     out = Path(out)
-    fmt = fmt or result.config.format
     rows = curve_rows(result.curves)
-    text = render_csv(rows) if fmt == "csv" else render_json(rows)
+    text = render_csv(rows) if result.config.format == "csv" else render_json(rows)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, newline="\n")
     meta_path = out.parent / (out.stem + ".meta.json")
@@ -395,15 +391,16 @@ def _package_version() -> str:
 def _config_dict(config: ExperimentConfig) -> dict:
     d = dataclasses.asdict(config)
     d["methods"] = list(d["methods"])
+    d["out"] = None if config.out is None else os.fspath(config.out)  # JSON has no Path
     return d
 
 
-def run_experiment(config: ExperimentConfig, out=None) -> RunResult:
-    """Validate, run every requested method, compare, optionally write.
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Validate, run every requested method, compare, write to config.out if set.
 
     Methods execute in canonical order (dr, exact, dense). The comparison
     pairs the two highest-priority curves present: (dr, exact), then
-    (dr, dense), then (exact, dense). `out` overrides config.out.
+    (dr, dense), then (exact, dense).
     """
     check_config(config)
     spec = MapSpec(config.k, config.epsilon, config.dim_n)
@@ -432,8 +429,7 @@ def run_experiment(config: ExperimentConfig, out=None) -> RunResult:
         config=config, spec=spec, curves=curves, comparison=comparison,
         duration_s=duration,
     )
-    target = out if out is not None else config.out
-    if target is not None:
-        out_path, meta_path = write_result(result, target)
+    if config.out is not None:
+        out_path, meta_path = write_result(result, config.out)
         result = dataclasses.replace(result, out_path=out_path, meta_path=meta_path)
     return result

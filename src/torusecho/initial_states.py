@@ -1,4 +1,4 @@
-"""Initial quantum states and their weighted phase-space samplers.
+"""Initial quantum states and their phase-space samplers.
 
 Two state families feed the dephasing estimator:
 
@@ -87,7 +87,7 @@ def seed_problem(seed):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Vectorized container of weighted phase-space samples.
+    """Vectorized container of phase-space samples, each of weight 1/len.
 
     kind is "grid" for exact-quadrature sets (deterministic, no statistical
     error bars) or "monte_carlo" for seeded random draws.
@@ -105,16 +105,13 @@ class SampleSet:
             raise InvalidInputError("sample set must be nonempty")
         if not (len(self.q) == len(self.p) == len(self.weights)):
             raise InvalidInputError("q, p, weights must have equal lengths")
+        if not np.all(self.weights == 1.0 / len(self.q)):
+            raise InvalidInputError("weights must all equal 1/len")
         if self.kind not in ("grid", "monte_carlo"):
             raise InvalidInputError(f"unknown sample kind {self.kind!r}")
 
     def __len__(self):
         return len(self.q)
-
-    @property
-    def uniform(self) -> bool:
-        """True when every weight equals 1/len (enables exact-mean reduction)."""
-        return bool(np.all(self.weights == self.weights[0]))
 
 
 class InitialState(ABC):
@@ -194,6 +191,7 @@ def samples_position_state(
     if mode == "grid":
         n = spec.dim_n
         raise_problem(grid_count_problem(n, count))
+        raise_problem(sample_count_problem(n))
         p = np.arange(n, dtype=np.float64) / n
         q = np.full(n, q_val)
         w = np.full(n, 1.0 / n)
@@ -228,14 +226,14 @@ def samples_gaussian(
     """
     state = GaussianWavepacket(q0, p0, sigma)  # validates sigma
     raise_problem(sample_count_problem(count))
+    if mode not in ("position_only", "wigner"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
     rng = _rng(seed)
     q = wrap_unit(q0 + sigma * rng.standard_normal(count))
     if mode == "position_only":
         p = np.full(count, np.float64(p0))
-    elif mode == "wigner":
+    else:
         sigma_p = spec.hbar / (2.0 * sigma)
         p = wrap_unit(p0 + sigma_p * rng.standard_normal(count))
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}")
     w = np.full(count, 1.0 / count)
     return SampleSet(q, p, w, "monte_carlo", state.label(), seed=seed)

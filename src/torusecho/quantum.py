@@ -44,6 +44,8 @@ from .initial_states import (
 )
 
 _NORM_GUARD = 1e-9
+# capacity ceiling on the grid of a state or an exact curve
+_MAX_DIM = 65536
 # dense propagation costs N^2 per step and N^2 memory per unitary
 _DENSE_MAX_DIM = 256
 # from this grid size up, stepping the two branches on two threads beats one
@@ -51,6 +53,13 @@ _DENSE_MAX_DIM = 256
 # x86-64 VM with numpy 2.4: 0.14 / 0.16 at N = 4096, 0.57 / 0.38 at 8192,
 # 5.9 / 2.7 at 65536 (between 4096 and 8192 the winner changed run to run)
 _THREAD_MIN_DIM = 8192
+
+
+def grid_problem(dim_n):
+    """Why no state or exact curve is built on a grid of dim_n points, or None."""
+    if dim_n <= _MAX_DIM:
+        return None
+    return CapacityError, f"dim_n {dim_n} exceeds limit {_MAX_DIM}"
 
 
 def dense_problem(dim_n):
@@ -121,8 +130,9 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
 
     Position eigenstates require grid alignment. Gaussian wavepackets are
     periodized over torus images and normalized on the grid. Any other
-    state is refused.
+    state, and a grid above 65536 points, is refused.
     """
+    raise_problem(grid_problem(spec.dim_n))
     if isinstance(state, PositionEigenstate):
         vec = np.zeros(spec.dim_n, dtype=np.complex128)
         vec[grid_index(spec, state.q0)] = 1.0
@@ -152,7 +162,7 @@ def step_quantum(state: QuantumState, perturbed: bool = False) -> QuantumState:
     return QuantumState(psi, state.spec)
 
 
-def _resolve_state(spec, state, state_label):
+def _resolve_state(spec, state):
     """(checked grid vector, label) of a state descriptor or a QuantumState."""
     if isinstance(state, QuantumState):
         if state.spec.dim_n != spec.dim_n:
@@ -162,7 +172,7 @@ def _resolve_state(spec, state, state_label):
         psi0, label = build_state(spec, state), state.label()
     else:
         raise InvalidInputError(f"unsupported state {type(state).__name__}")
-    return psi0.vector, label if state_label is None else state_label
+    return psi0.vector, label
 
 
 def _grid_curve(amp, method, spec, label) -> FidelityCurve:
@@ -175,13 +185,13 @@ def exact_fidelity_curve(
     spec: MapSpec,
     state: InitialState | QuantumState,
     steps: int,
-    state_label: str | None = None,
 ) -> FidelityCurve:
     """Exact fidelity amplitude <psi_pert(t)|psi_unpert(t)> for t = 0..steps.
 
     Both branches start from the same state; one evolves with the bare
     kick strength, the other with k + epsilon. stderr arrays are zero
-    (no sampling is involved).
+    (no sampling is involved). Grids above 65536 points are refused with
+    CapacityError before any grid-sized array is allocated.
 
     From N = `_THREAD_MIN_DIM` up, and where two CPUs are usable, one pool
     worker steps the bare row while the calling thread steps the perturbed
@@ -190,8 +200,9 @@ def exact_fidelity_curve(
     cut, as one (2, N) array. The rows are stepped exactly as in the (2, N)
     step, so the curve's bits do not depend on the thread count.
     """
+    raise_problem(grid_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
-    psi0, label = _resolve_state(spec, state, state_label)
+    psi0, label = _resolve_state(spec, state)
     kicks, drift = _phase_factors(spec)
     psi = np.stack([psi0, psi0])  # perturbed row first, as in kicks
     buf = np.empty(spec.dim_n, dtype=np.complex128)
@@ -222,7 +233,6 @@ def dense_oracle(
     spec: MapSpec,
     state: InitialState | QuantumState,
     steps: int,
-    state_label: str | None = None,
 ) -> FidelityCurve:
     """Fidelity curve by dense matrix propagation (independent oracle).
 
@@ -233,7 +243,7 @@ def dense_oracle(
     """
     raise_problem(dense_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
-    psi0, label = _resolve_state(spec, state, state_label)
+    psi0, label = _resolve_state(spec, state)
 
     n = spec.dim_n
     two_pi = 2.0 * np.pi

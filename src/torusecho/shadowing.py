@@ -1,12 +1,14 @@
 """Pseudo-orbit residuals and shadowing diagnostics for the kicked map.
 
-A perturbed-map orbit is an epsilon-pseudotrajectory of the unperturbed
-map: its one-step residual never exceeds epsilon / (2 pi), the sup of the
-perturbing kick. Adding bounded noise of size delta raises the bound to
-delta + epsilon / (2 pi). `refine_shadow` then looks for a true
-unperturbed orbit near a pseudo-orbit by Newton iteration on the orbit
-equations, using the minimum-norm correction at each step (the orbit has
-free endpoints, so the linearized system is underdetermined).
+Orbits are generated under the perturbed map; residuals and refinement
+are taken against the unperturbed map (another target is another
+`MapSpec`, such as MapSpec(k + epsilon, 0, N)). A perturbed-map orbit is
+an epsilon-pseudotrajectory of the unperturbed map: its one-step residual
+never exceeds epsilon / (2 pi), the sup of the perturbing kick.
+`refine_shadow` then looks for a true unperturbed orbit near a
+pseudo-orbit by Newton iteration on the orbit equations, using the
+minimum-norm correction at each step (the orbit has free endpoints, so
+the linearized system is underdetermined).
 
 Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
 steps: the band is built straight from the map's kick slope and solved
@@ -65,20 +67,12 @@ _DAMPING_GROUPS = tuple(np.split(0.5 ** np.arange(17.0), [1]))
 # trials past the accepted scale made whole groups 1.4x slower at 10^4 steps
 _TRIAL_POINTS = 2048
 
-_GENERATORS = ("perturbed_map", "noisy", "external")
-
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite orbit segment, points[t] = (q_t, p_t), t = 0..len-1.
-
-    generator records how the segment was produced; noise_delta is the
-    per-coordinate bound of any added jump noise (0 for exact-map orbits).
-    """
+    """A finite orbit segment, points[t] = (q_t, p_t), t = 0..len-1."""
 
     points: np.ndarray
-    generator: str = "external"
-    noise_delta: float = 0.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -88,10 +82,6 @@ class PseudoOrbit:
             if not np.isfinite(pts).all():
                 raise InvalidInputError("orbit contains non-finite coordinates")
             raise InvalidInputError("orbit coordinates must lie in [0, 1)")
-        if self.generator not in _GENERATORS:
-            raise InvalidInputError(f"unknown generator {self.generator!r}")
-        if not (0.0 <= self.noise_delta < 1.0):
-            raise InvalidInputError(f"noise_delta must be in [0, 1), got {self.noise_delta!r}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -109,7 +99,7 @@ class ShadowResult:
     shadow_distance is the sup (over steps and coordinates, with torus
     wrapping) of the distance between the pseudo-orbit and the refined
     orbit; residual is the refined orbit's one-step defect under the
-    target map.
+    unperturbed map.
     """
 
     shadow_points: np.ndarray
@@ -119,18 +109,18 @@ class ShadowResult:
     iterations: int
 
 
-def orbit_from_map(spec: MapSpec, start, steps: int, perturbed: bool = True) -> PseudoOrbit:
-    """Orbit segment generated by iterating the (default: perturbed) map.
+def orbit_from_map(spec: MapSpec, start, steps: int) -> PseudoOrbit:
+    """Orbit segment generated by iterating the perturbed map.
 
     The one-start case of the ensemble generator `_orbits`.
     """
     raise_problem(steps_problem(steps, minimum=1))
     starts = np.array([(start[0], start[1])], dtype=np.float64)
-    return PseudoOrbit(_orbits(spec, starts, steps, perturbed)[0], generator="perturbed_map")
+    return PseudoOrbit(_orbits(spec, starts, steps)[0])
 
 
-def _orbits(spec, starts, steps, perturbed):
-    """Orbit segments of every start at once, as a (len(starts), steps + 1, 2) array.
+def _orbits(spec, starts, steps):
+    """Perturbed-map orbit segments of every start at once, (len(starts), steps + 1, 2).
 
     The first step is the checked `step_ensemble`; its outputs are then
     stepped in place by the map kernel, one call per step for the whole
@@ -138,9 +128,9 @@ def _orbits(spec, starts, steps, perturbed):
     """
     pts = np.empty((starts.shape[0], steps + 1, 2))
     pts[:, 0] = starts
-    q, p = step_ensemble(spec, starts[:, 0], starts[:, 1], perturbed=perturbed)
+    q, p = step_ensemble(spec, starts[:, 0], starts[:, 1], perturbed=True)
     pts[:, 1, 0], pts[:, 1, 1] = q, p
-    c = spec.kick_coefficient(perturbed)
+    c = spec.kick_coefficient(True)
     arg, tmp = np.empty_like(q), np.empty_like(q)
     for t in range(2, steps + 1):
         _step_in_place(c, q, p, arg, tmp)
@@ -148,28 +138,23 @@ def _orbits(spec, starts, steps, perturbed):
     return pts
 
 
-def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit, against: str = "unperturbed") -> float:
-    """Sup one-step defect of the orbit under the chosen map.
+def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit) -> float:
+    """Sup one-step defect of the orbit under the unperturbed map.
 
     max over steps t of the torus sup-distance between points[t+1] and
-    the image of points[t]; zero iff the segment is a true orbit.
+    the image of points[t]; zero iff the segment is a true unperturbed
+    orbit.
     """
-    return float(_residuals(spec, orbit.points, _against_flag(against)))
+    return float(_residuals(spec, orbit.points))
 
 
-def _residuals(spec, pts, perturbed):
+def _residuals(spec, pts):
     """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call."""
-    return np.abs(_orbit_defect(spec, pts, perturbed)).max(axis=(-2, -1))
+    return np.abs(_orbit_defect(spec, pts)).max(axis=(-2, -1))
 
 
-def _against_flag(against: str) -> bool:
-    if against not in ("unperturbed", "perturbed"):
-        raise InvalidInputError(f"against must be 'unperturbed' or 'perturbed', got {against!r}")
-    return against == "perturbed"
-
-
-def _orbit_defect(spec, pts, perturbed):
-    """Signed defect G[t] = points[t+1] - f(points[t]), torus-wrapped.
+def _orbit_defect(spec, pts):
+    """Signed defect G[t] = points[t+1] - f(points[t]), f the unperturbed map, torus-wrapped.
 
     pts has shape (..., T+1, 2), the defect (..., T, 2); a leading axis
     stacks orbits. pts are PseudoOrbit points, `_orbits` blocks or wrapped
@@ -180,7 +165,7 @@ def _orbit_defect(spec, pts, perturbed):
     """
     coords_first = (pts.ndim - 1, *range(pts.ndim - 1))
     q, p = image = pts[..., :-1, :].transpose(coords_first).copy()
-    _step_in_place(spec.kick_coefficient(perturbed), q, p, np.empty_like(q), np.empty_like(q))
+    _step_in_place(spec.kick_coefficient(False), q, p, np.empty_like(q), np.empty_like(q))
     defect = np.subtract(pts[..., 1:, :].transpose(coords_first), image, out=image)
     defect -= np.rint(defect)
     return defect.transpose((*range(1, pts.ndim), 0))
@@ -193,7 +178,7 @@ def _dpbsv():
     return dpbsv
 
 
-def _min_norm_newton_step(spec, pts, defect, perturbed):
+def _min_norm_newton_step(spec, pts, defect):
     """Minimum-norm correction dX with J dX = -G for the orbit equations.
 
     J is the 2T x 2(T+1) block bidiagonal orbit Jacobian (blocks -A_t and
@@ -213,7 +198,7 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     # a kick slope beyond about 1e154 overflows the band; that is refused
     # by the finite check below, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        kick = spec.kick_coefficient(perturbed) * TWO_PI * np.cos(TWO_PI * pts[:-1, 0])
+        kick = spec.kick_coefficient(False) * TWO_PI * np.cos(TWO_PI * pts[:-1, 0])
         neg_kick = -kick
         a00 = 1.0 - kick
         # Fortran order and the overwrite flags: f2py hands both arrays to LAPACK uncopied
@@ -244,7 +229,7 @@ def _min_norm_newton_step(spec, pts, defect, perturbed):
     return dx
 
 
-def _damped_trial(spec, pts, dx, res, perturbed):
+def _damped_trial(spec, pts, dx, res):
     """(points, defect, residual) at the first damping scale whose residual is below res.
 
     The scales are tried in ladder order: scale 1 alone, then the other 16
@@ -259,7 +244,7 @@ def _damped_trial(spec, pts, dx, res, perturbed):
             scales = group[lo : lo + per_call]
             trials = pts + scales[:, None, None] * dx
             _wrap_in_place(trials, np.empty_like(trials))
-            defects = _orbit_defect(spec, trials, perturbed)
+            defects = _orbit_defect(spec, trials)
             trial_res = np.abs(defects).max(axis=(1, 2))
             first = (trial_res < res).argmax()
             if trial_res[first] < res:
@@ -282,11 +267,10 @@ def _refine_problem(steps, tol, max_iter):
 def refine_shadow(
     spec: MapSpec,
     orbit: PseudoOrbit,
-    against: str = "unperturbed",
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> ShadowResult:
-    """Newton-refine a pseudo-orbit toward a true orbit of the target map.
+    """Newton-refine a pseudo-orbit toward a true orbit of the unperturbed map.
 
     Endpoints are free; each iteration applies the minimum-norm correction
     at the largest damping scale 1, 1/2, ..., 2^-16 that lowers the sup
@@ -308,20 +292,19 @@ def refine_shadow(
     precision the orbit equations cannot be satisfied more tightly) or
     a max_iter that is no integer >= 1.
     """
-    perturbed = _against_flag(against)
     raise_problem(_refine_problem(orbit.steps, tol, max_iter))
 
     pts = orbit.points.copy()
-    defect = _orbit_defect(spec, pts, perturbed)
+    defect = _orbit_defect(spec, pts)
     res = float(np.abs(defect).max())
     iterations, converged = 0, res <= tol
 
     while not converged and iterations < max_iter:
-        dx = _min_norm_newton_step(spec, pts, defect, perturbed)
+        dx = _min_norm_newton_step(spec, pts, defect)
         if dx is None:
             break  # no Newton step; report best point found
         iterations += 1
-        accepted = _damped_trial(spec, pts, dx, res, perturbed)
+        accepted = _damped_trial(spec, pts, dx, res)
         if accepted is None:
             break  # stalled; report best point found
         pts, defect, res = accepted
@@ -389,10 +372,10 @@ def shadow_survey(
     final_residuals = np.empty(count)
     converged = np.zeros(count, dtype=bool)
     for lo in range(0, count, _SURVEY_BLOCK):
-        block = _orbits(spec, starts[lo : lo + _SURVEY_BLOCK], steps, perturbed=True)
-        residuals[lo : lo + len(block)] = _residuals(spec, block, perturbed=False)
+        block = _orbits(spec, starts[lo : lo + _SURVEY_BLOCK], steps)
+        residuals[lo : lo + len(block)] = _residuals(spec, block)
         for i, pts in enumerate(block, start=lo):
-            orb = PseudoOrbit(pts, generator="perturbed_map")
+            orb = PseudoOrbit(pts)
             result = refine_shadow(spec, orb, tol=tol, max_iter=max_iter)
             distances[i] = result.shadow_distance
             final_residuals[i] = result.residual

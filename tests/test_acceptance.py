@@ -169,9 +169,8 @@ def test_c6_pseudo_orbit_bounds_hold_everywhere():
         for noise, bound in ((0.0, kick_bound), (delta, delta + kick_bound)):
             pts = _ensemble_orbits(spec, per_reg, steps, seed=17, noise=noise)
             for i in range(per_reg):
-                orbit = PseudoOrbit(pts[:, i, :], generator="noisy" if noise else "perturbed_map",
-                                    noise_delta=noise)
-                r = pseudo_residual(spec, orbit, against="unperturbed")
+                orbit = PseudoOrbit(pts[:, i, :])
+                r = pseudo_residual(spec, orbit)
                 checked += 1
                 if r > bound:
                     violations += 1
@@ -216,8 +215,8 @@ def test_c8_output_bytes_independent_of_workers(tmp_path):
     )
     cfg1 = PRESETS["fig1-chaotic"].replace(**base, threads=1)
     cfg8 = PRESETS["fig1-chaotic"].replace(**base, threads=8)
-    r1 = run_experiment(cfg1, out=tmp_path / "workers1.csv")
-    r8 = run_experiment(cfg8, out=tmp_path / "workers8.csv")
+    r1 = run_experiment(cfg1.replace(out=tmp_path / "workers1.csv"))
+    r8 = run_experiment(cfg8.replace(out=tmp_path / "workers8.csv"))
     b1 = (tmp_path / "workers1.csv").read_bytes()
     b8 = (tmp_path / "workers8.csv").read_bytes()
     ok = b1 == b8 and len(b1) > 0

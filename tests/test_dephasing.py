@@ -97,7 +97,7 @@ def _wrap_ref(x):
     return np.where(y >= 1.0, y - 1.0, y)
 
 
-def _reference_chunk_sums(spec, q, p, scale, steps, phase_factor):
+def _reference_chunk_sums(spec, q, p, steps, phase_factor):
     """The phase record with the map step written out apart from the program."""
     c = spec.kick_coefficient(False)
     cos_sum = np.zeros_like(q)
@@ -110,29 +110,25 @@ def _reference_chunk_sums(spec, q, p, scale, steps, phase_factor):
             q = _wrap_ref(q + p)
         phase = phase_factor * cos_sum
         re, im = np.cos(phase), np.sin(phase)
-        if scale is not None:
-            re, im = scale * re, scale * im
         out[:, t] = re.sum(), im.sum(), (re * re).sum(), (im * im).sum()
     return out[0] + 1j * out[1], out[2], out[3]
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_chunk_sums_match_checked_loop_bitwise(weighted):
+def test_chunk_sums_match_checked_loop_bitwise():
     rng = np.random.default_rng(8)
     n = 500
     # raw coordinates off the torus: the chunk's checked first step wraps them
     q = 3.0 * rng.random(n) - 1.0
     p = 5.0 * rng.random(n) - 2.0
-    scale = 2.0 * rng.random(n) if weighted else None
     for spec in (CHAOTIC, MIXED.with_epsilon(-0.03)):
         factor = spec.epsilon * spec.dim_n / (2 * np.pi)
         for steps in (0, 1, 2, 17):
-            got = _chunk_sums(spec, q, p, scale, steps, factor)
-            want = _reference_chunk_sums(spec, q, p, scale, steps, factor)
+            got = _chunk_sums(spec, q, p, steps, factor)
+            want = _reference_chunk_sums(spec, q, p, steps, factor)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             # grid sets skip the stderr square sums, leaving them zero
-            s, r2, i2 = _chunk_sums(spec, q, p, scale, steps, factor, squares=False)
+            s, r2, i2 = _chunk_sums(spec, q, p, steps, factor, squares=False)
             assert np.array_equal(s, want[0]) and not r2.any() and not i2.any()
 
 
@@ -183,26 +179,6 @@ def test_chunking_invisible_at_boundary():
             q, p = step_ensemble(CHAOTIC, q, p)
         rec_amp[t] = np.exp(1j * factor * cos_sum).mean()
     assert np.abs(curve.amplitude - rec_amp).max() < 1e-14
-
-
-def test_non_uniform_weights_use_weighted_mean():
-    rng = np.random.default_rng(2)
-    n = 200
-    w = rng.random(n)
-    w /= w.sum()
-    s = SampleSet(rng.random(n), rng.random(n), w, "monte_carlo", "custom", seed=0)
-    curve = dr_curve(MIXED, s, 4)
-    q = s.q.copy()
-    p = s.p.copy()
-    cos_sum = np.zeros(n)
-    factor = MIXED.epsilon * MIXED.dim_n / (2 * np.pi)
-    expect = []
-    for t in range(5):
-        if t > 0:
-            cos_sum += np.cos(2 * np.pi * q)
-            q, p = step_ensemble(MIXED, q, p)
-        expect.append(np.sum(w * np.exp(1j * factor * cos_sum)))
-    assert np.abs(curve.amplitude - np.array(expect)).max() < 1e-14
 
 
 def test_zero_steps_curve():

@@ -268,7 +268,7 @@ def test_propagate_action_linear_in_epsilon():
 
 
 def test_propagate_orbit_storage():
-    orbit = orbit_from_map(PERTURBED, (0.4, 0.2), 5, perturbed=False)
+    orbit = orbit_from_map(PERTURBED.with_epsilon(0.0), (0.4, 0.2), 5)
     assert orbit.points.shape == (6, 2)
     assert orbit.points[0, 0] == 0.4 and orbit.points[0, 1] == 0.2
     want, _ = _orbit_and_sums_ref(PERTURBED, 0.4, 0.2, 5)

@@ -240,8 +240,8 @@ def test_runs_are_reproducible_bytes(tmp_path):
         dim_n=128, q0=0.25, steps=6, sample_mode="monte_carlo",
         samples=5000, seed=12,
     )
-    a = run_experiment(cfg, out=tmp_path / "a.csv")
-    b = run_experiment(cfg, out=tmp_path / "b.csv")
+    a = run_experiment(cfg.replace(out=tmp_path / "a.csv"))
+    b = run_experiment(cfg.replace(out=tmp_path / "b.csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert a.curves["dr"].seed == 12
     assert b.comparison.mad == a.comparison.mad

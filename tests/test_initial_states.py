@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from torusecho import initial_states
 from torusecho import (
     CapacityError,
     GaussianWavepacket,
@@ -34,6 +35,14 @@ def test_grid_sampler_count_must_match_dim():
     assert len(samples_position_state(SMALL, 0.25, count=64)) == 64
     with pytest.raises(InvalidInputError):
         samples_position_state(SMALL, 0.25, count=100)
+
+
+def test_grid_sampler_respects_the_sample_ceiling(monkeypatch):
+    monkeypatch.setattr(initial_states, "_MAX_SAMPLES", 999)
+    with pytest.raises(CapacityError, match="samples 1000 exceeds limit 999"):
+        samples_position_state(SPEC, 0.4)
+    monkeypatch.setattr(initial_states, "_MAX_SAMPLES", 1000)
+    assert len(samples_position_state(SPEC, 0.4)) == 1000
 
 
 def test_misaligned_q0_rejected():
@@ -72,6 +81,10 @@ def test_sample_set_validation():
         SampleSet(np.zeros(3), np.zeros(2), np.zeros(3), "grid", "x")
     with pytest.raises(InvalidInputError):
         SampleSet(np.zeros(3), np.zeros(3), np.ones(3) / 3, "other", "x")
+    # weights other than exactly 1/len are refused, equal ones included
+    for w in (np.array([0.2, 0.3, 0.5]), np.full(3, 0.5)):
+        with pytest.raises(InvalidInputError, match="1/len"):
+            SampleSet(np.zeros(3), np.zeros(3), w, "grid", "x")
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.1, 0.5, 0.7])
@@ -121,11 +134,13 @@ def test_wigner_position_marginal_matches_quantum_density():
     assert tv < 0.08  # measured 0.045 at this seed/count
 
 
-def test_gaussian_count_validation():
+def test_gaussian_count_validation(monkeypatch):
     with pytest.raises(InvalidInputError):
         samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=0)
-    with pytest.raises(InvalidInputError):
-        samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10, mode="nope")
+    with monkeypatch.context() as patch:
+        patch.setattr(initial_states, "_rng", lambda seed: pytest.fail("drew under an unknown mode"))
+        with pytest.raises(InvalidInputError, match="unknown mode"):
+            samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10, mode="nope")
     with pytest.raises(CapacityError, match="exceeds limit"):
         samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10**12)  # refused before any draw
 

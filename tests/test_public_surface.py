@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import torusecho
@@ -13,10 +14,28 @@ TRACING = Path(__file__).resolve().parents[1] / "torusbench" / "tracing.py"
 REMOVED = (
     (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian")),
     (initial_states, ("WignerSampler", "periodized_gaussian_density")),
-    (shadowing, ("wrap_signed", "noisy_orbit")),
+    (shadowing, ("wrap_signed", "noisy_orbit", "_GENERATORS", "_against_flag")),
+    (initial_states.SampleSet, ("uniform",)),
     (quantum, ("loschmidt_equivalence",)),
     (quantum.QuantumState, ("position_density", "overlap")),
     (dephasing.FidelityCurve, ("amplitude_re", "amplitude_im")),
+)
+
+# parameters that no caller set to anything but the default, and were removed
+RETIRED_PARAMETERS = (
+    (shadowing.refine_shadow, "against"),
+    (shadowing.pseudo_residual, "against"),
+    (shadowing._residuals, "perturbed"),
+    (shadowing._orbit_defect, "perturbed"),
+    (shadowing._min_norm_newton_step, "perturbed"),
+    (shadowing._damped_trial, "perturbed"),
+    (shadowing.orbit_from_map, "perturbed"),
+    (shadowing._orbits, "perturbed"),
+    (dephasing._chunk_sums, "scale"),
+    (quantum.exact_fidelity_curve, "state_label"),
+    (quantum.dense_oracle, "state_label"),
+    (harness.write_result, "fmt"),
+    (harness.run_experiment, "out"),
 )
 
 
@@ -34,6 +53,10 @@ def test_removed_names_are_not_exported():
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     fields = {f.name for f in dataclasses.fields(harness.ComparisonReport)}
     assert not fields & {"curve_a", "curve_b"}
+    for fn, name in RETIRED_PARAMETERS:
+        assert name not in inspect.signature(fn).parameters, f"{fn.__name__}({name}=)"
+    fields = {f.name for f in dataclasses.fields(shadowing.PseudoOrbit)}
+    assert not fields & {"generator", "noise_delta"}
 
 
 def test_every_traced_name_resolves():

@@ -276,6 +276,16 @@ def test_dense_oracle_capacity_limit():
         dense_oracle(spec, PositionEigenstate(0.0), 5)
 
 
+def test_grid_cap_is_refused_before_any_grid_array(monkeypatch):
+    spec = MapSpec(10.0, 1e-3, 65537)
+    monkeypatch.setattr(quantum, "_resolve_state", lambda *a: pytest.fail("state built"))
+    for state in (PositionEigenstate(0.0), GaussianWavepacket(0.5, 0.0, 0.05)):
+        with pytest.raises(CapacityError, match="dim_n 65537 exceeds limit 65536"):
+            build_state(spec, state)
+        with pytest.raises(CapacityError, match="dim_n 65537 exceeds limit 65536"):
+            exact_fidelity_curve(spec, state, 1)
+
+
 def _echo_amplitudes(spec, psi0, steps):
     """<psi0|U_pert^-t U^t|psi0>: t bare steps forward, then t perturbed steps undone."""
     kick_pert, kick_plain, drift = _phases(spec)

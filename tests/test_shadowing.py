@@ -32,6 +32,11 @@ CHAOTIC = MapSpec(10.0, 2e-3, 1000)
 KICK_BOUND = lambda spec: spec.epsilon / (2 * np.pi)  # noqa: E731
 
 
+def _perturbed_target(spec):
+    """The spec whose unperturbed map is spec's perturbed map."""
+    return MapSpec(spec.k + spec.epsilon, 0.0, spec.dim_n)
+
+
 def test_orbit_container_validation():
     with pytest.raises(InvalidInputError):
         PseudoOrbit(np.zeros((1, 2)))  # too short
@@ -39,8 +44,6 @@ def test_orbit_container_validation():
         PseudoOrbit(np.zeros((5, 3)))
     with pytest.raises(InvalidInputError):
         PseudoOrbit(np.full((5, 2), 1.5))  # off torus
-    with pytest.raises(InvalidInputError):
-        PseudoOrbit(np.zeros((5, 2)), generator="mystery")
     orb = PseudoOrbit(np.full((5, 2), 0.25))
     assert len(orb) == 5 and orb.steps == 4
 
@@ -54,7 +57,7 @@ def test_orbit_defect_is_the_shortest_signed_displacement():
     for t, (dq, dp) in enumerate(jumps):
         q, p = step_ensemble(MIXED, pts[t, 0], pts[t, 1])
         pts[t + 1] = wrap_unit(q + dq), wrap_unit(p + dp)
-    defect = _orbit_defect(MIXED, pts, False)
+    defect = _orbit_defect(MIXED, pts)
     assert np.all(np.abs(defect) <= 0.5)
     assert np.abs(defect - [[-0.4, 0.4], [0.49, 0.2], [-0.3, 0.45]]).max() < 1e-12
     assert pseudo_residual(MIXED, PseudoOrbit(pts)) == np.abs(defect).max()
@@ -62,17 +65,17 @@ def test_orbit_defect_is_the_shortest_signed_displacement():
 
 @pytest.mark.parametrize("spec", [MIXED, CHAOTIC])
 def test_exact_orbit_has_zero_residual_against_own_map(spec):
-    orb = orbit_from_map(spec, (0.37, 0.21), 100, perturbed=True)
-    assert pseudo_residual(spec, orb, against="perturbed") == 0.0
-    orb0 = orbit_from_map(spec, (0.37, 0.21), 100, perturbed=False)
-    assert pseudo_residual(spec, orb0, against="unperturbed") == 0.0
+    orb = orbit_from_map(spec, (0.37, 0.21), 100)
+    assert pseudo_residual(_perturbed_target(spec), orb) == 0.0
+    orb0 = orbit_from_map(spec.with_epsilon(0.0), (0.37, 0.21), 100)
+    assert pseudo_residual(spec, orb0) == 0.0
 
 
 @pytest.mark.parametrize("spec", [MIXED, CHAOTIC])
 def test_perturbed_orbit_residual_bounded_by_kick(spec):
     for seed, start in enumerate([(0.4, 0.2), (0.9, 0.7), (0.11, 0.53)]):
-        orb = orbit_from_map(spec, start, 500, perturbed=True)
-        r = pseudo_residual(spec, orb, against="unperturbed")
+        orb = orbit_from_map(spec, start, 500)
+        r = pseudo_residual(spec, orb)
         assert 0.0 < r <= KICK_BOUND(spec)
 
 
@@ -85,48 +88,41 @@ def _noisy_orbit(spec, start, steps, delta, seed):
     for t in range(steps):
         q, p = step_ensemble(spec, pts[t, 0], pts[t, 1], perturbed=True)
         pts[t + 1] = wrap_unit(q + jumps[t, 0]), wrap_unit(p + jumps[t, 1])
-    return PseudoOrbit(pts, generator="noisy", noise_delta=delta)
+    return PseudoOrbit(pts)
 
 
 def test_noisy_orbit_residual_bounded():
     delta = 2e-4
     orb = _noisy_orbit(MIXED, (0.3, 0.8), 400, delta=delta, seed=5)
-    assert orb.generator == "noisy" and orb.noise_delta == delta
-    r = pseudo_residual(MIXED, orb, against="unperturbed")
+    r = pseudo_residual(MIXED, orb)
     assert r <= delta + KICK_BOUND(MIXED)
     # noise-free residual vs the generating map is within delta alone
-    assert pseudo_residual(MIXED, orb, against="perturbed") <= delta
-
-
-def test_residual_against_validation():
-    orb = orbit_from_map(MIXED, (0.3, 0.8), 10)
-    with pytest.raises(InvalidInputError):
-        pseudo_residual(MIXED, orb, against="sideways")
+    assert pseudo_residual(_perturbed_target(MIXED), orb) <= delta
 
 
 @pytest.mark.parametrize("spec,steps", [(MIXED, 200), (CHAOTIC, 100)])
 def test_refinement_finds_true_orbit(spec, steps):
-    orb = orbit_from_map(spec, (0.37, 0.61), steps, perturbed=True)
+    orb = orbit_from_map(spec, (0.37, 0.61), steps)
     res = refine_shadow(spec, orb, tol=1e-11)
     assert res.converged
     assert res.residual <= 1e-11
     # the refined points really are an unperturbed orbit
     refined = PseudoOrbit(res.shadow_points)
-    assert pseudo_residual(spec, refined, against="unperturbed") <= 1e-11
+    assert pseudo_residual(spec, refined) <= 1e-11
     assert res.shadow_points.shape == orb.points.shape
     assert 0.0 < res.shadow_distance < 0.5
 
 
 def test_chaotic_shadow_stays_close():
     # strong hyperbolicity keeps the true orbit near the pseudo-orbit
-    orb = orbit_from_map(CHAOTIC, (0.37, 0.61), 100, perturbed=True)
+    orb = orbit_from_map(CHAOTIC, (0.37, 0.61), 100)
     res = refine_shadow(CHAOTIC, orb, tol=1e-11)
     assert res.converged
     assert res.shadow_distance < 0.05  # measured ~2.4e-3
 
 
 def test_true_orbit_needs_no_iterations():
-    orb = orbit_from_map(MIXED, (0.4, 0.2), 50, perturbed=False)
+    orb = orbit_from_map(MIXED.with_epsilon(0.0), (0.4, 0.2), 50)
     res = refine_shadow(MIXED, orb, tol=1e-10)
     assert res.converged and res.iterations == 0
     assert res.residual == 0.0
@@ -135,10 +131,11 @@ def test_true_orbit_needs_no_iterations():
 
 def test_refine_toward_perturbed_map():
     orb = _noisy_orbit(CHAOTIC, (0.2, 0.9), 80, delta=1e-4, seed=8)
-    res = refine_shadow(CHAOTIC, orb, against="perturbed", tol=1e-11)
+    target = _perturbed_target(CHAOTIC)
+    res = refine_shadow(target, orb, tol=1e-11)
     assert res.converged
     refined = PseudoOrbit(res.shadow_points)
-    assert pseudo_residual(CHAOTIC, refined, against="perturbed") <= 1e-11
+    assert pseudo_residual(target, refined) <= 1e-11
 
 
 def test_refine_capacity_and_tolerance_limits():
@@ -204,13 +201,13 @@ def test_shadow_survey_report():
 def test_glitch_orbit_reports_honest_failure():
     """An island pass blocks refinement; both sub-segments still refine."""
     start = np.random.Generator(np.random.Philox(key=1002)).random(2)
-    orb = orbit_from_map(CHAOTIC, start, 40, perturbed=True)
+    orb = orbit_from_map(CHAOTIC, start, 40)
     res = refine_shadow(CHAOTIC, orb, tol=1e-11, max_iter=80)
     assert not res.converged
-    assert res.residual <= pseudo_residual(CHAOTIC, orb, against="unperturbed")
+    assert res.residual <= pseudo_residual(CHAOTIC, orb)
     from torusecho.shadowing import _orbit_defect
 
-    defect = _orbit_defect(CHAOTIC, res.shadow_points, False)
+    defect = _orbit_defect(CHAOTIC, res.shadow_points)
     worst = int(np.argmax(np.abs(defect).max(axis=1)))
     head = refine_shadow(CHAOTIC, PseudoOrbit(orb.points[:worst]), tol=1e-11, max_iter=60)
     tail = refine_shadow(CHAOTIC, PseudoOrbit(orb.points[worst + 2 :]), tol=1e-11, max_iter=60)
@@ -286,12 +283,12 @@ def _orbit_jacobian_ref(c, pts):
 @pytest.mark.parametrize("spec", [MIXED, CHAOTIC])
 @pytest.mark.parametrize("steps", [1, 2, 22, 200])
 def test_newton_step_is_the_written_out_min_norm_solution(spec, steps):
-    orb = orbit_from_map(spec, (0.37, 0.61), steps, perturbed=True)
-    defect = _orbit_defect(spec, orb.points, False)
+    orb = orbit_from_map(spec, (0.37, 0.61), steps)
+    defect = _orbit_defect(spec, orb.points)
     jac = _orbit_jacobian_ref(spec.kick_coefficient(False), orb.points)
     g = defect.reshape(-1)
     ref = jac.T @ np.linalg.solve(jac @ jac.T, -g)
-    dx = _min_norm_newton_step(spec, orb.points, defect, False)
+    dx = _min_norm_newton_step(spec, orb.points, defect)
     assert dx.shape == orb.points.shape
     assert np.abs(dx.reshape(-1) - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.abs(jac @ dx.reshape(-1) + g).max() <= 1e-10 * np.abs(g).max()
@@ -300,9 +297,9 @@ def test_newton_step_is_the_written_out_min_norm_solution(spec, steps):
 def test_newton_step_without_a_double_precision_solution_stalls():
     """At |k| = 1e8, A A^T + I rounds to a singular matrix: no step, no exception."""
     spec = MapSpec(1e8, 5e-3, 1000)
-    orb = orbit_from_map(spec, (0.37, 0.61), 30, perturbed=True)
-    defect = _orbit_defect(spec, orb.points, False)
-    assert _min_norm_newton_step(spec, orb.points, defect, False) is None
+    orb = orbit_from_map(spec, (0.37, 0.61), 30)
+    defect = _orbit_defect(spec, orb.points)
+    assert _min_norm_newton_step(spec, orb.points, defect) is None
     res = refine_shadow(spec, orb, tol=1e-10)
     assert not res.converged and res.iterations == 0
     assert np.array_equal(res.shadow_points, orb.points)
@@ -353,8 +350,8 @@ def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, o
     """Every Newton step of a refinement, bitwise the block-and-einsum construction."""
     newton, steps = shadowing._min_norm_newton_step, []
 
-    def checked(spec_, pts, defect, perturbed):
-        dx = newton(spec_, pts, defect, perturbed)
+    def checked(spec_, pts, defect):
+        dx = newton(spec_, pts, defect)
         assert dx.tobytes() == _newton_step_ref(spec_, pts, defect).tobytes()
         steps.append(dx)
         return dx
@@ -367,20 +364,20 @@ def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, o
 def test_newton_step_refuses_a_band_or_defect_that_is_not_finite():
     """nan in the defect, or a kick slope that overflows the band: no step, no exception."""
     orb = orbit_from_map(CHAOTIC, (0.37, 0.61), 30)
-    defect = _orbit_defect(CHAOTIC, orb.points, False)
-    assert _min_norm_newton_step(CHAOTIC, orb.points, defect, False) is not None
+    defect = _orbit_defect(CHAOTIC, orb.points)
+    assert _min_norm_newton_step(CHAOTIC, orb.points, defect) is not None
     defect[7, 1] = np.nan
-    assert _min_norm_newton_step(CHAOTIC, orb.points, defect, False) is None
+    assert _min_norm_newton_step(CHAOTIC, orb.points, defect) is None
     # at |k| = 1e200 the squared kick slopes are +inf and the off-diagonal
     # products -inf or +inf; the map itself is still finite
     pts = np.random.Generator(np.random.Philox(key=11)).random((31, 2))
     for k in (1e200, -1e200):
         spec = MapSpec(k, 5e-3, 1000)
-        defect = _orbit_defect(spec, pts, False)
+        defect = _orbit_defect(spec, pts)
         assert np.all(np.isfinite(defect)) and np.abs(defect).max() > 1e-9
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _min_norm_newton_step(spec, pts, defect, False) is None
+            assert _min_norm_newton_step(spec, pts, defect) is None
             res = refine_shadow(spec, PseudoOrbit(pts), tol=1e-10)
         assert not res.converged and res.iterations == 0
         assert np.array_equal(res.shadow_points, pts)
@@ -498,7 +495,7 @@ def _refine_ref(spec, orbit, tol, max_iter):
     res = float(np.abs(d).max())
     iterations, converged = 0, res <= tol
     while not converged and iterations < max_iter:
-        dx = _min_norm_newton_step(spec, pts, d, False)
+        dx = _min_norm_newton_step(spec, pts, d)
         iterations += 1
         scale = 1.0
         while scale >= 2.0**-16:
@@ -566,9 +563,9 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     defect, newton = shadowing._orbit_defect, shadowing._min_norm_newton_step
     events = []
 
-    def counted_defect(spec, pts, perturbed):
+    def counted_defect(spec, pts):
         events.append(len(pts) if pts.ndim == 3 else None)
-        return defect(spec, pts, perturbed)
+        return defect(spec, pts)
 
     def counted_newton(*args):
         events.append("newton")
