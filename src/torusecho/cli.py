@@ -24,7 +24,6 @@ from .errors import CapacityError, ConfigValidationError, InvalidInputError
 from .harness import (
     PRESETS,
     _FIELD_PARSERS,
-    _parse_value,
     ExperimentConfig,
     load_config,
     check_config,
@@ -102,7 +101,7 @@ def _assemble_config(args) -> ExperimentConfig:
         if raw is None:
             continue
         try:
-            changes[key] = _parse_value(key, raw)
+            changes[key] = _FIELD_PARSERS[key](raw)
         except ValueError:
             problems.append(f"flag --{key.replace('_', '-')}: cannot parse {raw!r}")
     if problems:
@@ -128,7 +127,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _emit_value(key, value) -> str:
+def _emit_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, tuple):
@@ -141,7 +140,7 @@ def _emit_value(key, value) -> str:
 def emit_config(config: ExperimentConfig, header: str | None = None) -> str:
     lines = [] if header is None else [f"# {header}"]
     for key in _FIELD_PARSERS:
-        lines.append(f"{key} = {_emit_value(key, getattr(config, key))}")
+        lines.append(f"{key} = {_emit_value(getattr(config, key))}")
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ from .dynamics import (
     TWO_PI,
     MapSpec,
     _step_in_place,
-    is_integer,
+    count_problem,
     phase_scale_problem,
     step_ensemble,
     steps_problem,
@@ -137,13 +137,6 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     return s_re + 1j * s_im, r2, i2
 
 
-def threads_problem(threads):
-    """Why `threads` is no thread count, as a (kind, message) problem, or None."""
-    if is_integer(threads) and threads >= 1:
-        return None
-    return InvalidInputError, f"threads must be a positive integer, got {threads!r}"
-
-
 def _worker_count(threads, chunks):
     """Threads worth starting: no more than the chunks or the usable CPUs."""
     try:
@@ -180,7 +173,7 @@ def dr_curve(
     unperturbed orbit, i.e. phase = (epsilon N / (2 pi)) * sum cos.
     """
     raise_problem(steps_problem(steps))
-    raise_problem(threads_problem(threads))
+    raise_problem(count_problem("threads", threads, 1))
     raise_problem(phase_scale_problem(spec.k, spec.epsilon, spec.dim_n, int(steps)))
     n = len(samples)
     # dS/hbar with hbar = 1/(2 pi N); zero epsilon gives exactly zero phase;

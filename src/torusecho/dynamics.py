@@ -48,11 +48,17 @@ def is_finite(x) -> bool:
         return False
 
 
-def dim_problem(dim_n):
-    """Why dim_n is no grid size, as a (kind, message) problem, or None."""
-    if is_integer(dim_n) and dim_n >= 2:
-        return None
-    return InvalidInputError, f"dim_n must be an integer >= 2, got {dim_n!r}"
+def count_problem(name, value, minimum: int, limit: int | None = None):
+    """Why `value` is no integer count of at least `minimum`, or None.
+
+    The package's one count rule. A count above `limit` is a capacity
+    refusal; without a limit there is none.
+    """
+    if not is_integer(value) or value < minimum:
+        return InvalidInputError, f"{name} must be an integer >= {minimum}, got {value!r}"
+    if limit is not None and value > limit:
+        return CapacityError, f"{name} {value} exceeds limit {limit}"
+    return None
 
 
 def map_problems(k, epsilon, dim_n) -> list:
@@ -62,7 +68,7 @@ def map_problems(k, epsilon, dim_n) -> list:
         for name, value in (("k", k), ("epsilon", epsilon))
         if not is_finite(value)
     ]
-    if (problem := dim_problem(dim_n)) is not None:
+    if (problem := count_problem("dim_n", dim_n, 2)) is not None:
         problems.append(problem)
     return problems
 
@@ -73,12 +79,7 @@ def steps_problem(steps, minimum: int = 0):
     Counts above 10^6 are a capacity refusal: every route allocates and
     iterates per step.
     """
-    if not is_integer(steps) or steps < minimum:
-        sign = "nonnegative" if minimum == 0 else "positive"
-        return InvalidInputError, f"steps must be a {sign} integer, got {steps!r}"
-    if steps > _MAX_STEPS:
-        return CapacityError, f"steps {steps} exceeds limit {_MAX_STEPS}"
-    return None
+    return count_problem("steps", steps, minimum, _MAX_STEPS)
 
 
 def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1):

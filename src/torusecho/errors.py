@@ -2,7 +2,8 @@
 
 An argument rule is a `*_problem` function in the module that owns the
 argument: it returns None, or a (kind, message) problem whose kind is
-InvalidInputError or, beyond a cost guard, CapacityError.
+InvalidInputError or, beyond a cost guard, CapacityError. Every integer
+count goes through `dynamics.count_problem`, with its owner's ceiling.
 """
 
 

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import FidelityCurve, dr_curve, threads_problem
+from .dephasing import FidelityCurve, dr_curve
 from .dynamics import (
     MapSpec,
-    dim_problem,
+    count_problem,
     map_problems,
     phase_scale_problem,
     steps_problem,
@@ -35,6 +35,7 @@ from .initial_states import (
     PositionEigenstate,
     alignment_problem,
     grid_count_problem,
+    mode_problem,
     sample_count_problem,
     samples_gaussian,
     samples_position_state,
@@ -48,8 +49,6 @@ COMPARISON_PRIORITY = (("dr", "exact"), ("dr", "dense"), ("exact", "dense"))
 CSV_COLUMNS = ("step", "t", "method", "M", "amp_re", "amp_im", "stderr_re", "stderr_im")
 
 _STATES = ("position", "gaussian")
-_POSITION_MODES = ("grid", "monte_carlo")
-_GAUSSIAN_MODES = ("wigner", "position_only")
 _FORMATS = ("csv", "json")
 
 
@@ -106,12 +105,20 @@ class ComparisonReport:
 @dataclass(frozen=True)
 class RunResult:
     config: ExperimentConfig
-    spec: MapSpec
     curves: dict
     comparison: ComparisonReport | None
     out_path: Path | None = None
     meta_path: Path | None = None
     duration_s: float = 0.0
+
+
+def _optional(parse):
+    """A field parser that also takes `none`."""
+    return lambda raw: None if raw.lower() == "none" else parse(raw)
+
+
+def _method_list(raw):
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 _FIELD_PARSERS = {
@@ -123,25 +130,14 @@ _FIELD_PARSERS = {
     "p0": float,
     "sigma": float,
     "steps": int,
-    "samples": "optional_int",
+    "samples": _optional(int),
     "sample_mode": str,
     "seed": int,
-    "methods": "method_list",
-    "out": "optional_str",
+    "methods": _method_list,
+    "out": _optional(str),
     "format": str,
     "threads": int,
 }
-
-
-def _parse_value(key, raw):
-    parser = _FIELD_PARSERS[key]
-    if parser == "optional_int":
-        return None if raw.lower() == "none" else int(raw)
-    if parser == "optional_str":
-        return None if raw.lower() == "none" else raw
-    if parser == "method_list":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    return parser(raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -170,7 +166,7 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = _FIELD_PARSERS[key](raw)
         except ValueError:
             violations.append(f"line {lineno}: cannot parse {key} value {raw!r}")
     if violations:
@@ -197,7 +193,7 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
     only the checks that concern the config as a whole are made here.
     """
     map_bad = map_problems(config.k, config.epsilon, config.dim_n)
-    dim_ok = dim_problem(config.dim_n) is None
+    dim_ok = count_problem("dim_n", config.dim_n, 2) is None
     v = list(map_bad)
 
     def add(problem):
@@ -222,7 +218,7 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         invalid(f"p0 must lie in [0, 1), got {config.p0!r}")
     if config.format not in _FORMATS:
         invalid(f"format must be one of {_FORMATS}, got {config.format!r}")
-    add(threads_problem(config.threads))
+    add(count_problem("threads", config.threads, 1))
     add(seed_problem(config.seed))
 
     if not config.methods:
@@ -239,12 +235,9 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
     if config.samples is not None:
         add(sample_count_problem(config.samples))
 
+    if config.state in _STATES:
+        add(mode_problem(config.state, config.sample_mode))
     if config.state == "position":
-        if config.sample_mode not in _POSITION_MODES:
-            invalid(
-                f"sample_mode for position states must be one of {_POSITION_MODES}, "
-                f"got {config.sample_mode!r}"
-            )
         if dim_ok and q0_ok:  # the range rule above reports any other q0
             add(alignment_problem(config.q0, config.dim_n))
         if config.sample_mode == "grid":
@@ -252,11 +245,6 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         if config.sample_mode == "monte_carlo" and config.samples is None and "dr" in config.methods:
             invalid("monte_carlo sampling requires samples")
     elif config.state == "gaussian":
-        if config.sample_mode not in _GAUSSIAN_MODES:
-            invalid(
-                f"sample_mode for gaussian states must be one of {_GAUSSIAN_MODES}, "
-                f"got {config.sample_mode!r}"
-            )
         add(sigma_problem(config.sigma))
         if config.samples is None and "dr" in config.methods:
             invalid("gaussian states require samples for the dr method")
@@ -354,9 +342,9 @@ def render_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def write_result(result: "RunResult", out):
-    """Write the data table, in the config's format, and its .meta.json sidecar next to it."""
-    out = Path(out)
+def write_result(result: "RunResult"):
+    """Write the data table to the config's out, in its format, and a .meta.json sidecar next to it."""
+    out = Path(result.config.out)
     rows = curve_rows(result.curves)
     text = render_csv(rows) if result.config.format == "csv" else render_json(rows)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -426,10 +414,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     duration = time.perf_counter() - t0
     result = RunResult(
-        config=config, spec=spec, curves=curves, comparison=comparison,
-        duration_s=duration,
+        config=config, curves=curves, comparison=comparison, duration_s=duration,
     )
     if config.out is not None:
-        out_path, meta_path = write_result(result, config.out)
+        out_path, meta_path = write_result(result)
         result = dataclasses.replace(result, out_path=out_path, meta_path=meta_path)
     return result

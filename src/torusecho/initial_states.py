@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import MapSpec, is_integer, wrap_unit
-from .errors import CapacityError, InvalidInputError, raise_problem
+from .dynamics import MapSpec, count_problem, is_finite, is_integer, wrap_unit
+from .errors import InvalidInputError, raise_problem
 
 # relative size below which periodized-Gaussian image terms are dropped
 _IMAGE_TRUNCATION = 1e-16
@@ -33,6 +33,8 @@ _MAX_SAMPLES = 10_000_000
 
 # Philox keys, and so seeds, are 128-bit unsigned integers
 _SEED_LIMIT = 2**128
+
+_SAMPLE_MODES = {"position": ("grid", "monte_carlo"), "gaussian": ("wigner", "position_only")}
 
 
 def alignment_problem(q0, dim_n):
@@ -62,11 +64,15 @@ def grid_count_problem(dim_n, count):
 
 def sample_count_problem(count):
     """Why `count` is no sample count, as a (kind, message) problem, or None."""
-    if not is_integer(count) or count < 1:
-        return InvalidInputError, f"samples must be a positive integer, got {count!r}"
-    if count > _MAX_SAMPLES:
-        return CapacityError, f"samples {count} exceeds limit {_MAX_SAMPLES}"
-    return None
+    return count_problem("samples", count, 1, _MAX_SAMPLES)
+
+
+def mode_problem(state, mode):
+    """Why `mode` is no sampling mode for `state` ("position" or "gaussian") states, or None."""
+    modes = _SAMPLE_MODES[state]
+    if mode in modes:
+        return None
+    return InvalidInputError, f"sample_mode for {state} states must be one of {modes}, got {mode!r}"
 
 
 def sigma_problem(sigma):
@@ -136,8 +142,9 @@ class PositionEigenstate(InitialState):
 class GaussianWavepacket(InitialState):
     """Periodized Gaussian centered at (q0, p0) with position width sigma.
 
-    sigma is the standard deviation of |psi(q)|^2, in torus units; it must
-    sit in (0, 0.5) so the packet is localized on the torus.
+    q0 and p0 must be finite. sigma is the standard deviation of
+    |psi(q)|^2, in torus units; it must sit in (0, 0.5) so the packet is
+    localized on the torus.
     """
 
     q0: float
@@ -145,6 +152,9 @@ class GaussianWavepacket(InitialState):
     sigma: float
 
     def __post_init__(self):
+        for name, value in (("q0", self.q0), ("p0", self.p0)):
+            if not is_finite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
         raise_problem(sigma_problem(self.sigma))
 
     def label(self) -> str:
@@ -187,6 +197,7 @@ def samples_position_state(
         Stream key; ignored by grid mode.
     """
     grid_index(spec, q0)  # alignment check
+    raise_problem(mode_problem("position", mode))
     q_val = np.float64(q0)
     if mode == "grid":
         n = spec.dim_n
@@ -196,13 +207,11 @@ def samples_position_state(
         q = np.full(n, q_val)
         w = np.full(n, 1.0 / n)
         return SampleSet(q, p, w, "grid", f"position(q0={q0!r})", seed=None)
-    if mode == "monte_carlo":
-        raise_problem(sample_count_problem(count))
-        p = _rng(seed).random(count)
-        q = np.full(count, q_val)
-        w = np.full(count, 1.0 / count)
-        return SampleSet(q, p, w, "monte_carlo", f"position(q0={q0!r})", seed=seed)
-    raise InvalidInputError(f"unknown mode {mode!r}")
+    raise_problem(sample_count_problem(count))
+    p = _rng(seed).random(count)
+    q = np.full(count, q_val)
+    w = np.full(count, 1.0 / count)
+    return SampleSet(q, p, w, "monte_carlo", f"position(q0={q0!r})", seed=seed)
 
 
 def samples_gaussian(
@@ -224,10 +233,9 @@ def samples_gaussian(
 
     Draw order is q then p from one Philox stream keyed by `seed`.
     """
-    state = GaussianWavepacket(q0, p0, sigma)  # validates sigma
+    state = GaussianWavepacket(q0, p0, sigma)  # validates q0, p0 and sigma
     raise_problem(sample_count_problem(count))
-    if mode not in ("position_only", "wigner"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
+    raise_problem(mode_problem("gaussian", mode))
     rng = _rng(seed)
     q = wrap_unit(q0 + sigma * rng.standard_normal(count))
     if mode == "position_only":

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dephasing import FidelityCurve, _worker_count
-from .dynamics import TWO_PI, MapSpec, steps_problem
+from .dynamics import TWO_PI, MapSpec, count_problem, steps_problem
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import (
     _IMAGE_TRUNCATION,
@@ -57,9 +57,7 @@ _THREAD_MIN_DIM = 8192
 
 def grid_problem(dim_n):
     """Why no state or exact curve is built on a grid of dim_n points, or None."""
-    if dim_n <= _MAX_DIM:
-        return None
-    return CapacityError, f"dim_n {dim_n} exceeds limit {_MAX_DIM}"
+    return count_problem("dim_n", dim_n, 2, _MAX_DIM)
 
 
 def dense_problem(dim_n):
@@ -83,7 +81,7 @@ class QuantumState:
                 f"state vector must have shape ({self.spec.dim_n},), got {vec.shape}"
             )
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _NORM_GUARD:
+        if not abs(norm - 1.0) <= _NORM_GUARD:  # a nan norm is refused too
             raise InvalidInputError(f"state vector must be normalized, |psi| = {norm!r}")
         object.__setattr__(self, "vector", vec)
 

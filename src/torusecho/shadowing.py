@@ -42,8 +42,8 @@ from .dynamics import (
     MapSpec,
     _step_in_place,
     _wrap_in_place,
+    count_problem,
     is_finite,
-    is_integer,
     step_ensemble,
     steps_problem,
     torus_distance,
@@ -259,9 +259,7 @@ def _refine_problem(steps, tol, max_iter):
         return CapacityError, f"refinement supports up to {_MAX_REFINE_STEPS} steps, got {steps}"
     if not (is_finite(tol) and tol >= _MIN_TOL):
         return InvalidInputError, f"tol must be >= {_MIN_TOL}, got {tol!r}"
-    if not (is_integer(max_iter) and max_iter >= 1):
-        return InvalidInputError, f"max_iter must be an integer >= 1, got {max_iter!r}"
-    return None
+    return count_problem("max_iter", max_iter, 1)
 
 
 def refine_shadow(
@@ -355,10 +353,7 @@ def shadow_survey(
     for more than 10^5 orbits or segments longer than 10^4 steps,
     InvalidInputError for the other rules of refine_shadow.
     """
-    if not is_integer(count) or count < 1:
-        raise InvalidInputError(f"count must be a positive integer, got {count!r}")
-    if count > _MAX_SURVEY_COUNT:
-        raise CapacityError(f"survey supports up to {_MAX_SURVEY_COUNT} orbits, got {count}")
+    raise_problem(count_problem("count", count, 1, _MAX_SURVEY_COUNT))
     t_shadow = shadow_time_estimate(spec.epsilon)
     if steps is None:
         steps = max(2, int(round(t_shadow)))

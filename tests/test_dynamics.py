@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusecho import initial_states, shadowing
 from torusecho import (
     CapacityError,
     InvalidInputError,
@@ -14,11 +15,23 @@ from torusecho import (
     SampleSet,
     dr_curve,
     orbit_from_map,
+    samples_position_state,
+    shadow_survey,
     step_ensemble,
     torus_distance,
     wrap_unit,
 )
-from torusecho.dynamics import _MAX_STEPS, _step_in_place, phase_scale_problem, steps_problem
+from torusecho.dynamics import (
+    _MAX_STEPS,
+    _step_in_place,
+    map_problems,
+    phase_scale_problem,
+    steps_problem,
+)
+from torusecho.errors import raise_problem
+from torusecho.initial_states import _MAX_SAMPLES
+from torusecho.quantum import _MAX_DIM, grid_problem
+from torusecho.shadowing import _MAX_SURVEY_COUNT
 
 MIXED = MapSpec(0.8, 0.0, 1000)
 PERTURBED = MapSpec(0.8, 5e-3, 1000)
@@ -281,7 +294,7 @@ def test_propagate_orbit_storage():
 
 def test_propagate_rejects_negative_steps():
     for steps in (-1, 0, 2.0, True):
-        with pytest.raises(InvalidInputError, match="steps must be a positive integer"):
+        with pytest.raises(InvalidInputError, match="steps must be an integer >= 1"):
             orbit_from_map(MIXED, (0.1, 0.1), steps)
     assert steps_problem(0) is None and steps_problem(_MAX_STEPS) is None
     assert steps_problem(-1)[0] is InvalidInputError
@@ -289,6 +302,69 @@ def test_propagate_rejects_negative_steps():
     # a capacity refusal, before the curve is allocated
     with pytest.raises(CapacityError, match="exceeds limit"):
         dr_curve(MIXED, _one_sample(0.1, 0.1), 10**15)
+
+
+class _Accepted(Exception):
+    """Raised by the first step of work, which starts only once every argument passed."""
+
+
+def _accept(*args, **kwargs):
+    raise _Accepted
+
+
+def _raise_first(problems):
+    for problem in problems:
+        raise_problem(problem)
+
+
+# (name, minimum, limit, a call that checks the count as its owner does)
+COUNT_OWNERS = [
+    ("steps", 0, _MAX_STEPS, lambda v: raise_problem(steps_problem(v))),
+    ("steps", 1, _MAX_STEPS, lambda v: raise_problem(steps_problem(v, minimum=1))),
+    ("samples", 1, _MAX_SAMPLES,
+     lambda v: samples_position_state(MIXED, 0.5, count=v, mode="monte_carlo")),
+    ("threads", 1, None, lambda v: dr_curve(MIXED, _one_sample(0.1, 0.1), 1, threads=v)),
+    ("dim_n", 2, None, lambda v: _raise_first(map_problems(0.8, 0.0, v))),
+    ("dim_n", 2, _MAX_DIM, lambda v: raise_problem(grid_problem(v))),
+    ("count", 1, _MAX_SURVEY_COUNT, lambda v: shadow_survey(PERTURBED, count=v, steps=3)),
+    ("max_iter", 1, None, lambda v: shadow_survey(PERTURBED, count=1, steps=3, max_iter=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, minimum, limit, check",
+    COUNT_OWNERS,
+    ids=["steps>=0", "steps>=1", "samples", "threads", "dim_n", "grid", "count", "max_iter"],
+)
+def test_every_count_goes_through_the_count_rule(monkeypatch, name, minimum, limit, check):
+    monkeypatch.setattr(initial_states, "_rng", _accept)
+    monkeypatch.setattr(shadowing, "_rng", _accept)
+    over = CapacityError if limit is not None else None
+    cases = [
+        (True, InvalidInputError),
+        (10**400, over),
+        (-(10**400), InvalidInputError),
+        (1.0, InvalidInputError),
+        (minimum - 1, InvalidInputError),
+        (minimum, None),
+    ]
+    if limit is not None:
+        cases += [(limit, None), (limit + 1, CapacityError)]
+    for value, kind in cases:
+        if kind is None:
+            try:
+                check(value)
+            except _Accepted:
+                pass
+            continue
+        message = (
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+            if kind is InvalidInputError
+            else f"{name} {value} exceeds limit {limit}"
+        )
+        with pytest.raises(kind) as refused:
+            check(value)
+        assert str(refused.value) == message
 
 
 @settings(deadline=None, max_examples=60)

@@ -402,7 +402,7 @@ def test_cli_over_cap_steps_and_count_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(shadowing, "_rng", never)
     monkeypatch.setattr(shadowing, "_orbits", never)
     assert main(["shadow", "--count", str(_MAX_SURVEY_COUNT + 1), "--steps", "3"]) == 3
-    assert "orbits" in capsys.readouterr().err
+    assert f"count {_MAX_SURVEY_COUNT + 1} exceeds limit" in capsys.readouterr().err
 
 
 def test_cli_oracle_check_bad_tol_exits_2(monkeypatch, capsys):

@@ -95,6 +95,14 @@ def test_gaussian_sigma_bounds(sigma):
         samples_gaussian(SPEC, 0.4, 0.0, sigma, count=10)
 
 
+@pytest.mark.parametrize("q0, p0", [(float("nan"), 0.0), (0.3, float("inf"))])
+def test_gaussian_centre_must_be_finite(q0, p0):
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        GaussianWavepacket(q0, p0, 0.1)
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        samples_gaussian(SPEC, q0, p0, 0.1, count=10)
+
+
 def test_gaussian_position_only_mode():
     s = samples_gaussian(SPEC, 0.4, 0.3, 0.05, count=2000, mode="position_only", seed=1)
     assert np.all(s.p == np.float64(0.3))
@@ -139,7 +147,7 @@ def test_gaussian_count_validation(monkeypatch):
         samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=0)
     with monkeypatch.context() as patch:
         patch.setattr(initial_states, "_rng", lambda seed: pytest.fail("drew under an unknown mode"))
-        with pytest.raises(InvalidInputError, match="unknown mode"):
+        with pytest.raises(InvalidInputError, match="sample_mode for gaussian states must be one of"):
             samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10, mode="nope")
     with pytest.raises(CapacityError, match="exceeds limit"):
         samples_gaussian(SPEC, 0.4, 0.0, 0.05, count=10**12)  # refused before any draw

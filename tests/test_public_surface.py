@@ -10,9 +10,11 @@ from torusecho import dephasing, dynamics, harness, initial_states, quantum, sha
 
 TRACING = Path(__file__).resolve().parents[1] / "torusbench" / "tracing.py"
 
-# names that had callers only in tests, and were removed from the program
+# names removed from the program: test-only ones, and rules folded into a shared one
 REMOVED = (
-    (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian")),
+    (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian", "dim_problem")),
+    (dephasing, ("threads_problem",)),
+    (harness, ("_parse_value", "_POSITION_MODES", "_GAUSSIAN_MODES")),
     (initial_states, ("WignerSampler", "periodized_gaussian_density")),
     (shadowing, ("wrap_signed", "noisy_orbit", "_GENERATORS", "_against_flag")),
     (initial_states.SampleSet, ("uniform",)),
@@ -36,6 +38,7 @@ RETIRED_PARAMETERS = (
     (quantum.dense_oracle, "state_label"),
     (harness.write_result, "fmt"),
     (harness.run_experiment, "out"),
+    (harness.write_result, "out"),
 )
 
 
@@ -53,6 +56,7 @@ def test_removed_names_are_not_exported():
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     fields = {f.name for f in dataclasses.fields(harness.ComparisonReport)}
     assert not fields & {"curve_a", "curve_b"}
+    assert "spec" not in {f.name for f in dataclasses.fields(harness.RunResult)}
     for fn, name in RETIRED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters, f"{fn.__name__}({name}=)"
     fields = {f.name for f in dataclasses.fields(shadowing.PseudoOrbit)}

@@ -286,6 +286,16 @@ def test_grid_cap_is_refused_before_any_grid_array(monkeypatch):
             exact_fidelity_curve(spec, state, 1)
 
 
+@pytest.mark.parametrize("route", [exact_fidelity_curve, dense_oracle])
+def test_non_finite_states_are_refused_not_propagated(route):
+    nan, inf = float("nan"), float("inf")
+    for q0, p0 in ((nan, 0.0), (0.3, inf)):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            route(SMALL, GaussianWavepacket(q0, p0, 0.1), 3)
+    with pytest.raises(InvalidInputError, match="must be normalized"):
+        route(SMALL, QuantumState(np.full(SMALL.dim_n, nan + 0j), SMALL), 3)
+
+
 def _echo_amplitudes(spec, psi0, steps):
     """<psi0|U_pert^-t U^t|psi0>: t bare steps forward, then t perturbed steps undone."""
     kick_pert, kick_plain, drift = _phases(spec)

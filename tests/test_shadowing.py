@@ -250,7 +250,7 @@ def test_cli_shadow_refused_refinement_exits_2_without_a_map_step(monkeypatch, c
     assert main([*argv, "--max-iter", "0"]) == 2
     assert "max_iter must be an integer >= 1" in capsys.readouterr().err
     assert main(["shadow", "--count", "1", "--steps", "0"]) == 2
-    assert "steps must be a positive integer" in capsys.readouterr().err
+    assert "steps must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
