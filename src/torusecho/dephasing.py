@@ -12,7 +12,9 @@ across the ensemble.
 
 Determinism contract: samples are processed in fixed chunks of CHUNK
 consecutive indices and the per-chunk partial sums are combined in index
-order, so results are bitwise identical for any thread count.
+order, so results are bitwise identical for any thread count. A job steps
+up to BLOCK whole chunks as one (B, CHUNK) stack, summing each row alone
+(the ragged tail is a one-row job), with the bits of one chunk a job.
 
 Checked-once contract: each chunk's first map step goes through
 `step_ensemble`, which rejects non-finite coordinates and wraps them onto
@@ -44,6 +46,9 @@ from .initial_states import SampleSet
 # fixed work unit; combining per-chunk sums in index order keeps the
 # floating-point reduction identical for every thread count
 CHUNK = 4096
+# whole chunks one job steps as a stack: fewer numpy calls per sample,
+# at a few buffers of BLOCK * CHUNK floats per worker
+BLOCK = 8
 
 _CONJUGATION_TOL = 1e-15
 
@@ -94,33 +99,32 @@ class FidelityCurve:
 
 
 def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
-    """Raw partial sums over one chunk of samples.
+    """Raw partial sums over each chunk of a (..., m) stack of samples.
 
-    Returns (S, R2, I2): S[t] = sum_j z_j(t) as complex, R2[t] = sum_j
-    (Re z_j)^2, I2[t] = sum_j (Im z_j)^2, unweighted (so the epsilon = 0
-    sum of ones stays integral). Without squares, R2 and I2 are left
-    zero: only a Monte Carlo stderr reads them.
+    Returns (S, R2, I2), each (..., steps + 1): S[..., t] = sum_j z_j(t)
+    as complex, R2 and I2 the sums of (Re z_j)^2 and (Im z_j)^2, over
+    the last axis, so each row's sums are bitwise a 1-D call's. They are
+    unweighted (the epsilon = 0 sum of ones stays integral). Without
+    squares, R2 and I2 are left zero: only a Monte Carlo stderr reads them.
     """
     cos_sum = np.zeros_like(q)
-    re = np.empty_like(q)  # holds the phase, then its cos in place
+    re = np.empty_like(q)  # holds the phase, then its cos, then its square
     im = np.empty_like(q)
-    arg = np.empty_like(q)
-    tmp = np.empty_like(q)
-    n_t = steps + 1
-    s_re = np.empty(n_t)
-    s_im = np.empty(n_t)
-    r2 = np.zeros(n_t)
-    i2 = np.zeros(n_t)
+    shape = q.shape[:-1] + (steps + 1,)
+    s_re = np.empty(shape)
+    s_im = np.empty(shape)
+    r2 = np.zeros(shape)
+    i2 = np.zeros(shape)
 
     def record(t):
         np.multiply(cos_sum, phase_factor, out=re)
         np.sin(re, out=im)
         np.cos(re, out=re)
-        s_re[t] = re.sum()
-        s_im[t] = im.sum()
+        s_re[..., t] = re.sum(axis=-1)
+        s_im[..., t] = im.sum(axis=-1)
         if squares:  # (x*x).sum() keeps numpy's pairwise order; a BLAS dot would not
-            r2[t] = np.multiply(re, re, out=tmp).sum()
-            i2[t] = np.multiply(im, im, out=tmp).sum()
+            r2[..., t] = np.multiply(re, re, out=re).sum(axis=-1)
+            i2[..., t] = np.multiply(im, im, out=im).sum(axis=-1)
 
     record(0)
     if steps > 0:
@@ -129,10 +133,11 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
         q, p = step_ensemble(spec, q, p, perturbed=False)
         record(1)
     c = spec.kick_coefficient(False)
-    for t in range(2, n_t):
-        _step_in_place(c, q, p, arg, tmp)
-        np.cos(arg, out=tmp)
-        cos_sum += tmp
+    for t in range(2, steps + 1):
+        # re and im are free until record(t) refills them: the step's scratch
+        _step_in_place(c, q, p, im, re)
+        np.cos(im, out=re)
+        cos_sum += re
         record(t)
     return s_re + 1j * s_im, r2, i2
 
@@ -162,7 +167,7 @@ def dr_curve(
         Number of map iterations (curve has steps + 1 entries); more
         than 10^6 is refused with CapacityError.
     threads : int
-        Worker threads for chunk evaluation, clamped to the chunk count
+        Worker threads for chunk evaluation, clamped to the job count
         and the usable CPUs. Any value >= 1 produces bitwise-identical
         output.
 
@@ -182,13 +187,21 @@ def dr_curve(
 
     q = np.asarray(samples.q, dtype=np.float64)
     p = np.asarray(samples.p, dtype=np.float64)
-    bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
     monte_carlo = samples.kind == "monte_carlo"
+    chunks, whole = -(-n // CHUNK), n - n % CHUNK
+    workers = _worker_count(int(threads), chunks)
+    # up to BLOCK whole chunks a job, fewer where that would idle a worker;
+    # the ragged tail is a job of its own
+    size = min(BLOCK, -(-chunks // workers)) * CHUNK
+    bounds = [(lo, min(lo + size, whole)) for lo in range(0, whole, size)]
+    bounds += [(whole, n)] * (whole < n)
 
     def job(lo, hi):
-        return _chunk_sums(spec, q[lo:hi], p[lo:hi], steps, phase_factor, monte_carlo)
+        width = min(CHUNK, hi - lo)
+        return _chunk_sums(spec, q[lo:hi].reshape(-1, width), p[lo:hi].reshape(-1, width),
+                           steps, phase_factor, monte_carlo)
 
-    workers = _worker_count(int(threads), len(bounds))
+    workers = min(workers, len(bounds))
     if workers == 1:
         parts = [job(lo, hi) for lo, hi in bounds]
     else:
@@ -200,10 +213,11 @@ def dr_curve(
     s_tot = np.zeros(n_t, dtype=np.complex128)
     r2_tot = np.zeros(n_t)
     i2_tot = np.zeros(n_t)
-    for s, r2, i2 in parts:
-        s_tot += s
-        r2_tot += r2
-        i2_tot += i2
+    for rows in parts:
+        for s, r2, i2 in zip(*rows):  # one chunk a row, in index order
+            s_tot += s
+            r2_tot += r2
+            i2_tot += i2
 
     amp = s_tot / n
     if monte_carlo:

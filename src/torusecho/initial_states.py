@@ -201,8 +201,8 @@ def samples_position_state(
     q_val = np.float64(q0)
     if mode == "grid":
         n = spec.dim_n
+        raise_problem(sample_count_problem(n if count is None else count))
         raise_problem(grid_count_problem(n, count))
-        raise_problem(sample_count_problem(n))
         p = np.arange(n, dtype=np.float64) / n
         q = np.full(n, q_val)
         w = np.full(n, 1.0 / n)

@@ -350,13 +350,18 @@ def shadow_survey(
     unconditional.
 
     Every argument is checked before any start is drawn: CapacityError
-    for more than 10^5 orbits or segments longer than 10^4 steps,
+    for more than 10^5 orbits or segments longer than 10^4 steps (a
+    default length over that cap is refused in terms of epsilon),
     InvalidInputError for the other rules of refine_shadow.
     """
     raise_problem(count_problem("count", count, 1, _MAX_SURVEY_COUNT))
     t_shadow = shadow_time_estimate(spec.epsilon)
     if steps is None:
         steps = max(2, int(round(t_shadow)))
+        if steps > _MAX_REFINE_STEPS:
+            raise CapacityError(f"epsilon={spec.epsilon!r} sets the default length to the shadow "
+                                f"horizon epsilon^-1/2 = {t_shadow:.6g} steps, over the refinement "
+                                f"cap of {_MAX_REFINE_STEPS} steps; pass --steps (at most that)")
     raise_problem(steps_problem(steps, minimum=1))
     raise_problem(_refine_problem(steps, tol, max_iter))
     starts = _rng(seed).random((count, 2))

@@ -16,7 +16,8 @@ from torusecho import (
     samples_position_state,
     step_ensemble,
 )
-from torusecho.dephasing import _chunk_sums, _worker_count
+from torusecho import dephasing
+from torusecho.dephasing import BLOCK, _chunk_sums, _worker_count
 
 MIXED = MapSpec(0.8, 5e-3, 64)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -130,6 +131,96 @@ def test_chunk_sums_match_checked_loop_bitwise():
             # grid sets skip the stderr square sums, leaving them zero
             s, r2, i2 = _chunk_sums(spec, q, p, steps, factor, squares=False)
             assert np.array_equal(s, want[0]) and not r2.any() and not i2.any()
+
+
+def test_stacked_chunk_sums_equal_one_row_calls_bitwise():
+    rng = np.random.default_rng(9)
+    q = 3.0 * rng.random((3, 700)) - 1.0
+    p = 5.0 * rng.random((3, 700)) - 2.0
+    for spec in (CHAOTIC, MIXED.with_epsilon(-0.03)):
+        factor = spec.epsilon * spec.dim_n / (2 * np.pi)
+        for steps in (0, 1, 2, 17):
+            for squares in (True, False):
+                stacked = _chunk_sums(spec, q, p, steps, factor, squares)
+                for row in range(len(q)):
+                    one = _chunk_sums(spec, q[row], p[row], steps, factor, squares)
+                    for got, want in zip(stacked, one):
+                        assert got.shape == (len(q), steps + 1)
+                        assert np.array_equal(got[row], want)
+
+
+def _per_chunk_curve(spec, samples, steps):
+    """dr_curve's amplitude and stderrs from one 1-D `_chunk_sums` call per chunk."""
+    n = len(samples)
+    factor = spec.epsilon * spec.dim_n / (2 * np.pi)
+    s_tot = np.zeros(steps + 1, dtype=np.complex128)
+    r2_tot = np.zeros(steps + 1)
+    i2_tot = np.zeros(steps + 1)
+    for lo in range(0, n, CHUNK):
+        s, r2, i2 = _chunk_sums(spec, samples.q[lo:lo + CHUNK], samples.p[lo:lo + CHUNK],
+                                steps, factor)
+        s_tot += s
+        r2_tot += r2
+        i2_tot += i2
+    amp = s_tot / n
+    stderr_re = np.sqrt(np.maximum(r2_tot / n - amp.real**2, 0.0) / n)
+    stderr_im = np.sqrt(np.maximum(i2_tot / n - amp.imag**2, 0.0) / n)
+    return amp, stderr_re, stderr_im
+
+
+@pytest.mark.parametrize(
+    "count",
+    [1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK * CHUNK - 1, BLOCK * CHUNK + 1,
+     2 * BLOCK * CHUNK + 77],
+)
+def test_stacked_jobs_match_a_per_chunk_loop_bitwise(count, monkeypatch):
+    # many usable CPUs, so the requested workers start on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    s = samples_position_state(CHAOTIC, 0.4, count=count, mode="monte_carlo", seed=21)
+    want = _per_chunk_curve(CHAOTIC, s, 6)
+    for threads in (1, 2, 3, 8):
+        curve = dr_curve(CHAOTIC, s, 6, threads=threads)
+        for got, ref in zip((curve.amplitude, curve.stderr_re, curve.stderr_im), want):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "count, threads, cpus, workers, n_jobs",
+    [
+        (CHUNK, 8, 2, 1, 1),  # one chunk: no pool
+        (CHUNK + 1, 8, 2, 2, 2),
+        (2 * CHUNK + 1808, 2, 2, 2, 2),  # the golden monte-carlo run: 3 chunks, 2 threads
+        (2 * CHUNK + 1808, 8, 64, 3, 3),
+        (BLOCK * CHUNK, 2, 2, 2, 2),  # one stack would idle a CPU: two half stacks
+        (3 * BLOCK * CHUNK + 5, 2, 2, 2, 4),
+        (3 * BLOCK * CHUNK + 5, 8, 1, 1, 4),
+    ],
+)
+def test_workers_follow_the_jobs(count, threads, cpus, workers, n_jobs, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    jobs, started = [], []
+
+    def counted_sums(spec, q, p, steps, phase_factor, squares=True):
+        jobs.append(q.shape)
+        rows = np.zeros(q.shape[:-1] + (steps + 1,))
+        return rows + 0j, rows, rows
+
+    class CountedPool(dephasing.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(dephasing, "_chunk_sums", counted_sums)
+    monkeypatch.setattr(dephasing, "ThreadPoolExecutor", CountedPool)
+    s = SampleSet(np.zeros(count), np.zeros(count), np.full(count, 1.0 / count),
+                  "monte_carlo", "flat", seed=0)
+    dr_curve(CHAOTIC, s, 2, threads=threads)
+    assert started == ([workers] if workers > 1 else [])
+    assert len(jobs) == n_jobs
+    # stacks of at most BLOCK whole chunks; a ragged tail is a one-row job
+    assert all(rows <= BLOCK and (width == CHUNK or rows == 1) for rows, width in jobs)
+    assert sum(width != CHUNK for _, width in jobs) == (count % CHUNK > 0)
+    assert sum(rows * width for rows, width in jobs) == count
 
 
 def test_chunk_rejects_nonfinite_sample_at_first_step():

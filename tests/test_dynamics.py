@@ -317,12 +317,23 @@ def _raise_first(problems):
         raise_problem(problem)
 
 
+def _grid_samples(count):
+    # past the count rule, a count other than N is the grid's own refusal
+    try:
+        samples_position_state(PERTURBED, 0.4, count=count)
+    except InvalidInputError as exc:
+        if "grid sampling yields exactly" not in str(exc):
+            raise
+        raise _Accepted from exc
+
+
 # (name, minimum, limit, a call that checks the count as its owner does)
 COUNT_OWNERS = [
     ("steps", 0, _MAX_STEPS, lambda v: raise_problem(steps_problem(v))),
     ("steps", 1, _MAX_STEPS, lambda v: raise_problem(steps_problem(v, minimum=1))),
     ("samples", 1, _MAX_SAMPLES,
      lambda v: samples_position_state(MIXED, 0.5, count=v, mode="monte_carlo")),
+    ("samples", 1, _MAX_SAMPLES, _grid_samples),
     ("threads", 1, None, lambda v: dr_curve(MIXED, _one_sample(0.1, 0.1), 1, threads=v)),
     ("dim_n", 2, None, lambda v: _raise_first(map_problems(0.8, 0.0, v))),
     ("dim_n", 2, _MAX_DIM, lambda v: raise_problem(grid_problem(v))),
@@ -334,7 +345,8 @@ COUNT_OWNERS = [
 @pytest.mark.parametrize(
     "name, minimum, limit, check",
     COUNT_OWNERS,
-    ids=["steps>=0", "steps>=1", "samples", "threads", "dim_n", "grid", "count", "max_iter"],
+    ids=["steps>=0", "steps>=1", "samples", "grid samples", "threads", "dim_n", "grid", "count",
+         "max_iter"],
 )
 def test_every_count_goes_through_the_count_rule(monkeypatch, name, minimum, limit, check):
     monkeypatch.setattr(initial_states, "_rng", _accept)
@@ -345,6 +357,7 @@ def test_every_count_goes_through_the_count_rule(monkeypatch, name, minimum, lim
         (10**400, over),
         (-(10**400), InvalidInputError),
         (1.0, InvalidInputError),
+        (1000.0, InvalidInputError),  # N as a float, on the grid of N = 1000 too
         (minimum - 1, InvalidInputError),
         (minimum, None),
     ]

@@ -35,6 +35,8 @@ def test_grid_sampler_count_must_match_dim():
     assert len(samples_position_state(SMALL, 0.25, count=64)) == 64
     with pytest.raises(InvalidInputError):
         samples_position_state(SMALL, 0.25, count=100)
+    with pytest.raises(InvalidInputError, match="samples must be an integer >= 1"):
+        samples_position_state(SMALL, 0.25, count=np.float64(64))
 
 
 def test_grid_sampler_respects_the_sample_ceiling(monkeypatch):

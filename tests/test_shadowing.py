@@ -253,6 +253,17 @@ def test_cli_shadow_refused_refinement_exits_2_without_a_map_step(monkeypatch, c
     assert "steps must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon, horizon", [("1e-9", "31622.8"), ("1e-20", "1e+10")])
+def test_cli_shadow_default_length_over_the_cap_names_epsilon(monkeypatch, capsys, epsilon,
+                                                              horizon):
+    _fail_on_map_step(monkeypatch)
+    assert main(["shadow", "--epsilon", epsilon, "--count", "1"]) == 3
+    err = capsys.readouterr().err
+    for part in (f"epsilon={float(epsilon)!r}", f"epsilon^-1/2 = {horizon} steps",
+                 "refinement cap of 10000 steps", "pass --steps"):
+        assert part in err
+
+
 def test_import_loads_no_scipy():
     """scipy is loaded by the Newton step, not by `import torusecho`."""
     import torusecho
