@@ -14,12 +14,13 @@ Determinism contract: samples are processed in fixed chunks of CHUNK
 consecutive indices and the per-chunk partial sums are combined in index
 order, so results are bitwise identical for any thread count. A job steps
 up to BLOCK whole chunks as one (B, CHUNK) stack, summing each row alone
-(the ragged tail is a one-row job), with the bits of one chunk a job.
+(the ragged tail is a one-row job), with the bits of one chunk a job; no
+more threads start than there are jobs or usable CPUs.
 
-Checked-once contract: each chunk's first map step goes through
+Checked-once contract: each job's first map step goes through
 `step_ensemble`, which rejects non-finite coordinates and wraps them onto
 [0, 1); every later step runs the unchecked in-place kernel of `dynamics`
-on per-chunk buffers, which assumes both. The kernel's 2 pi q of the old
+on the job's buffers, which assumes both. The kernel's 2 pi q of the old
 positions is reused for the action cos, so each step computes it once.
 """
 
