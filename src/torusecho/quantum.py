@@ -6,9 +6,18 @@ phases). One kicked-map step is the split unitary
 
     U = exp(-i p^2 / (2 hbar)) * exp(-i W(q) / hbar)
 
-applied as a position-space kick phase followed by a momentum-space drift
-phase via the unitary FFT pair. The perturbed branch uses the kick
+a position-space kick phase followed by the momentum-space drift
+F^-1 diag(exp(-i pi m^2 / N)) F. The perturbed branch uses the kick
 potential at strength k + epsilon.
+
+For even N the drift factors as exp(-i pi/4) C F C with the chirp
+C_j = exp(i pi j^2 / N) (the quadratic Gauss sum behind the discrete
+Fresnel transform), so U^t = exp(-i pi t/4) C (F E)^t C^-1 with
+E = C^2 * kick. An exact curve therefore steps phi = conj(C) psi with one
+unitary FFT per step, phi <- F(E phi): C and the global phase are the
+same on both branches and drop out of their overlap. For odd N
+exp(-i pi m^2 / N) is not N-periodic, no such factorization exists, and
+each step is the split pair: kick, FFT, drift, inverse FFT.
 
 A state is checked (shape, norm) once, as a `QuantumState` where it
 enters; from there one in-place kernel steps both branches as one (2, N)
@@ -88,28 +97,47 @@ class QuantumState:
 
 @lru_cache(maxsize=32)
 def _phase_factors(spec: MapSpec):
-    """Read-only (kicks, drift) of one split step; kicks is (2, N), perturbed row first."""
+    """Read-only (rows, entry, drift) of one exact step; rows is (2, N), perturbed row first.
+
+    Even N: rows are E = kick * C^2, entry is conj(C), which turns psi into
+    phi once, and drift is None, so a step is phi <- F(E phi). Odd N: rows
+    are the kicks, entry is None and drift the momentum phase of the split
+    step. Either way the entry holds 3N complex values. Every quadratic
+    phase is reduced in integers first (j^2 mod 2N for exp(i pi j^2 / N),
+    mod N for exp(2 i pi j^2 / N)), so its argument stays below 2 pi.
+    """
     n = spec.dim_n
     j = np.arange(n)
     cos_q = np.cos(TWO_PI * j / n)
     # -W(q)/hbar with W(q) = -(c / 4 pi^2) cos(2 pi q) and hbar = 1/(2 pi N)
-    kicks = np.stack(
+    rows = np.stack(
         [np.exp(1j * (c * n / TWO_PI) * cos_q) for c in (spec.k + spec.epsilon, spec.k)]
     )
-    # -p^2/(2 hbar) at p_m = m/N reduces to -pi m^2 / N
-    drift = np.exp(-1j * np.pi * j * j / n)
-    kicks.setflags(write=False)
-    drift.setflags(write=False)
-    return kicks, drift
+    square = j * j  # exact in int64 up to the grid cap
+    # conj(C) for even N; for odd N the drift, -p^2/(2 hbar) at p_m = m/N
+    quad = np.exp(-1j * np.pi * (square % (2 * n)) / n)
+    if n % 2:
+        entry, drift = None, quad
+    else:
+        rows *= np.exp(2j * np.pi * (square % n) / n)
+        entry, drift = quad, None
+    rows.setflags(write=False)
+    quad.setflags(write=False)
+    return rows, entry, drift
 
 
-def _split_step(psi: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> None:
-    """One split step in place on an (N,) psi or, row by row, a (2, N) psi."""
-    # kick * psi, in this operand order: psi *= kick moves the last bit
-    np.multiply(kick, psi, out=psi)
+def _split_step(psi: np.ndarray, row: np.ndarray, drift: np.ndarray | None) -> None:
+    """One exact step in place on an (N,) psi or, row by row, a (2, N) psi.
+
+    With no drift (even N) the step is phi <- F(E phi); with one (odd N) it
+    is the split pair: kick, FFT, drift, inverse FFT.
+    """
+    # row * psi, in this operand order: psi *= row moves the last bit
+    np.multiply(row, psi, out=psi)
     np.fft.fft(psi, axis=-1, norm="ortho", out=psi)
-    psi *= drift
-    np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
+    if drift is not None:
+        psi *= drift
+        np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
 
 
 def _overlap(psi: np.ndarray, buf: np.ndarray) -> complex:
@@ -153,10 +181,18 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
 
 
 def step_quantum(state: QuantumState, perturbed: bool = False) -> QuantumState:
-    """One split-operator step: kick phase, FFT, drift phase, inverse FFT."""
-    kicks, drift = _phase_factors(state.spec)
+    """One exact step of one branch, psi <- U psi.
+
+    Even N: exp(-i pi/4) C F(E conj(C) psi), one FFT. Odd N: kick phase,
+    FFT, drift phase, inverse FFT.
+    """
+    rows, entry, drift = _phase_factors(state.spec)
     psi = state.vector.copy()
-    _split_step(psi, kicks[0 if perturbed else 1], drift)
+    if entry is not None:
+        psi *= entry
+    _split_step(psi, rows[0 if perturbed else 1], drift)
+    if entry is not None:
+        psi *= np.conj(entry) * np.exp(-0.25j * np.pi)
     return QuantumState(psi, state.spec)
 
 
@@ -191,6 +227,12 @@ def exact_fidelity_curve(
     (no sampling is involved). Grids above 65536 points are refused with
     CapacityError before any grid-sized array is allocated.
 
+    For even N both rows start as phi = conj(C) psi0, after amp(0) is read
+    from psi0 itself (so a position eigenstate gives amp(0) == 1 exactly),
+    and each step is one FFT per row; odd N steps the split pair (see the
+    module docstring). The overlap of the phi rows equals that of the psi
+    rows.
+
     From N = `_THREAD_MIN_DIM` up, and where two CPUs are usable, one pool
     worker steps the bare row while the calling thread steps the perturbed
     one (np.fft releases the GIL); they join before each overlap. With one
@@ -201,28 +243,30 @@ def exact_fidelity_curve(
     raise_problem(grid_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
     psi0, label = _resolve_state(spec, state)
-    kicks, drift = _phase_factors(spec)
-    psi = np.stack([psi0, psi0])  # perturbed row first, as in kicks
+    rows, entry, drift = _phase_factors(spec)
+    psi = np.stack([psi0, psi0])  # perturbed row first, as in rows
     buf = np.empty(spec.dim_n, dtype=np.complex128)
     amp = np.empty(steps + 1, dtype=np.complex128)
     amp[0] = _overlap(psi, buf)
+    if entry is not None:
+        psi *= entry
     if spec.dim_n >= _THREAD_MIN_DIM and _worker_count(2, 2) >= 2:
         with ThreadPoolExecutor(max_workers=1) as pool:
             for t in range(1, steps + 1):
-                plain = pool.submit(_split_step, psi[1], kicks[1], drift)
-                _split_step(psi[0], kicks[0], drift)
+                plain = pool.submit(_split_step, psi[1], rows[1], drift)
+                _split_step(psi[0], rows[0], drift)
                 plain.result()
                 amp[t] = _overlap(psi, buf)
     else:
         # from the cut up, one call per row even on one thread: the (2, N)
         # call faults its temporaries' pages in afresh on every step
         if spec.dim_n < _THREAD_MIN_DIM:
-            rows = [(psi, kicks)]
+            stepped = [(psi, rows)]
         else:
-            rows = [(psi[0], kicks[0]), (psi[1], kicks[1])]
+            stepped = [(psi[0], rows[0]), (psi[1], rows[1])]
         for t in range(1, steps + 1):
-            for row, kick in rows:
-                _split_step(row, kick, drift)
+            for row, factor in stepped:
+                _split_step(row, factor, drift)
             amp[t] = _overlap(psi, buf)
     return _grid_curve(amp, "exact", spec, label)
 

@@ -15,23 +15,23 @@ from torusecho.cli import main
 GOLDEN = {
     "fig1-mixed": (
         ["--preset", "fig1-mixed"],
-        "44df436e0dae8ce1b17c0048e6be068f8f42ed656115246d34576f1a574571f8",
+        "4070a0bb435becbf9540b737bfd41dbf38a25a9a514179717c431dcbfe560706",
     ),
     "fig1-chaotic": (
         ["--preset", "fig1-chaotic"],
-        "d03f73999e98e5d76d668c1622293b7c0cde8c7f496c441231811a26d33531d6",
+        "f3827d4622b0bd4572b40ee45a59fd5767a60be0f12aa72942384b4fc64a6319",
     ),
     # three 4096-sample chunks over two threads
     "monte-carlo": (
         ["--preset", "fig1-chaotic", "--sample-mode", "monte_carlo",
          "--samples", "10000", "--seed", "11", "--threads", "2"],
-        "887030ecd00d3f5aadf636256fe0d31d4c8464c4f4985298ee71d4871c343a81",
+        "e9955cbc7d44e4b209bc19deb4218d89c5fd45bc04ec57a447ab9a53aaedf638",
     ),
     "gaussian-wigner": (
         ["--state", "gaussian", "--sample-mode", "wigner", "--samples", "10000",
          "--seed", "5", "--k", "10", "--epsilon", "2e-3", "--q0", "0.4",
          "--p0", "0.3", "--sigma", "0.05"],
-        "697211b7d36c6692fcd8a558587c0c2d75352f2f41cc9a2b50477606353b0127",
+        "a75ba12224bd90407c131f612f27c7f688e045c725682dd26c58b681170753b6",
     ),
 }
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusecho import quantum
 from torusecho import (
@@ -97,13 +99,13 @@ def _phases(spec):
     n = spec.dim_n
     j = np.arange(n)
     cos_q = np.cos(2.0 * np.pi * j / n)
-    drift = np.exp(-1j * np.pi * j * j / n)
+    drift = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
     kick_pert = np.exp(1j * ((spec.k + spec.epsilon) * n / (2.0 * np.pi)) * cos_q)
     kick_plain = np.exp(1j * (spec.k * n / (2.0 * np.pi)) * cos_q)
     return kick_pert, kick_plain, drift
 
 
-def _per_branch_amplitudes(spec, psi0, steps):
+def _split_amplitudes(spec, psi0, steps):
     """<pert|plain> with each branch stepped alone: kick * psi, then one np.fft pair."""
     kick_pert, kick_plain, drift = _phases(spec)
     pert = plain = psi0
@@ -119,6 +121,29 @@ def _per_branch_amplitudes(spec, psi0, steps):
     return np.array(amp)
 
 
+def _per_branch_amplitudes(spec, psi0, steps):
+    """<pert|plain> with each branch stepped alone, as the program steps it.
+
+    Odd N: the split pair. Even N: after the first overlap each branch enters
+    as phi = psi0 * conj(C), C_j = exp(i pi j^2 / N), and steps with one FFT,
+    phi <- fft((kick * C^2) * phi).
+    """
+    n = spec.dim_n
+    if n % 2:
+        return _split_amplitudes(spec, psi0, steps)
+    kick_pert, kick_plain, _ = _phases(spec)
+    j = np.arange(n)
+    entry = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
+    chirp2 = np.exp(2j * np.pi * ((j * j) % n) / n)
+    rows = (kick_pert * chirp2, kick_plain * chirp2)
+    amp = [_overlap(psi0, psi0)]
+    pert = plain = psi0 * entry
+    for _ in range(steps):
+        pert, plain = (np.fft.fft(row * psi, norm="ortho") for row, psi in zip(rows, (pert, plain)))
+        amp.append(_overlap(pert, plain))
+    return np.array(amp)
+
+
 @pytest.mark.parametrize(
     "spec, state",
     [
@@ -126,6 +151,8 @@ def _per_branch_amplitudes(spec, psi0, steps):
         (MapSpec(0.8, 5e-3, 1000), GaussianWavepacket(0.4, 0.3, 0.05)),
         (MapSpec(10.0, 2e-3, 256), "vector"),
         (MapSpec(10.0, 0.0, 128), PositionEigenstate(0.25)),
+        (MapSpec(10.0, 2e-3, 255), GaussianWavepacket(0.3, 0.2, 0.05)),
+        (MapSpec(0.8, 5e-3, 101), "vector"),
     ],
 )
 def test_exact_curve_matches_per_branch_loop_bitwise(spec, state):
@@ -165,16 +192,17 @@ def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(quantum, "ThreadPoolExecutor", CountedPool)
     step, stepped = quantum._split_step, []
 
-    def counted_step(rows, *args):
-        stepped.append(rows.ndim)
-        step(rows, *args)
+    def counted_step(rows, factor, drift):
+        stepped.append((rows.ndim, drift is None))
+        step(rows, factor, drift)
 
     _usable_cpus(monkeypatch, 1)
     with monkeypatch.context() as patch:
         patch.setattr(quantum, "_split_step", counted_step)
         serial = exact_fidelity_curve(spec, psi, 8).amplitude
     assert pools == []
-    assert stepped == [1] * 16  # one call per row per step, no (2, N) call
+    # one one-FFT call per row per step (even N, no drift), no (2, N) call
+    assert stepped == [(1, True)] * 16
     _usable_cpus(monkeypatch, 64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
@@ -237,26 +265,74 @@ def test_exact_curve_bits_do_not_depend_on_blas_threads():
 
 def test_phase_factors_hold_one_entry_per_spec():
     quantum._phase_factors.cache_clear()
-    psi = build_state(SMALL, PositionEigenstate(0.25))
-    exact_fidelity_curve(SMALL, psi, 3)
-    step_quantum(step_quantum(psi), perturbed=True)
-    assert quantum._phase_factors.cache_info().currsize == 1
-    kicks, drift = quantum._phase_factors(SMALL)
-    assert kicks.shape == (2, 64) and drift.shape == (64,)
-    assert not kicks.flags.writeable and not drift.flags.writeable
+    for spec in (SMALL, MapSpec(0.8, 5e-3, 63)):
+        psi = build_state(spec, PositionEigenstate(0.0))
+        exact_fidelity_curve(spec, psi, 3)
+        step_quantum(step_quantum(psi), perturbed=True)
+    assert quantum._phase_factors.cache_info().currsize == 2
+    # even N: (kick * C^2 rows, conj(C), no drift); odd N: (kicks, no entry, drift)
+    for spec, present in ((SMALL, (0, 1)), (MapSpec(0.8, 5e-3, 63), (0, 2))):
+        factors = quantum._phase_factors(spec)
+        held = [factors[i] for i in present]
+        assert [f is None for f in factors] == [i not in present for i in range(3)]
+        assert [f.shape for f in held] == [(2, spec.dim_n), (spec.dim_n,)]
+        assert not any(f.flags.writeable for f in held)
 
 
-def test_zero_perturbation_fidelity_stays_unity():
-    spec = MapSpec(10.0, 0.0, 128)
-    curve = exact_fidelity_curve(spec, PositionEigenstate(0.25), 60)
+@pytest.mark.parametrize("dim_n, q0", [(128, 0.25), (255, 0.2)])
+def test_zero_perturbation_fidelity_stays_unity(dim_n, q0):
+    spec = MapSpec(10.0, 0.0, dim_n)
+    curve = exact_fidelity_curve(spec, PositionEigenstate(q0), 60)
     assert np.abs(curve.fidelity - 1.0).max() < 1e-12
     assert curve.method == "exact"
     assert np.all(curve.stderr_re == 0.0)
 
 
-@pytest.mark.parametrize("spec", [SMALL, CHAOTIC_SMALL])
-def test_split_operator_matches_dense_oracle(spec):
-    state = PositionEigenstate(0.25)
+@pytest.mark.parametrize("dim_n", [2, 64, 1000, quantum._THREAD_MIN_DIM])
+def test_even_grid_position_state_starts_at_exactly_one(monkeypatch, dim_n):
+    # amp(0) is read from psi0 before the entry chirp, on every stepping path
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        curve = exact_fidelity_curve(MapSpec(10.0, 2e-3, dim_n), PositionEigenstate(0.5), 2)
+        assert curve.amplitude[0] == 1.0
+        assert np.abs(curve.amplitude).max() <= 1.0 + 1e-12
+
+
+def test_one_fft_curve_stays_close_to_the_split_pair():
+    # the chirp factorization moves an even-N curve by rounding only
+    spec = MapSpec(10.0, 2e-3, 1000)
+    for state in (PositionEigenstate(0.4), GaussianWavepacket(0.4, 0.3, 0.05)):
+        curve = exact_fidelity_curve(spec, state, 200).amplitude
+        split = _split_amplitudes(spec, build_state(spec, state).vector, 200)
+        assert np.abs(curve - split).max() < 1e-12  # measured ~1e-13
+
+
+def _dense_step(spec, strength):
+    """The one-step unitary F^-1 diag(drift) F diag(kick) as an explicit matrix."""
+    n = spec.dim_n
+    j = np.arange(n)
+    fmat = np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
+    kick = np.exp(1j * (strength * n / (2.0 * np.pi)) * np.cos(2.0 * np.pi * j / n))
+    drift = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
+    return fmat.conj().T @ (drift[:, None] * (fmat * kick[None, :]))
+
+
+@pytest.mark.parametrize("dim_n", [64, 65])
+def test_step_quantum_is_the_dense_one_step_unitary(dim_n):
+    spec = MapSpec(10.0, 2e-3, dim_n)
+    psi = _random_state(spec)
+    for perturbed, strength in ((False, spec.k), (True, spec.k + spec.epsilon)):
+        stepped = step_quantum(psi, perturbed=perturbed).vector
+        assert np.abs(stepped - _dense_step(spec, strength) @ psi.vector).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, q0",
+    [(SMALL, 0.25), (CHAOTIC_SMALL, 0.25), (MapSpec(10.0, 2e-3, 255), 0.2),
+     (MapSpec(0.8, 5e-3, 101), 0.0)],
+)
+def test_split_operator_matches_dense_oracle(spec, q0):
+    state = PositionEigenstate(q0)
     split = exact_fidelity_curve(spec, state, 30)
     dense = dense_oracle(spec, state, 30)
     assert np.abs(split.amplitude - dense.amplitude).max() < 1e-9
@@ -294,6 +370,27 @@ def test_non_finite_states_are_refused_not_propagated(route):
             route(SMALL, GaussianWavepacket(q0, p0, 0.1), 3)
     with pytest.raises(InvalidInputError, match="must be normalized"):
         route(SMALL, QuantumState(np.full(SMALL.dim_n, nan + 0j), SMALL), 3)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    k=st.floats(0.0, 12.0),
+    epsilon=st.floats(-0.05, 0.05),
+    dim_n=st.integers(2, 128),
+    steps=st.integers(0, 20),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    gaussian=st.booleans(),
+)
+def test_exact_route_agrees_with_the_dense_oracle(k, epsilon, dim_n, steps, where, gaussian):
+    spec = MapSpec(k, epsilon, dim_n)
+    if gaussian:
+        state = GaussianWavepacket(where, 0.5 - where, 0.1)
+    else:
+        state = PositionEigenstate(int(where * dim_n) / dim_n)
+    exact = exact_fidelity_curve(spec, state, steps).amplitude
+    dense = dense_oracle(spec, state, steps).amplitude
+    assert np.abs(exact - dense).max() < 1e-9
+    assert np.abs(exact).max() <= 1.0 + 1e-12
 
 
 def _echo_amplitudes(spec, psi0, steps):
