@@ -57,10 +57,14 @@ _NORM_GUARD = 1e-9
 _MAX_DIM = 65536
 # dense propagation costs N^2 per step and N^2 memory per unitary
 _DENSE_MAX_DIM = 256
-# from this grid size up, stepping the two branches on two threads beats one
-# (2, N) step; median ms per step, serial against threaded, on a 2-vCPU
-# x86-64 VM with numpy 2.4: 0.14 / 0.16 at N = 4096, 0.57 / 0.38 at 8192,
-# 5.9 / 2.7 at 65536 (between 4096 and 8192 the winner changed run to run)
+# from this grid size up, the two rows are stepped one call each (on two
+# threads where two CPUs are usable) instead of as one (2, N) call. Median ms
+# per one-FFT step, (2, N) call / one call per row / rows on two threads, on
+# a 2-vCPU x86-64 VM with numpy 2.4: 0.09 / 0.13 / 0.17 at N = 4096,
+# 0.35 / 0.28 / 0.31 at 8192, 0.92 / 0.62 / 0.66 at 16384, 4.3 / 3.1 / 2.8
+# at 65536. Two threads only win from about 32768 there (two FFT processes
+# ran at 1.6x the time of one on its two vCPUs), but a second cut would save
+# under 0.05 ms a step between 8192 and 32768.
 _THREAD_MIN_DIM = 8192
 
 
@@ -102,7 +106,7 @@ def _phase_factors(spec: MapSpec):
     Even N: rows are E = kick * C^2, entry is conj(C), which turns psi into
     phi once, and drift is None, so a step is phi <- F(E phi). Odd N: rows
     are the kicks, entry is None and drift the momentum phase of the split
-    step. Either way the entry holds 3N complex values. Every quadratic
+    step. Either way a spec's cache entry holds 3N complex values. Every quadratic
     phase is reduced in integers first (j^2 mod 2N for exp(i pi j^2 / N),
     mod N for exp(2 i pi j^2 / N)), so its argument stays below 2 pi.
     """
@@ -175,7 +179,9 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
             vec += np.exp(-(d * d) / (4.0 * state.sigma**2)) * np.exp(
                 1j * state.p0 * d / spec.hbar
             )
-        vec /= np.linalg.norm(vec)
+        # a numpy pairwise sum: np.linalg.norm is a BLAS dot, whose bits
+        # depend on the library's threads from about 10^4 points up
+        vec /= np.sqrt((vec.real**2 + vec.imag**2).sum())
         return QuantumState(vec, spec)
     raise InvalidInputError(f"unknown initial state type {type(state).__name__}")
 

@@ -135,11 +135,12 @@ def _per_branch_amplitudes(spec, psi0, steps):
     j = np.arange(n)
     entry = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
     chirp2 = np.exp(2j * np.pi * ((j * j) % n) / n)
-    rows = (kick_pert * chirp2, kick_plain * chirp2)
+    row_pert, row_plain = kick_pert * chirp2, kick_plain * chirp2
     amp = [_overlap(psi0, psi0)]
     pert = plain = psi0 * entry
     for _ in range(steps):
-        pert, plain = (np.fft.fft(row * psi, norm="ortho") for row, psi in zip(rows, (pert, plain)))
+        pert = np.fft.fft(row_pert * pert, norm="ortho")
+        plain = np.fft.fft(row_plain * plain, norm="ortho")
         amp.append(_overlap(pert, plain))
     return np.array(amp)
 
@@ -263,20 +264,41 @@ def test_exact_curve_bits_do_not_depend_on_blas_threads():
     assert digests == {hashlib.sha256(here.amplitude.tobytes()).hexdigest()}
 
 
+def test_gaussian_state_bits_do_not_depend_on_blas_threads():
+    # np.linalg.norm is a BLAS dot, which OpenBLAS splits over its threads
+    import torusecho
+
+    src = str(Path(torusecho.__file__).resolve().parent.parent)
+    code = (
+        "import hashlib\n"
+        "from torusecho import GaussianWavepacket, MapSpec, build_state\n"
+        "v = build_state(MapSpec(10.0, 1e-3, 16384), GaussianWavepacket(0.3, 0.2, 0.05))\n"
+        "print(hashlib.sha256(v.vector.tobytes()).hexdigest())"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = {
+        subprocess.run([sys.executable, "-c", code], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, text=True, check=True).stdout.strip()
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
+
+
 def test_phase_factors_hold_one_entry_per_spec():
     quantum._phase_factors.cache_clear()
-    for spec in (SMALL, MapSpec(0.8, 5e-3, 63)):
+    odd = MapSpec(0.8, 5e-3, 63)
+    for spec in (SMALL, odd):
         psi = build_state(spec, PositionEigenstate(0.0))
         exact_fidelity_curve(spec, psi, 3)
         step_quantum(step_quantum(psi), perturbed=True)
     assert quantum._phase_factors.cache_info().currsize == 2
-    # even N: (kick * C^2 rows, conj(C), no drift); odd N: (kicks, no entry, drift)
-    for spec, present in ((SMALL, (0, 1)), (MapSpec(0.8, 5e-3, 63), (0, 2))):
-        factors = quantum._phase_factors(spec)
-        held = [factors[i] for i in present]
-        assert [f is None for f in factors] == [i not in present for i in range(3)]
-        assert [f.shape for f in held] == [(2, spec.dim_n), (spec.dim_n,)]
-        assert not any(f.flags.writeable for f in held)
+    rows, entry, drift = quantum._phase_factors(SMALL)  # kick * C^2 rows, conj(C)
+    assert rows.shape == (2, 64) and entry.shape == (64,) and drift is None
+    assert not rows.flags.writeable and not entry.flags.writeable
+    kicks, entry, drift = quantum._phase_factors(odd)
+    assert kicks.shape == (2, 63) and entry is None and drift.shape == (63,)
+    assert not kicks.flags.writeable and not drift.flags.writeable
 
 
 @pytest.mark.parametrize("dim_n, q0", [(128, 0.25), (255, 0.2)])
@@ -379,14 +401,16 @@ def test_non_finite_states_are_refused_not_propagated(route):
     dim_n=st.integers(2, 128),
     steps=st.integers(0, 20),
     where=st.floats(0.0, 1.0, exclude_max=True),
-    gaussian=st.booleans(),
+    p0=st.floats(0.0, 1.0, exclude_max=True),
+    sigma=st.one_of(st.none(), st.floats(0.03, 0.15)),
 )
-def test_exact_route_agrees_with_the_dense_oracle(k, epsilon, dim_n, steps, where, gaussian):
+def test_exact_route_agrees_with_the_dense_oracle(k, epsilon, dim_n, steps, where, p0, sigma):
+    # both parities of N; a Gaussian (sigma drawn) or a grid-aligned position state
     spec = MapSpec(k, epsilon, dim_n)
-    if gaussian:
-        state = GaussianWavepacket(where, 0.5 - where, 0.1)
-    else:
+    if sigma is None:
         state = PositionEigenstate(int(where * dim_n) / dim_n)
+    else:
+        state = GaussianWavepacket(where, p0, sigma)
     exact = exact_fidelity_curve(spec, state, steps).amplitude
     dense = dense_oracle(spec, state, steps).amplitude
     assert np.abs(exact - dense).max() < 1e-9
