@@ -106,9 +106,10 @@ def _phase_factors(spec: MapSpec):
     Even N: rows are E = kick * C^2, entry is conj(C), which turns psi into
     phi once, and drift is None, so a step is phi <- F(E phi). Odd N: rows
     are the kicks, entry is None and drift the momentum phase of the split
-    step. Either way a spec's cache entry holds 3N complex values. Every quadratic
-    phase is reduced in integers first (j^2 mod 2N for exp(i pi j^2 / N),
-    mod N for exp(2 i pi j^2 / N)), so its argument stays below 2 pi.
+    step. Either way a spec's cache entry holds 3N complex values. Every
+    quadratic phase is reduced in integers first (j^2 mod 2N for
+    exp(i pi j^2 / N), mod N for exp(2 i pi j^2 / N)), so its argument stays
+    below 2 pi.
     """
     n = spec.dim_n
     j = np.arange(n)
