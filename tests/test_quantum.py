@@ -329,23 +329,18 @@ def test_one_fft_curve_stays_close_to_the_split_pair():
         assert np.abs(curve - split).max() < 1e-12  # measured ~1e-13
 
 
-def _dense_step(spec, strength):
-    """The one-step unitary F^-1 diag(drift) F diag(kick) as an explicit matrix."""
-    n = spec.dim_n
-    j = np.arange(n)
-    fmat = np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
-    kick = np.exp(1j * (strength * n / (2.0 * np.pi)) * np.cos(2.0 * np.pi * j / n))
-    drift = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
-    return fmat.conj().T @ (drift[:, None] * (fmat * kick[None, :]))
-
-
 @pytest.mark.parametrize("dim_n", [64, 65])
 def test_step_quantum_is_the_dense_one_step_unitary(dim_n):
     spec = MapSpec(10.0, 2e-3, dim_n)
     psi = _random_state(spec)
-    for perturbed, strength in ((False, spec.k), (True, spec.k + spec.epsilon)):
+    kick_pert, kick_plain, drift = _phases(spec)
+    j = np.arange(dim_n)
+    fmat = np.exp(-2j * np.pi * (np.outer(j, j) % dim_n) / dim_n) / np.sqrt(dim_n)
+    for perturbed, kick in ((False, kick_plain), (True, kick_pert)):
+        # F^-1 diag(drift) F diag(kick) as an explicit matrix
+        unitary = fmat.conj().T @ (drift[:, None] * (fmat * kick[None, :]))
         stepped = step_quantum(psi, perturbed=perturbed).vector
-        assert np.abs(stepped - _dense_step(spec, strength) @ psi.vector).max() < 1e-12
+        assert np.abs(stepped - unitary @ psi.vector).max() < 1e-12
 
 
 @pytest.mark.parametrize(
