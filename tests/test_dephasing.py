@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusecho import (
     CHUNK,
@@ -16,8 +18,8 @@ from torusecho import (
     samples_position_state,
     step_ensemble,
 )
-from torusecho import dephasing
-from torusecho.dephasing import BLOCK, _chunk_sums, _worker_count
+from torusecho import dephasing, samples_gaussian
+from torusecho.dephasing import BLOCK, _chunk_sums, _half_angle, _worker_count
 
 MIXED = MapSpec(0.8, 5e-3, 64)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -98,19 +100,34 @@ def _wrap_ref(x):
     return np.where(y >= 1.0, y - 1.0, y)
 
 
+def _cos_sin_ref(x):
+    """cos x and sin x by the half-angle identity, t = tan(x/2)."""
+    t = np.tan(x / 2)
+    w = 2.0 / (1.0 + t * t)
+    return w - 1.0, t * w
+
+
+def _map_step_ref(c, q, p):
+    """One unperturbed map step, kicked with np.sin and wrapped."""
+    q = _wrap_ref(q)
+    p = _wrap_ref(_wrap_ref(p) - c * np.sin(2 * np.pi * q))
+    return _wrap_ref(q + p), p
+
+
 def _reference_chunk_sums(spec, q, p, steps, phase_factor):
-    """The phase record with the map step written out apart from the program."""
+    """The phase record with the map step written out apart from the program.
+
+    The map kicks with np.sin; the action cos and the record's cos and sin
+    follow the half-angle identity.
+    """
     c = spec.kick_coefficient(False)
     cos_sum = np.zeros_like(q)
     out = np.empty((4, steps + 1))
     for t in range(steps + 1):
         if t > 0:
-            cos_sum = cos_sum + np.cos(2 * np.pi * q)
-            q = _wrap_ref(q)
-            p = _wrap_ref(_wrap_ref(p) - c * np.sin(2 * np.pi * q))
-            q = _wrap_ref(q + p)
-        phase = phase_factor * cos_sum
-        re, im = np.cos(phase), np.sin(phase)
+            cos_sum = cos_sum + _cos_sin_ref(2 * np.pi * q)[0]
+            q, p = _map_step_ref(c, q, p)
+        re, im = _cos_sin_ref(phase_factor * cos_sum)
         out[:, t] = re.sum(), im.sum(), (re * re).sum(), (im * im).sum()
     return out[0] + 1j * out[1], out[2], out[3]
 
@@ -131,6 +148,63 @@ def test_chunk_sums_match_checked_loop_bitwise():
             # grid sets skip the stderr square sums, leaving them zero
             s, r2, i2 = _chunk_sums(spec, q, p, steps, factor, squares=False)
             assert np.array_equal(s, want[0]) and not r2.any() and not i2.any()
+
+
+def _half_angle_of(x):
+    """`_half_angle` on a copy of the angles x: (cos x, sin x)."""
+    half = np.array(x, dtype=np.float64) / 2
+    cos = np.empty_like(half)
+    _half_angle(half, cos)
+    return cos, half
+
+
+def test_half_angle_cos_sin_track_libm():
+    rng = np.random.default_rng(12)
+    special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+    phases = np.concatenate([
+        special,
+        rng.uniform(-10, 10, 2000),
+        rng.uniform(-1e8, 1e8, 2000),
+        np.geomspace(1e-12, 1e8, 200),
+        -np.geomspace(1e-12, 1e8, 200),
+    ])
+    # the action's angles 2 pi q, at q = 0, 0.5 and the last float below 1
+    angles = 2 * np.pi * np.array([0.0, 0.5, np.nextafter(1.0, 0.0), *rng.random(2000)])
+    for x in (phases, angles):
+        cos, sin = _half_angle_of(x)
+        assert np.abs(cos - np.cos(x)).max() <= 4e-16
+        assert np.abs(sin - np.sin(x)).max() <= 4e-16
+        assert np.abs(cos * cos + sin * sin - 1.0).max() <= 1e-15
+        # -x gives the exact conjugate: cos the same, sin negated, bitwise
+        cos_neg, sin_neg = _half_angle_of(-x)
+        assert np.array_equal(cos_neg, cos) and np.array_equal(sin_neg, -sin)
+    cos, sin = _half_angle_of([0.0, -0.0])
+    assert np.all(cos == 1.0) and np.all(sin == 0.0)
+
+
+def test_dr_orbits_are_the_written_out_sin_map(monkeypatch):
+    # the record takes its cos from tan; the map must keep np.sin bit for bit
+    seen = []
+    first, kernel = dephasing.step_ensemble, dephasing._step_in_place
+
+    def checked(spec, q, p, perturbed=False):
+        q, p = first(spec, q, p, perturbed)
+        seen.append((q.copy(), p.copy()))
+        return q, p
+
+    def unchecked(c, q, p, arg, tmp):
+        kernel(c, q, p, arg, tmp)
+        seen.append((q.copy(), p.copy()))
+
+    monkeypatch.setattr(dephasing, "step_ensemble", checked)
+    monkeypatch.setattr(dephasing, "_step_in_place", unchecked)
+    s = samples_position_state(CHAOTIC, 0.4, count=600, mode="monte_carlo", seed=5)
+    dr_curve(CHAOTIC, s, 30)
+    assert len(seen) == 30
+    q, p = s.q, s.p
+    for got_q, got_p in seen:
+        q, p = _map_step_ref(CHAOTIC.kick_coefficient(False), q, p)
+        assert np.array_equal(got_q.ravel(), q) and np.array_equal(got_p.ravel(), p)
 
 
 def test_stacked_chunk_sums_equal_one_row_calls_bitwise():
@@ -162,7 +236,7 @@ def _per_chunk_curve(spec, samples, steps):
         s_tot += s
         r2_tot += r2
         i2_tot += i2
-    amp = s_tot / n
+    amp = s_tot.real / n + 1j * (s_tot.imag / n)  # each part divided alone
     stderr_re = np.sqrt(np.maximum(r2_tot / n - amp.real**2, 0.0) / n)
     stderr_im = np.sqrt(np.maximum(i2_tot / n - amp.imag**2, 0.0) / n)
     return amp, stderr_re, stderr_im
@@ -312,3 +386,62 @@ def test_fidelity_curve_shape_validation():
         FidelityCurve(amp, np.zeros(4), np.zeros(5), "dr", MIXED, "x", 1)
     with pytest.raises(InvalidInputError):
         FidelityCurve(np.ones((2, 2)), np.zeros(4), np.zeros(4), "dr", MIXED, "x", 1)
+
+
+@st.composite
+def _dr_cases(draw):
+    """(spec, samples, steps): k, epsilon, N, a position or a Gaussian state, grid or MC."""
+    spec = MapSpec(draw(st.floats(0.0, 12.0)), draw(st.floats(-0.05, 0.05)),
+                   draw(st.integers(2, 2048)))
+    # one to seven chunks, drawn as chunks so that multi-job splits are common
+    count = draw(st.integers(0, 6)) * CHUNK + draw(st.integers(1, CHUNK))
+    seed = draw(st.integers(0, 2**32))
+    sigma = draw(st.one_of(st.none(), st.floats(0.03, 0.15)))
+    where = draw(st.floats(0.0, 1.0, exclude_max=True))
+    if sigma is None:
+        q0 = int(where * spec.dim_n) / spec.dim_n
+        if draw(st.booleans()):
+            samples = samples_position_state(spec, q0)
+        else:
+            samples = samples_position_state(spec, q0, count=count, mode="monte_carlo",
+                                             seed=seed)
+    else:
+        samples = samples_gaussian(spec, where, 0.3, sigma, count, seed=seed)
+    return spec, samples, draw(st.integers(0, 20))
+
+
+def _bits(curve):
+    return [a.view(np.uint64) for a in (curve.amplitude, curve.stderr_re, curve.stderr_im)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(case=_dr_cases())
+def test_dr_is_exactly_one_at_zero_epsilon(case):
+    spec, samples, steps = case
+    curve = dr_curve(spec.with_epsilon(0.0), samples, steps)
+    assert np.all(curve.amplitude == 1.0) and np.all(curve.fidelity == 1.0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(case=_dr_cases())
+def test_dr_at_minus_epsilon_is_the_conjugate_bitwise(case):
+    spec, samples, steps = case
+    plus = dr_curve(spec, samples, steps)
+    minus = dr_curve(spec.with_epsilon(-spec.epsilon), samples, steps)
+    assert np.array_equal(minus.amplitude.real, plus.amplitude.real)
+    assert np.array_equal(minus.amplitude.imag, -plus.amplitude.imag)
+    assert np.array_equal(minus.stderr_re, plus.stderr_re)
+    assert np.array_equal(minus.stderr_im, plus.stderr_im)
+
+
+@settings(deadline=None, max_examples=25)
+@given(case=_dr_cases())
+def test_dr_bits_do_not_depend_on_threads(case):
+    spec, samples, steps = case
+    with pytest.MonkeyPatch.context() as mp:
+        # many usable CPUs, so the requested workers start on any machine
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        base = _bits(dr_curve(spec, samples, steps, threads=1))
+        for threads in (2, 3):
+            for got, want in zip(_bits(dr_curve(spec, samples, steps, threads=threads)), base):
+                assert np.array_equal(got, want)

@@ -237,13 +237,16 @@ def _orbit_and_sums_ref(spec, q, p, steps):
     """The unperturbed orbit from (q, p) and its action sums, written out.
 
     sums[t] = sum_{m<t} cos(2 pi q_m), so dS(t) = epsilon sums[t] / 4pi^2.
-    One-element arrays, like the program's chunk of one sample.
+    One-element arrays, like the program's chunk of one sample. The cos is
+    taken as the dr record takes it, from t = tan(pi q) as (1 - t^2)/(1 + t^2)
+    written 2/(1 + t^2) - 1; the map kicks with np.sin.
     """
     c = spec.kick_coefficient(False)
     q, p = _wrap_ref(np.array([q])), _wrap_ref(np.array([p]))
     orbit, sums, s = [(q[0], p[0])], [0.0], np.zeros(1)
     for _ in range(steps):
-        s = s + np.cos(2.0 * np.pi * q)
+        t = np.tan(2.0 * np.pi * q / 2)
+        s = s + (2.0 / (1.0 + t * t) - 1.0)
         q, p = _step_ref(c, q, p)
         orbit.append((q[0], p[0]))
         sums.append(s[0])
@@ -275,8 +278,10 @@ def test_propagate_action_linear_in_epsilon():
     for scale in (1.0, 2.0, 0.0):
         curve = dr_curve(PERTURBED.with_epsilon(scale * PERTURBED.epsilon), _one_sample(0.17, 0.58), 40)
         for t in range(41):
-            phase = np.array([sums[t] * (scale * factor)])
-            assert curve.amplitude[t] == complex(np.cos(phase)[0], np.sin(phase)[0])
+            # cos and sin of the phase by the half-angle identity
+            half = np.tan(np.array([sums[t] * (scale * factor)]) / 2)
+            w = 2.0 / (1.0 + half * half)
+            assert curve.amplitude[t] == complex(w[0] - 1.0, half[0] * w[0])
     assert np.all(curve.amplitude == 1.0)
 
 

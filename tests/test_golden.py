@@ -15,23 +15,23 @@ from torusecho.cli import main
 GOLDEN = {
     "fig1-mixed": (
         ["--preset", "fig1-mixed"],
-        "4070a0bb435becbf9540b737bfd41dbf38a25a9a514179717c431dcbfe560706",
+        "d4f3374383e191a50c0d53dfdd4029331d9c37e7470f0d8168d3f4153344607d",
     ),
     "fig1-chaotic": (
         ["--preset", "fig1-chaotic"],
-        "f3827d4622b0bd4572b40ee45a59fd5767a60be0f12aa72942384b4fc64a6319",
+        "d2d56b20b1703d1d529e1cdd5589c994a90260782375718c43401fedbd920828",
     ),
     # three 4096-sample chunks over two threads
     "monte-carlo": (
         ["--preset", "fig1-chaotic", "--sample-mode", "monte_carlo",
          "--samples", "10000", "--seed", "11", "--threads", "2"],
-        "e9955cbc7d44e4b209bc19deb4218d89c5fd45bc04ec57a447ab9a53aaedf638",
+        "03105816d4532328a8f63acb60ea21e69a8bebcdb3a87e0ead0f7362eab79928",
     ),
     "gaussian-wigner": (
         ["--state", "gaussian", "--sample-mode", "wigner", "--samples", "10000",
          "--seed", "5", "--k", "10", "--epsilon", "2e-3", "--q0", "0.4",
          "--p0", "0.3", "--sigma", "0.05"],
-        "a75ba12224bd90407c131f612f27c7f688e045c725682dd26c58b681170753b6",
+        "9aab0d9c99474376fc9684f334875596b75b882ff582ab0b5ee54fe57ffcb646",
     ),
 }
 
