@@ -109,23 +109,32 @@ def _phase_factors(spec: MapSpec):
     step. Either way a spec's cache entry holds 3N complex values. Every
     quadratic phase is reduced in integers first (j^2 mod 2N for
     exp(i pi j^2 / N), mod N for exp(2 i pi j^2 / N)), so its argument stays
-    below 2 pi.
+    below 2 pi. Each phase is built in place in the buffer it is kept in,
+    so a build allocates little beyond the entry itself.
     """
     n = spec.dim_n
     j = np.arange(n)
     cos_q = np.cos(TWO_PI * j / n)
     # -W(q)/hbar with W(q) = -(c / 4 pi^2) cos(2 pi q) and hbar = 1/(2 pi N)
-    rows = np.stack(
-        [np.exp(1j * (c * n / TWO_PI) * cos_q) for c in (spec.k + spec.epsilon, spec.k)]
-    )
-    square = j * j  # exact in int64 up to the grid cap
-    # conj(C) for even N; for odd N the drift, -p^2/(2 hbar) at p_m = m/N
-    quad = np.exp(-1j * np.pi * (square % (2 * n)) / n)
+    rows = np.empty((2, n), dtype=np.complex128)
+    for row, c in zip(rows, (spec.k + spec.epsilon, spec.k)):
+        np.exp(np.multiply(1j * (c * n / TWO_PI), cos_q, out=row), out=row)
+    del cos_q
+    square = np.multiply(j, j, out=j)  # exact in int64 up to the grid cap
+    quad = np.empty(n, dtype=np.complex128)
+
+    def quadratic_phase(scale, modulus):
+        """exp(scale * (j^2 mod modulus) / N) into quad."""
+        np.multiply(scale, square % modulus, out=quad)
+        return np.exp(np.divide(quad, n, out=quad), out=quad)
+
+    # quad ends as conj(C) for even N; for odd N as the drift,
+    # -p^2/(2 hbar) at p_m = m/N
     if n % 2:
-        entry, drift = None, quad
+        entry, drift = None, quadratic_phase(-1j * np.pi, 2 * n)
     else:
-        rows *= np.exp(2j * np.pi * (square % n) / n)
-        entry, drift = quad, None
+        rows *= quadratic_phase(2j * np.pi, n)  # C^2, in quad's buffer first
+        entry, drift = quadratic_phase(-1j * np.pi, 2 * n), None
     rows.setflags(write=False)
     quad.setflags(write=False)
     return rows, entry, drift

@@ -301,6 +301,21 @@ def test_phase_factors_hold_one_entry_per_spec():
     assert not kicks.flags.writeable and not drift.flags.writeable
 
 
+@pytest.mark.parametrize("dim_n", [2, 3, 64, 63, 1000, 65536])
+def test_phase_factors_are_the_written_out_phases_bitwise(dim_n):
+    # the in-place build keeps the bits of the whole-array expressions
+    spec = MapSpec(10.0, 2e-3, dim_n)
+    kick_pert, kick_plain, quad = _phases(spec)
+    want = np.stack([kick_pert, kick_plain])
+    j = np.arange(dim_n)
+    if dim_n % 2 == 0:
+        want *= np.exp(2j * np.pi * ((j * j) % dim_n) / dim_n)
+    rows, entry, drift = quantum._phase_factors(spec)
+    assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+    kept = drift if dim_n % 2 else entry
+    assert np.array_equal(kept.view(np.uint64), quad.view(np.uint64))
+
+
 def test_zero_perturbation_fidelity_stays_unity():
     for dim_n, q0 in ((128, 0.25), (255, 0.2)):
         spec = MapSpec(10.0, 0.0, dim_n)
