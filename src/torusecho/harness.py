@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -355,6 +356,11 @@ def write_result(result: "RunResult"):
         "duration_s": result.duration_s,
         "package": _package_version(),
         "numpy": np.__version__,
+        # what dr bits rest on: numpy's SIMD dispatch of tan, the C library's sin
+        "numpy_simd": np.show_config(mode="dicts").get("SIMD Extensions"),
+        "libc": list(platform.libc_ver()),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
         "config": _config_dict(result.config),
         "methods_run": [m for m in METHOD_ORDER if m in result.curves],
     }

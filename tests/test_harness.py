@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import platform
 import tempfile
 from pathlib import Path
 
@@ -220,6 +221,12 @@ def test_write_csv_and_sidecar(tmp_path):
     assert meta["config"]["dim_n"] == 64
     assert meta["comparison"]["method_a"] == "dr"
     assert "created_utc" in meta and "duration_s" in meta
+    # the platform that dr bits rest on: numpy's SIMD tan, the C library's sin
+    assert meta["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
+    assert set(meta["numpy_simd"]) >= {"baseline", "found"}
+    assert meta["libc"] == list(platform.libc_ver())
+    assert meta["machine"] == platform.machine()
+    assert meta["python"] == platform.python_version()
     # data file itself carries no timestamp (colons only occur in ISO times)
     assert ":" not in body
 
