@@ -144,7 +144,7 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     s_im = np.empty(shape)
     r2 = np.zeros(shape)
     i2 = np.zeros(shape)
-    half_factor = phase_factor / 2  # exact: a power-of-two scaling
+    half_factor = phase_factor / 2  # exact, a power-of-two scaling, unless subnormal
 
     def record(t):
         np.multiply(cos_sum, half_factor, out=im)

@@ -122,19 +122,13 @@ def _phase_factors(spec: MapSpec):
     del cos_q
     square = np.multiply(j, j, out=j)  # exact in int64 up to the grid cap
     quad = np.empty(n, dtype=np.complex128)
-
-    def quadratic_phase(scale, modulus):
-        """exp(scale * (j^2 mod modulus) / N) into quad."""
-        np.multiply(scale, square % modulus, out=quad)
-        return np.exp(np.divide(quad, n, out=quad), out=quad)
-
-    # quad ends as conj(C) for even N; for odd N as the drift,
-    # -p^2/(2 hbar) at p_m = m/N
-    if n % 2:
-        entry, drift = None, quadratic_phase(-1j * np.pi, 2 * n)
-    else:
-        rows *= quadratic_phase(2j * np.pi, n)  # C^2, in quad's buffer first
-        entry, drift = quadratic_phase(-1j * np.pi, 2 * n), None
+    if n % 2 == 0:  # E = kick * C^2, with C^2 built in quad's buffer first
+        np.multiply(2j * np.pi, square % n, out=quad)
+        rows *= np.exp(np.divide(quad, n, out=quad), out=quad)
+    # conj(C) for even N; for odd N the drift, -p^2/(2 hbar) at p_m = m/N
+    np.multiply(-1j * np.pi, square % (2 * n), out=quad)
+    np.exp(np.divide(quad, n, out=quad), out=quad)
+    entry, drift = (None, quad) if n % 2 else (quad, None)
     rows.setflags(write=False)
     quad.setflags(write=False)
     return rows, entry, drift
