@@ -39,8 +39,14 @@ _ORACLE_COMBOS = tuple(
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line as invalid input, which `main` reports."""
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusecho",
         description="Fidelity decay of perturbed kicked torus maps: "
         "semiclassical dephasing vs exact quantum propagation.",
@@ -51,14 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     src = run.add_mutually_exclusive_group()
     src.add_argument("--preset", choices=sorted(PRESETS), help="start from a preset")
     src.add_argument("--config", help="start from a key = value config file")
-    for key in _FIELD_PARSERS:
-        flag = "--" + key.replace("_", "-")
-        run.add_argument(flag, dest=f"cfg_{key}", default=None, metavar="V",
-                         help=f"override {key}")
+    for key, parse in _FIELD_PARSERS.items():
+        run.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                         default=argparse.SUPPRESS, metavar="V", help=f"override {key}")
     run.set_defaults(func=_cmd_run)
 
     presets = sub.add_parser("presets", help="list presets or emit one as a config")
-    presets.add_argument("--emit", metavar="NAME", help="print NAME as a config file body")
+    presets.add_argument("--emit", choices=sorted(PRESETS), metavar="NAME",
+                         help="print NAME as a config file body")
     presets.set_defaults(func=_cmd_presets)
 
     val = sub.add_parser("validate", help="validate a config file")
@@ -94,19 +100,8 @@ def _assemble_config(args) -> ExperimentConfig:
         base = load_config(args.config)
     else:
         base = ExperimentConfig()
-    changes = {}
-    problems = []
-    for key in _FIELD_PARSERS:
-        raw = getattr(args, f"cfg_{key}")
-        if raw is None:
-            continue
-        try:
-            changes[key] = _FIELD_PARSERS[key](raw)
-        except ValueError:
-            problems.append(f"flag --{key.replace('_', '-')}: cannot parse {raw!r}")
-    if problems:
-        raise ConfigValidationError(problems)
-    return base.replace(**changes) if changes else base
+    given = {key: getattr(args, key) for key in _FIELD_PARSERS if hasattr(args, key)}
+    return base.replace(**given)
 
 
 def _cmd_run(args) -> int:
@@ -146,10 +141,6 @@ def emit_config(config: ExperimentConfig, header: str | None = None) -> str:
 
 def _cmd_presets(args) -> int:
     if args.emit:
-        if args.emit not in PRESETS:
-            raise InvalidInputError(
-                f"unknown preset {args.emit!r} (choose from {', '.join(sorted(PRESETS))})"
-            )
         sys.stdout.write(emit_config(PRESETS[args.emit], header=f"preset {args.emit}"))
         return 0
     for name in sorted(PRESETS):
@@ -219,9 +210,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigValidationError as exc:
         for violation in exc.violations:

@@ -114,8 +114,11 @@ class RunResult:
 
 
 def _optional(parse):
-    """A field parser that also takes `none`."""
-    return lambda raw: None if raw.lower() == "none" else parse(raw)
+    """A field parser that also takes `none`, named as `parse` for argparse's messages."""
+    def optional(raw):
+        return None if raw.lower() == "none" else parse(raw)
+    optional.__name__ = parse.__name__
+    return optional
 
 
 def _method_list(raw):
@@ -236,18 +239,20 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
     if config.samples is not None:
         add(sample_count_problem(config.samples))
 
-    if config.state in _STATES:
+    # the sampling rules concern only the dr route's sample set
+    samples_used = "dr" in config.methods
+    if config.state in _STATES and samples_used:
         add(mode_problem(config.state, config.sample_mode))
     if config.state == "position":
         if dim_ok and q0_ok:  # the range rule above reports any other q0
             add(alignment_problem(config.q0, config.dim_n))
-        if config.sample_mode == "grid":
+        if config.sample_mode == "grid" and samples_used:
             add(grid_count_problem(config.dim_n, config.samples))
-        if config.sample_mode == "monte_carlo" and config.samples is None and "dr" in config.methods:
+        if config.sample_mode == "monte_carlo" and config.samples is None and samples_used:
             invalid("monte_carlo sampling requires samples")
     elif config.state == "gaussian":
         add(sigma_problem(config.sigma))
-        if config.samples is None and "dr" in config.methods:
+        if config.samples is None and samples_used:
             invalid("gaussian states require samples for the dr method")
     return v
 

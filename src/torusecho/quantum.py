@@ -178,14 +178,23 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
         reach = 2.0 * state.sigma * np.sqrt(-np.log(_IMAGE_TRUNCATION))
         n_images = int(np.ceil(reach)) + 1
         vec = np.zeros(n, dtype=np.complex128)
-        for img in range(-n_images, n_images + 1):
-            d = q + img - state.q0
-            vec += np.exp(-(d * d) / (4.0 * state.sigma**2)) * np.exp(
-                1j * state.p0 * d / spec.hbar
+        # a packet far narrower than the grid spacing underflows to 0 at every
+        # point, or to 0/0 at its centre once sigma^2 does: refused below
+        with np.errstate(all="ignore"):
+            for img in range(-n_images, n_images + 1):
+                d = q + img - state.q0
+                vec += np.exp(-(d * d) / (4.0 * state.sigma**2)) * np.exp(
+                    1j * state.p0 * d / spec.hbar
+                )
+            # a numpy pairwise sum: np.linalg.norm is a BLAS dot, whose bits
+            # depend on the library's threads from about 10^4 points up
+            norm = np.sqrt((vec.real**2 + vec.imag**2).sum())
+        if not 0.0 < norm < np.inf:
+            raise InvalidInputError(
+                f"gaussian state has norm {norm} on the grid: sigma={state.sigma!r} is too "
+                f"narrow for q0={state.q0!r} on dim_n={n} points"
             )
-        # a numpy pairwise sum: np.linalg.norm is a BLAS dot, whose bits
-        # depend on the library's threads from about 10^4 points up
-        vec /= np.sqrt((vec.real**2 + vec.imag**2).sum())
+        vec /= norm
         return QuantumState(vec, spec)
     raise InvalidInputError(f"unknown initial state type {type(state).__name__}")
 

@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,71 @@ def test_cli_oracle_check_bad_tol_exits_2(monkeypatch, capsys):
         assert "tol must be positive and finite" in capsys.readouterr().err
 
 
+_MALFORMED_ARGV = [
+    ["run", "--dim-n", "furby"],
+    ["run", "--samples", "y"],
+    ["run", "--bogus", "1"],
+    ["run", "--preset", "fig1-mixed", "--config", "x"],
+    ["shadow", "--k", "x"],
+    ["oracle-check", "--steps", "x"],
+    ["presets", "--emit", "nope"],
+    ["bogus"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", _MALFORMED_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
+def test_cli_refuses_a_malformed_command_line_in_one_line(argv, capsys):
+    """Every malformed argv is refused by main: exit 2, one `error: ` line, no usage dump."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_cli_help_still_exits_0(capsys):
+    for argv in (["-h"], ["run", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+def test_cli_run_refuses_flags_at_the_first_unparsable_value(capsys):
+    assert main(["run", "--dim-n", "furby", "--samples", "y"]) == 2
+    assert capsys.readouterr().err == "error: argument --dim-n: invalid int value: 'furby'\n"
+
+
+@pytest.mark.parametrize("method", ["exact", "dense"])
+@pytest.mark.parametrize("sigma, q0, norm", [("1e-6", "0.4005", "0.0"), ("1e-300", "0.25", "nan")])
+def test_cli_gaussian_narrower_than_the_grid_exits_2(method, sigma, q0, norm, capsys):
+    """A packet with no weight on the grid, or whose sigma^2 underflows, is refused by name."""
+    argv = ["run", "--state", "gaussian", "--sample-mode", "wigner", "--samples", "5",
+            "--sigma", sigma, "--q0", q0, "--dim-n", "64", "--methods", method]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert not caught and "Warning" not in err
+    assert err == (f"error: gaussian state has norm {norm} on the grid: sigma={float(sigma)!r} "
+                   f"is too narrow for q0={float(q0)!r} on dim_n=64 points\n")
+
+
+def test_sampling_rules_apply_only_when_dr_runs(capsys):
+    # without dr there is no sample set for the mode and grid-count rules to judge
+    assert main(["run", "--state", "gaussian", "--methods", "exact,dense", "--dim-n", "64",
+                 "--q0", "0.25"]) == 0
+    assert main(["run", "--methods", "exact", "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert main(["run", "--state", "gaussian", "--dim-n", "64", "--q0", "0.25", "--samples", "5"]) == 2
+    assert "sample_mode for gaussian states" in capsys.readouterr().err
+    assert main(["run", "--samples", "5", "--steps", "2"]) == 2
+    assert "grid sampling yields exactly dim_n=1000 samples" in capsys.readouterr().err
+    # the sample count's own rule holds whatever runs
+    assert main(["run", "--methods", "exact", "--samples", "0"]) == 2
+    assert "samples" in capsys.readouterr().err
+
+
 def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):
     # q0 * N is beyond the float range, and 0.4 lies on that grid: capacity only
     huge = ExperimentConfig(dim_n=10**400, q0=0.4)
@@ -546,19 +612,12 @@ def _argv(command, flags, required=()):
     return chosen.map(lambda d: [command, *(f"{f}={v}" for f, v in d.items())])
 
 
-def _exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse refusing a flag value
-        return exc.code
-
-
 @settings(deadline=None, max_examples=150)
 @given(argv=_argv("shadow", _SHADOW_FLAGS, required=("--count", "--steps")))
 @example(argv=["shadow", "--count=1", "--steps=3", "--dim-n=" + "1" + "0" * 400])
 @example(argv=["shadow", "--count=1", "--steps=3", "--k=1e300"])
 def test_cli_shadow_any_flags_exit_with_a_documented_code(argv):
-    assert _exit_code(argv) in (0, 2, 3)
+    assert main(argv) in (0, 2, 3)
 
 
 @settings(deadline=None, max_examples=100)
@@ -566,8 +625,39 @@ def test_cli_shadow_any_flags_exit_with_a_documented_code(argv):
 @example(argv=["oracle-check", "--steps=2", "--tol=nan"])
 @example(argv=["oracle-check", "--steps=2", "--tol=5e-324"])
 def test_cli_oracle_check_any_flags_exit_with_a_documented_code(argv):
-    code = _exit_code(argv)
+    code = main(argv)
     assert code in (0, 1, 2, 3)
     if code == 1:  # a self-test failure only under a tolerance that can pass
         tol = float(next((a for a in argv if a.startswith("--tol=")), "--tol=1e-9")[6:])
         assert math.isfinite(tol) and tol > 0.0
+
+
+_RUN_FLAGS = {
+    "--k": _flag(st.floats(-20.0, 20.0)),
+    "--epsilon": _flag(st.floats(-0.05, 0.05)),
+    "--dim-n": _flag(st.integers(2, 4096)),
+    "--state": _flag(st.sampled_from(["position", "gaussian"])),
+    "--q0": _flag(st.sampled_from([0.0, 0.25, 0.4, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)),
+    "--p0": _flag(st.floats(0.0, 1.0, exclude_max=True)),
+    "--sigma": _flag(st.floats(1e-3, 0.3)),
+    "--steps": _flag(st.integers(0, 5)),
+    "--samples": _flag(st.integers(1, 50) | st.just("none")),
+    "--sample-mode": _flag(st.sampled_from(["grid", "monte_carlo", "wigner", "position_only"])),
+    "--seed": _flag(st.integers(0, 2**128 - 1)),
+    "--methods": _flag(st.lists(st.sampled_from(["dr", "exact", "dense"]), min_size=1,
+                                max_size=3, unique=True).map(",".join)),
+    "--format": _flag(st.sampled_from(["csv", "json"])),
+    "--threads": _flag(st.integers(1, 2)),
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=_argv("run", _RUN_FLAGS, required=("--steps",)))
+@example(argv=["run", "--steps=2", "--dim-n=furby", "--samples=y"])
+@example(argv=["run", "--steps=2", "--state=gaussian", "--sample-mode=wigner", "--samples=5",
+               "--sigma=5e-324", "--q0=0.4005", "--methods=exact"])
+def test_cli_run_any_flags_exit_with_a_documented_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()

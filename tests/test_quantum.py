@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,19 @@ def test_gaussian_state_momentum_center():
     mom = np.fft.fft(psi.vector, norm="ortho")
     m_peak = int(np.argmax(np.abs(mom)))
     assert abs(m_peak / 1000 - p0) < 0.01
+
+
+def test_gaussian_narrower_than_the_grid():
+    """An on-grid packet below the grid spacing is one-hot; one with no weight is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = build_state(SMALL, GaussianWavepacket(0.25, 0.0, 1e-160))
+        assert psi.vector[16] == 1.0 and np.count_nonzero(psi.vector) == 1
+        # all weight underflows off the grid points, or sigma^2 itself underflows
+        for q0, sigma, norm in ((0.4005, 1e-6, "0.0"), (0.25, 1e-300, "nan")):
+            want = f"norm {norm} on the grid: sigma={sigma!r} is too narrow for q0={q0!r} on dim_n=64"
+            with pytest.raises(InvalidInputError, match=re.escape(want)):
+                build_state(SMALL, GaussianWavepacket(q0, 0.0, sigma))
 
 
 def test_unitarity_over_long_evolution():
