@@ -271,3 +271,36 @@ def test_c9_gaussian_states():
     assert worst_dense < 1e-9
     assert mads_ok, measured
     assert elapsed < 60.0
+
+
+def test_c10_semiclassical_limit():
+    """At fixed epsilon*N, dr approaches exact as hbar = 1/(2 pi N) falls."""
+    t0 = time.perf_counter()
+    grids = (250, 1000, 4000, 16000)
+    # (k, epsilon*N): required fall of the MAD from N = 250 to 16000, about
+    # 2.5 times below the measured 7.5 and 21 (the fall is not monotone at k = 10)
+    gates = {(10.0, 2.0): 3.0, (0.8, 5.0): 8.0}
+    mads = {}
+    for k, eps_n in gates:
+        for n in grids:
+            spec = MapSpec(k, eps_n / n, n)
+            dr = dr_curve(spec, samples_position_state(spec, 0.4), 50)
+            ex = exact_fidelity_curve(spec, PositionEigenstate(0.4), 50)
+            mads[k, eps_n, n] = float(np.mean(np.abs(dr.fidelity - ex.fidelity)))
+    falls = {key: mads[(*key, grids[0])] / mads[(*key, grids[-1])] for key in gates}
+    elapsed = time.perf_counter() - t0
+    falls_ok = all(falls[key] > gate for key, gate in gates.items())
+    ok = falls_ok and elapsed < 10.0
+    assert _line(
+        "criterion 10 (semiclassical limit)",
+        ok,
+        "; ".join(
+            f"k={k:g} eps*N={eps_n:g}: mad "
+            + " / ".join(f"{mads[k, eps_n, n]:.4f}" for n in grids)
+            + f" at N = {' / '.join(map(str, grids))}, fall {falls[k, eps_n]:.1f}x (> {gate:g}x)"
+            for (k, eps_n), gate in gates.items()
+        )
+        + f", {elapsed:.2f}s (budget 10s)",
+    )
+    assert falls_ok, falls
+    assert elapsed < 10.0
