@@ -2,11 +2,14 @@
 
 A change to the map step, the phase record or the serialization that moves
 any bit of these files fails here. Changing a pinned digest on purpose must
-come with the reason in CHANGES.md.
+come with the reason in CHANGES.md, and with the file of that digest in
+`tests/golden/`, against which a mismatch names the first row and column
+that moved and the largest move.
 """
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,26 @@ GOLDEN = {
         "9aab0d9c99474376fc9684f334875596b75b882ff582ab0b5ee54fe57ffcb646",
     ),
 }
+PINNED = Path(__file__).parent / "golden"
+
+
+def _first_move(got: bytes, pinned: bytes) -> str:
+    """The first line and column where a data file leaves its pinned copy, and the max |delta|."""
+    rows = [line.split(",") for line in got.decode().splitlines()]
+    want = [line.split(",") for line in pinned.decode().splitlines()]
+    if len(rows) != len(want) or rows[0] != want[0]:
+        return f"{len(rows)} lines with header {rows[0]}, pinned {len(want)} with {want[0]}"
+    first, worst = None, 0.0
+    for lineno, (row, ref) in enumerate(zip(rows, want), start=1):
+        for column, a, b in zip(want[0], row, ref):
+            if a == b:
+                continue
+            first = first or f"line {lineno} (step {ref[0]}, {ref[2]}), {column}: {a}, pinned {b}"
+            try:
+                worst = max(worst, abs(float(a) - float(b)))
+            except ValueError:  # a method name moved
+                pass
+    return f"first move at {first}; max |delta| = {worst:.3g}"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -44,4 +67,7 @@ def test_data_file_digest_is_pinned(name, tmp_path, capsys, monkeypatch):
     out = tmp_path / f"{name}.csv"
     assert main(["run", *args, "--out", str(out)]) == 0
     capsys.readouterr()
+    pinned = (PINNED / f"{name}.csv").read_bytes()
+    assert hashlib.sha256(pinned).hexdigest() == digest, f"golden/{name}.csv is not the pinned file"
+    assert out.read_bytes() == pinned, _first_move(out.read_bytes(), pinned)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
