@@ -30,7 +30,10 @@ threads.
 
 `dense_oracle` rebuilds the same unitary as an explicit matrix with its
 own DFT construction and no shared phase helpers, so split-operator and
-dense results are independent routes to the same curve.
+dense results are independent routes to the same curve. Its drift
+F^-1 diag(drift) F is a circulant matrix, G[a, b] = g[(a - b) mod N], so
+one column g (an explicit DFT matvec over the N roots of unity) gives all
+of G in O(N^2), shared by both branches; a step is psi <- G (kick psi).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .initial_states import (
 _NORM_GUARD = 1e-9
 # capacity ceiling on the grid of a state or an exact curve
 _MAX_DIM = 65536
-# dense propagation costs N^2 per step and N^2 memory per unitary
+# dense propagation costs N^2 per step and one N^2 drift matrix, built in O(N^2)
 _DENSE_MAX_DIM = 256
 # from this grid size up, the two rows are stepped one call each (on two
 # threads where two CPUs are usable) instead of as one (2, N) call. Median ms
@@ -290,6 +293,26 @@ def exact_fidelity_curve(
     return _grid_curve(amp, "exact", spec, label)
 
 
+def _dense_drift(n: int) -> np.ndarray:
+    """The dense oracle's position-space drift F^-1 diag(drift) F, an (N, N) circulant.
+
+    G[a, b] = g[(a - b) mod N] with g = F^-1(drift) / sqrt(N), that is
+    g[c] = (1/N) sum_m drift[m] exp(2 pi i m c / N): one explicit DFT
+    matvec over the N roots of unity, indexed by the integer products
+    (m c) mod N, so every root's argument stays below 2 pi. O(N^2) work and
+    memory, no FFT and no N^3 product.
+    """
+    two_pi = 2.0 * np.pi
+    hbar = 1.0 / (two_pi * n)
+    j = np.arange(n, dtype=np.float64)
+    kin = 0.5 * (j / n) ** 2
+    drift = np.exp(-1j * kin / hbar)
+    idx = np.arange(n)
+    roots = np.exp(1j * two_pi * j / n)
+    g = roots[np.outer(idx, idx) % n] @ drift / n
+    return g[np.subtract.outer(idx, idx) % n]
+
+
 def dense_oracle(
     spec: MapSpec,
     state: InitialState | QuantumState,
@@ -297,10 +320,12 @@ def dense_oracle(
 ) -> FidelityCurve:
     """Fidelity curve by dense matrix propagation (independent oracle).
 
-    Builds the one-step unitary as an explicit matrix from its own DFT
-    construction: U = F_inv @ diag(drift) @ F @ diag(kick). Shares no
-    phase or FFT code with the split route. Refuses grids above
-    256 points (dense cost grows as N^2 per step).
+    The one-step unitary is U = G diag(kick), with G the circulant
+    position-space drift of `_dense_drift`, built once from its own DFT
+    construction and shared by both branches; each step is
+    psi <- G @ (kick * psi). Shares no phase or FFT code with the split
+    route. Refuses grids above 256 points (dense cost grows as N^2 per
+    step).
     """
     raise_problem(dense_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
@@ -310,25 +335,20 @@ def dense_oracle(
     two_pi = 2.0 * np.pi
     hbar = 1.0 / (two_pi * n)
     j = np.arange(n, dtype=np.float64)
-    # unitary DFT matrix, F[m, j] = exp(-2 pi i m j / N) / sqrt(N)
-    fmat = np.exp(-1j * two_pi * np.outer(j, j) / n) / np.sqrt(n)
-    finv = fmat.conj().T
+    gmat = _dense_drift(n)
 
-    def one_step(strength):
+    def kick(strength):
         pot = -(strength / (two_pi * two_pi)) * np.cos(two_pi * j / n)
-        kick = np.exp(-1j * pot / hbar)
-        kin = 0.5 * (j / n) ** 2
-        drift = np.exp(-1j * kin / hbar)
-        return finv @ (drift[:, None] * (fmat * kick[None, :]))
+        return np.exp(-1j * pot / hbar)
 
-    u_plain = one_step(spec.k)
-    u_pert = one_step(spec.k + spec.epsilon)
+    kick_plain = kick(spec.k)
+    kick_pert = kick(spec.k + spec.epsilon)
 
     plain = pert = psi0
     amp = np.empty(steps + 1, dtype=np.complex128)
     amp[0] = np.vdot(pert, plain)
     for t in range(1, steps + 1):
-        plain = u_plain @ plain
-        pert = u_pert @ pert
+        plain = gmat @ (kick_plain * plain)
+        pert = gmat @ (kick_pert * pert)
         amp[t] = np.vdot(pert, plain)
     return _grid_curve(amp, "dense", spec, label)
