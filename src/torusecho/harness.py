@@ -16,7 +16,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -111,6 +111,8 @@ class RunResult:
     out_path: Path | None = None
     meta_path: Path | None = None
     duration_s: float = 0.0
+    # wall seconds of each stage that ran: sampling, dr, exact, dense, compare
+    timings: dict = field(default_factory=dict)
 
 
 def _optional(parse):
@@ -359,6 +361,7 @@ def write_result(result: "RunResult"):
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "duration_s": result.duration_s,
+        "timings_s": result.timings,
         "package": _package_version(),
         "numpy": np.__version__,
         # what dr bits rest on: numpy's SIMD dispatch of tan, the C library's sin
@@ -405,27 +408,34 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     spec = MapSpec(config.k, config.epsilon, config.dim_n)
     t0 = time.perf_counter()
     curves = {}
+    timings = {}
     for method in METHOD_ORDER:
         if method not in config.methods:
             continue
+        start = time.perf_counter()
         if method == "dr":
-            curves["dr"] = dr_curve(
-                spec, _samples(config, spec), config.steps, threads=config.threads
-            )
+            samples = _samples(config, spec)
+            timings["sampling"] = time.perf_counter() - start
+            start = time.perf_counter()
+            curves["dr"] = dr_curve(spec, samples, config.steps, threads=config.threads)
         elif method == "exact":
             curves["exact"] = exact_fidelity_curve(spec, _descriptor(config), config.steps)
         else:
             curves["dense"] = dense_oracle(spec, _descriptor(config), config.steps)
+        timings[method] = time.perf_counter() - start
 
     comparison = None
+    start = time.perf_counter()
     for a, b in COMPARISON_PRIORITY:
         if a in curves and b in curves:
             comparison = compare(curves[a], curves[b])
+            timings["compare"] = time.perf_counter() - start
             break
 
     duration = time.perf_counter() - t0
     result = RunResult(
         config=config, curves=curves, comparison=comparison, duration_s=duration,
+        timings=timings,
     )
     if config.out is not None:
         out_path, meta_path = write_result(result)
