@@ -241,7 +241,6 @@ def test_sidecar_times_each_stage_that_ran(tmp_path):
     assert list(timings) == ["sampling", "dr", "exact", "dense", "compare"]
     assert timings == result.timings
     assert all(0.0 <= seconds <= meta["duration_s"] for seconds in timings.values())
-    assert "timings" not in out.read_text()
     exact_only = run_experiment(cfg.replace(methods=("exact",), out=None))
     assert list(exact_only.timings) == ["exact"]
 
