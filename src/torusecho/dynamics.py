@@ -104,6 +104,23 @@ def phase_scale_problem(k: float, epsilon: float, dim_n: int, steps: int = 1):
     )
 
 
+def perturbation_problem(k, epsilon):
+    """Why a nonzero epsilon vanishes from k + epsilon in float64, or None.
+
+    The exact, dense and shadowing routes kick the perturbed branch at
+    k + epsilon; where that rounds to k (|k| beyond about 2^53 |epsilon|)
+    they would report no perturbation at all. dr reads epsilon only as a
+    phase factor, so a dr run at such k needs no such rule.
+    """
+    k, epsilon = float(k), float(epsilon)
+    if epsilon == 0.0 or k + epsilon != k:
+        return None
+    return InvalidInputError, (
+        f"epsilon={epsilon!r} is below the rounding of k={k!r}: k + epsilon == k in float64, "
+        "so the perturbed map would be the unperturbed one"
+    )
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """Physical/numerical configuration: kick strength, perturbation, grid size.

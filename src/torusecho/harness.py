@@ -27,6 +27,7 @@ from .dynamics import (
     MapSpec,
     count_problem,
     map_problems,
+    perturbation_problem,
     phase_scale_problem,
     steps_problem,
 )
@@ -111,7 +112,7 @@ class RunResult:
     out_path: Path | None = None
     meta_path: Path | None = None
     duration_s: float = 0.0
-    # wall seconds of each stage that ran: sampling, dr, exact, dense, compare
+    # wall seconds of each stage that ran: sampling, dr, exact, dense, compare, write
     timings: dict = field(default_factory=dict)
 
 
@@ -237,6 +238,9 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
             invalid(f"methods contains duplicates: {config.methods!r}")
         if "dense" in config.methods and dim_ok:
             add(dense_problem(config.dim_n))
+        # the exact and dense routes kick at k + epsilon; dr reads epsilon as a phase factor
+        if not map_bad and ("exact" in config.methods or "dense" in config.methods):
+            add(perturbation_problem(config.k, config.epsilon))
 
     if config.samples is not None:
         add(sample_count_problem(config.samples))
@@ -351,12 +355,18 @@ def render_json(rows: list[dict]) -> str:
 
 
 def write_result(result: "RunResult"):
-    """Write the data table to the config's out, in its format, and a .meta.json sidecar next to it."""
+    """Write the data table to the config's out, in its format, and a .meta.json sidecar next to it.
+
+    The seconds taken to render and write the data table go into
+    result.timings as "write" before the sidecar, which lists them, is written.
+    """
+    start = time.perf_counter()
     out = Path(result.config.out)
     rows = curve_rows(result.curves)
     text = render_csv(rows) if result.config.format == "csv" else render_json(rows)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, newline="\n")
+    result.timings["write"] = time.perf_counter() - start
     meta_path = out.parent / (out.stem + ".meta.json")
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),

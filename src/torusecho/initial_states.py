@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import MapSpec, count_problem, is_finite, is_integer, wrap_unit
+from .dynamics import MapSpec, _wrap_in_place, count_problem, is_finite, is_integer
 from .errors import InvalidInputError, raise_problem
 
 # relative size below which periodized-Gaussian image terms are dropped
@@ -97,6 +97,11 @@ class SampleSet:
 
     kind is "grid" for exact-quadrature sets (deterministic, no statistical
     error bars) or "monte_carlo" for seeded random draws.
+
+    The samplers return every column that holds one value (the weights,
+    a position state's q, a position_only set's p) as a read-only
+    zero-stride broadcast view, 8 bytes in all: copy one before writing
+    to it.
     """
 
     q: np.ndarray
@@ -174,6 +179,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _constant(value, count):
+    """A read-only float64 column of `count` copies of value, held as one float."""
+    return np.broadcast_to(np.float64(value), (count,))
+
+
+def _wrapped_normal(rng, count, mean, std):
+    """`count` normal draws of (mean, std) wrapped onto [0, 1), in their own buffer.
+
+    Bitwise wrap_unit(mean + std * z): the same float operations, in place.
+    """
+    z = rng.standard_normal(count)
+    z *= std
+    z += mean
+    _wrap_in_place(z, np.empty_like(z))
+    return z
+
+
 def samples_position_state(
     spec: MapSpec,
     q0: float,
@@ -198,20 +220,17 @@ def samples_position_state(
     """
     grid_index(spec, q0)  # alignment check
     raise_problem(mode_problem("position", mode))
-    q_val = np.float64(q0)
+    label = f"position(q0={q0!r})"
     if mode == "grid":
         n = spec.dim_n
         raise_problem(sample_count_problem(n if count is None else count))
         raise_problem(grid_count_problem(n, count))
         p = np.arange(n, dtype=np.float64) / n
-        q = np.full(n, q_val)
-        w = np.full(n, 1.0 / n)
-        return SampleSet(q, p, w, "grid", f"position(q0={q0!r})", seed=None)
+        return SampleSet(_constant(q0, n), p, _constant(1.0 / n, n), "grid", label, seed=None)
     raise_problem(sample_count_problem(count))
     p = _rng(seed).random(count)
-    q = np.full(count, q_val)
-    w = np.full(count, 1.0 / count)
-    return SampleSet(q, p, w, "monte_carlo", f"position(q0={q0!r})", seed=seed)
+    return SampleSet(_constant(q0, count), p, _constant(1.0 / count, count), "monte_carlo",
+                     label, seed=seed)
 
 
 def samples_gaussian(
@@ -237,11 +256,9 @@ def samples_gaussian(
     raise_problem(sample_count_problem(count))
     raise_problem(mode_problem("gaussian", mode))
     rng = _rng(seed)
-    q = wrap_unit(q0 + sigma * rng.standard_normal(count))
+    q = _wrapped_normal(rng, count, q0, sigma)
     if mode == "position_only":
-        p = np.full(count, np.float64(p0))
+        p = _constant(p0, count)
     else:
-        sigma_p = spec.hbar / (2.0 * sigma)
-        p = wrap_unit(p0 + sigma_p * rng.standard_normal(count))
-    w = np.full(count, 1.0 / count)
-    return SampleSet(q, p, w, "monte_carlo", state.label(), seed=seed)
+        p = _wrapped_normal(rng, count, p0, spec.hbar / (2.0 * sigma))
+    return SampleSet(q, p, _constant(1.0 / count, count), "monte_carlo", state.label(), seed=seed)

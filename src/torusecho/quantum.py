@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dephasing import FidelityCurve, _worker_count
-from .dynamics import TWO_PI, MapSpec, count_problem, steps_problem
+from .dynamics import TWO_PI, MapSpec, count_problem, perturbation_problem, steps_problem
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import (
     _IMAGE_TRUNCATION,
@@ -264,6 +264,7 @@ def exact_fidelity_curve(
     """
     raise_problem(grid_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
+    raise_problem(perturbation_problem(spec.k, spec.epsilon))
     psi0, label = _resolve_state(spec, state)
     rows, entry, drift = _phase_factors(spec)
     psi = np.stack([psi0, psi0])  # perturbed row first, as in rows
@@ -329,6 +330,7 @@ def dense_oracle(
     """
     raise_problem(dense_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
+    raise_problem(perturbation_problem(spec.k, spec.epsilon))
     psi0, label = _resolve_state(spec, state)
 
     n = spec.dim_n

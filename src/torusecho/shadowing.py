@@ -44,6 +44,7 @@ from .dynamics import (
     _wrap_in_place,
     count_problem,
     is_finite,
+    perturbation_problem,
     step_ensemble,
     steps_problem,
     torus_distance,
@@ -115,6 +116,7 @@ def orbit_from_map(spec: MapSpec, start, steps: int) -> PseudoOrbit:
     The one-start case of the ensemble generator `_orbits`.
     """
     raise_problem(steps_problem(steps, minimum=1))
+    raise_problem(perturbation_problem(spec.k, spec.epsilon))
     starts = np.array([(start[0], start[1])], dtype=np.float64)
     return PseudoOrbit(_orbits(spec, starts, steps)[0])
 
@@ -352,7 +354,8 @@ def shadow_survey(
     Every argument is checked before any start is drawn: CapacityError
     for more than 10^5 orbits or segments longer than 10^4 steps (a
     default length over that cap is refused in terms of epsilon),
-    InvalidInputError for the other rules of refine_shadow.
+    InvalidInputError for the other rules of refine_shadow and for an
+    epsilon below the rounding of k (`perturbation_problem`).
     """
     raise_problem(count_problem("count", count, 1, _MAX_SURVEY_COUNT))
     t_shadow = shadow_time_estimate(spec.epsilon)
@@ -364,6 +367,7 @@ def shadow_survey(
                                 f"cap of {_MAX_REFINE_STEPS} steps; pass --steps (at most that)")
     raise_problem(steps_problem(steps, minimum=1))
     raise_problem(_refine_problem(steps, tol, max_iter))
+    raise_problem(perturbation_problem(spec.k, spec.epsilon))
     starts = _rng(seed).random((count, 2))
     bound = spec.epsilon / TWO_PI
 

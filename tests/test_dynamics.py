@@ -12,8 +12,11 @@ from torusecho import (
     CapacityError,
     InvalidInputError,
     MapSpec,
+    PositionEigenstate,
     SampleSet,
+    dense_oracle,
     dr_curve,
+    exact_fidelity_curve,
     orbit_from_map,
     samples_position_state,
     shadow_survey,
@@ -25,6 +28,7 @@ from torusecho.dynamics import (
     _MAX_STEPS,
     _step_in_place,
     map_problems,
+    perturbation_problem,
     phase_scale_problem,
     steps_problem,
 )
@@ -160,6 +164,26 @@ def test_spec_rejects_overflowing_phase_factor():
     assert phase_scale_problem(0.8, 1e305, 1000) is None
     assert "phase factor" in phase_scale_problem(0.8, 1e305, 1000, steps=50)[1]
     assert phase_scale_problem(0.8, 1e300, 1000, steps=50) is None
+
+
+def test_perturbation_below_the_rounding_of_k():
+    # k + epsilon == k in float64: |k| beyond about 2^53 |epsilon|
+    for k, epsilon in ((1e17, 5e-3), (-1e17, 5e-3), (1e306, 5e-3), (1.0, 2e-22), (0.8, -1e-20)):
+        assert k + epsilon == k
+        assert "below the rounding of k" in perturbation_problem(k, epsilon)[1]
+    for k, epsilon in ((1e17, 0.0), (1e17, 50.0), (1e306, 1e291), (0.8, 5e-3), (0.0, 5e-324)):
+        assert perturbation_problem(k, epsilon) is None
+    # every route that kicks at k + epsilon refuses; dr reads epsilon as a phase factor
+    spec = MapSpec(1e17, 5e-3, 64)
+    for route, args in (
+        (exact_fidelity_curve, (PositionEigenstate(0.25), 3)),
+        (dense_oracle, (PositionEigenstate(0.25), 3)),
+        (orbit_from_map, ((0.3, 0.2), 3)),
+        (shadow_survey, (1, 3)),
+    ):
+        with pytest.raises(InvalidInputError, match="below the rounding of k"):
+            route(spec, *args)
+    assert np.isfinite(dr_curve(spec, samples_position_state(spec, 0.25), 3).fidelity).all()
 
 
 def test_step_rejects_nonfinite_point():

@@ -238,9 +238,12 @@ def test_sidecar_times_each_stage_that_ran(tmp_path):
     result = run_experiment(cfg)
     meta = json.loads(result.meta_path.read_text())
     timings = meta["timings_s"]
-    assert list(timings) == ["sampling", "dr", "exact", "dense", "compare"]
+    assert list(timings) == ["sampling", "dr", "exact", "dense", "compare", "write"]
     assert timings == result.timings
-    assert all(0.0 <= seconds <= meta["duration_s"] for seconds in timings.values())
+    # duration_s spans the stages up to the comparison; the write follows it
+    stages = dict(timings)
+    assert 0.0 < stages.pop("write")
+    assert all(0.0 <= seconds <= meta["duration_s"] for seconds in stages.values())
     exact_only = run_experiment(cfg.replace(methods=("exact",), out=None))
     assert list(exact_only.timings) == ["exact"]
 
@@ -407,8 +410,9 @@ def test_cli_huge_q0_exits_2(tmp_path, capsys):
 
 
 def test_cli_shadow_takes_no_grid_size(capsys):
-    # the survey is classical: no grid size gates its phase scale
-    assert main(["shadow", "--k", "1e306", "--steps", "3", "--count", "1"]) == 0
+    # the survey is classical: no grid size gates its phase scale (an epsilon
+    # that still moves k = 1e306, so the perturbation rule passes)
+    assert main(["shadow", "--k", "1e306", "--epsilon", "1e291", "--steps", "3", "--count", "1"]) == 0
     assert capsys.readouterr().err == ""
     assert main(["shadow", "--dim-n", "5"]) == 2
     lines = capsys.readouterr().err.splitlines()
@@ -508,6 +512,31 @@ def test_sampling_rules_apply_only_when_dr_runs(capsys):
     # the sample count's own rule holds whatever runs
     assert main(["run", "--methods", "exact", "--samples", "0"]) == 2
     assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--k", "1e306", "--steps", "3", "--count", "1"],
+    ["run", "--k", "1e17", "--dim-n", "64", "--q0", "0.25", "--methods", "exact,dense",
+     "--steps", "3"],
+])
+def test_cli_refuses_a_perturbation_below_the_rounding_of_k(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "below the rounding of k" in lines[0] and captured.out == ""
+
+
+def test_perturbation_rule_applies_only_when_exact_or_dense_runs(capsys):
+    # dr reads epsilon as a phase factor, never through k + epsilon
+    assert main(["run", "--k", "1e17", "--dim-n", "64", "--q0", "0.25", "--methods", "dr",
+                 "--steps", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = ExperimentConfig(k=1e17, dim_n=64, q0=0.25, steps=3, methods=("dr",))
+    assert validate_config(cfg) == []
+    for methods in (("exact",), ("dense",), ("dr", "exact")):
+        msgs = _messages(cfg.replace(methods=methods))
+        assert len(msgs) == 1 and "below the rounding of k" in msgs[0], methods
 
 
 def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):

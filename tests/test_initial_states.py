@@ -1,5 +1,7 @@
 """Initial-state descriptors and their phase-space samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +17,7 @@ from torusecho import (
     build_state,
     samples_gaussian,
     samples_position_state,
+    wrap_unit,
 )
 
 SPEC = MapSpec(0.8, 5e-3, 1000)
@@ -180,3 +183,60 @@ def test_periodized_density_normalized():
 def test_labels():
     assert "position" in PositionEigenstate(0.4).label()
     assert "gaussian" in GaussianWavepacket(0.4, 0.0, 0.05).label()
+
+
+# every sampler and mode, with the columns it holds as one shared value
+_CONSTANT_COLUMNS = [
+    (lambda: samples_position_state(SPEC, 0.4), ("q", "weights")),
+    (lambda: samples_position_state(SPEC, 0.4, count=300, mode="monte_carlo", seed=3),
+     ("q", "weights")),
+    (lambda: samples_gaussian(SPEC, 0.4, 0.3, 0.05, count=300, mode="wigner", seed=3),
+     ("weights",)),
+    (lambda: samples_gaussian(SPEC, 0.4, 0.3, 0.05, count=300, mode="position_only", seed=3),
+     ("p", "weights")),
+]
+
+
+@pytest.mark.parametrize("make, constant", _CONSTANT_COLUMNS,
+                         ids=["grid", "monte_carlo", "wigner", "position_only"])
+def test_constant_columns_are_read_only_broadcasts(make, constant):
+    s = make()
+    for name in ("q", "p", "weights"):
+        column = getattr(s, name)
+        assert column.dtype == np.float64 and column.shape == (len(s),), name
+        if name in constant:
+            assert column.strides == (0,), name
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+        else:  # a drawn column is the sampler's own, writable buffer
+            assert column.strides == (8,) and column.flags.writeable, name
+    assert np.all(s.weights == 1.0 / len(s))
+
+
+def test_monte_carlo_position_set_holds_one_column():
+    # 10^6 samples: the momenta (7.6 MiB) and two one-float columns
+    tracemalloc.start()
+    try:
+        s = samples_position_state(SPEC, 0.4, count=10**6, mode="monte_carlo", seed=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 10**6
+    assert held <= 9 * 2**20, held
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("q0, p0, sigma", [(0.4, 0.3, 0.05), (0.01, 0.98, 0.3)])
+def test_gaussian_draws_are_the_written_out_wrap_bitwise(seed, q0, p0, sigma):
+    count = 5000
+    for mode in ("wigner", "position_only"):
+        s = samples_gaussian(SPEC, q0, p0, sigma, count=count, mode=mode, seed=seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        q = wrap_unit(q0 + sigma * rng.standard_normal(count))
+        if mode == "wigner":
+            p = wrap_unit(p0 + SPEC.hbar / (2.0 * sigma) * rng.standard_normal(count))
+        else:
+            p = np.full(count, np.float64(p0))
+        assert np.array_equal(s.q.view(np.uint64), q.view(np.uint64)), mode
+        assert np.array_equal(s.p.view(np.uint64), p.view(np.uint64)), mode
