@@ -412,7 +412,8 @@ def test_cli_huge_q0_exits_2(tmp_path, capsys):
 def test_cli_shadow_takes_no_grid_size(capsys):
     # the survey is classical: no grid size gates its phase scale (an epsilon
     # that still moves k = 1e306, so the perturbation rule passes)
-    assert main(["shadow", "--k", "1e306", "--epsilon", "1e291", "--steps", "3", "--count", "1"]) == 0
+    assert main(["shadow", "--k", "1e306", "--epsilon", "1e291", "--steps", "3",
+                 "--count", "1"]) == 0
     assert capsys.readouterr().err == ""
     assert main(["shadow", "--dim-n", "5"]) == 2
     lines = capsys.readouterr().err.splitlines()
