@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 self-test failure, 2 invalid input or config,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -45,7 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once a process.
+
+    argparse builds a help formatter for every argument it adds, about a
+    millisecond a build; a parse keeps no state in the parser and returns
+    a fresh namespace, so one parser serves every `main` call.
+    """
     parser = _Parser(
         prog="torusecho",
         description="Fidelity decay of perturbed kicked torus maps: "

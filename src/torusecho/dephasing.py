@@ -46,6 +46,7 @@ from .dynamics import (
     MapSpec,
     _step_in_place,
     count_problem,
+    kick_problem,
     phase_scale_problem,
     step_ensemble,
     steps_problem,
@@ -211,6 +212,7 @@ def dr_curve(
     raise_problem(steps_problem(steps))
     raise_problem(count_problem("threads", threads, 1))
     raise_problem(phase_scale_problem(spec.k, spec.epsilon, spec.dim_n, int(steps)))
+    raise_problem(kick_problem(spec.k))
     n = len(samples)
     # dS/hbar with hbar = 1/(2 pi N); zero epsilon gives exactly zero phase;
     # |action sum| <= steps, so the check above keeps every phase finite

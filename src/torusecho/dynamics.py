@@ -33,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 
 # capacity ceiling on the steps of one run, orbit or curve
 _MAX_STEPS = 1_000_000
+# from this kick coefficient |k_eff| / 2pi up, a kick at |sin(2 pi q)| ~ 1
+# rounds p - c sin(2 pi q) to a multiple of 1/2, and past 2^52 + 1 to an
+# integer: the wrapped momentum keeps at most one bit
+_MAX_KICK_COEFFICIENT = 2.0**52
 
 
 def is_integer(x) -> bool:
@@ -118,6 +122,24 @@ def perturbation_problem(k, epsilon):
     return InvalidInputError, (
         f"epsilon={epsilon!r} is below the rounding of k={k!r}: k + epsilon == k in float64, "
         "so the perturbed map would be the unperturbed one"
+    )
+
+
+def kick_problem(k_eff):
+    """Why the float map cannot step under kicks of strength k_eff, or None.
+
+    Where |k_eff| / 2pi reaches 2^52, p - (k_eff / 2pi) sin(2 pi q) at
+    |sin| ~ 1 rounds to a multiple of 1/2 (to an integer a little further
+    up), so the wrapped momentum keeps at most one bit and the orbit stalls;
+    below that, p keeps about 52 - log2(|k_eff| / 2pi) bits.
+    k_eff is k for the unperturbed map (dr, `refine_shadow`) and k + epsilon
+    for the perturbed one (`orbit_from_map`, `shadow_survey`).
+    """
+    if abs(k_eff) / TWO_PI < _MAX_KICK_COEFFICIENT:
+        return None
+    return InvalidInputError, (
+        f"kick strength {k_eff!r} is too large for the float map: at |k|/2pi >= 2^52 a kick "
+        "p - (k/2pi) sin(2 pi q) leaves the momentum at most one bit"
     )
 
 
@@ -214,8 +236,9 @@ def _step_in_place(c, q, p, arg, tmp):
 def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
     """One kick-then-drift map step applied elementwise to coordinate arrays.
 
-    The checked entry to the map step: rejects non-finite coordinates,
-    wraps them onto [0, 1) and applies `_step_in_place` to fresh arrays.
+    The checked entry to the map step: rejects a kick the float map cannot
+    carry (`kick_problem`) and non-finite coordinates, wraps them onto
+    [0, 1) and applies `_step_in_place` to fresh arrays.
 
     Parameters
     ----------
@@ -228,6 +251,7 @@ def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
     -------
     (q1, p1) : ndarray pair on [0, 1).
     """
+    raise_problem(kick_problem(spec.k + spec.epsilon if perturbed else spec.k))
     _require_finite(q, p)
     q1 = wrap_unit(q)
     p1 = wrap_unit(p)

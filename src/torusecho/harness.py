@@ -3,10 +3,11 @@
 An experiment fixes the map, the initial state, the sampling strategy,
 and which fidelity routes to run (semiclassical dephasing, exact
 split-operator, dense-matrix oracle). Results are written as one flat
-table (CSV or JSON) with a `.meta.json` sidecar; all floats serialize
-with 17 significant digits so files round-trip bitwise and are
-byte-identical for any thread count at a fixed seed. Timestamps and
-durations live only in the sidecar, never in the data file.
+table (CSV or JSON) with a `.meta.json` sidecar. CSV writes every float
+with 17 significant digits, JSON with Python's shortest round-trip repr
+(as json does), so both round-trip bitwise and are byte-identical for
+any thread count at a fixed seed. Timestamps and durations live only in
+the sidecar, never in the data file.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .dephasing import FidelityCurve, dr_curve
 from .dynamics import (
     MapSpec,
     count_problem,
+    kick_problem,
     map_problems,
     perturbation_problem,
     phase_scale_problem,
@@ -247,6 +249,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
 
     # the sampling rules concern only the dr route's sample set
     samples_used = "dr" in config.methods
+    if samples_used and not map_bad:  # dr steps the unperturbed map, at k
+        add(kick_problem(config.k))
     if config.state in _STATES and samples_used:
         add(mode_problem(config.state, config.sample_mode))
     if config.state == "position":
@@ -321,37 +325,55 @@ def curve_rows(curves: dict) -> list[dict]:
         curve = curves.get(method)
         if curve is None:
             continue
-        for t in range(len(curve.amplitude)):
-            rows.append(
-                {
-                    "step": t,
-                    "t": float(t),
-                    "method": method,
-                    "M": float(curve.fidelity[t]),
-                    "amp_re": float(curve.amplitude[t].real),
-                    "amp_im": float(curve.amplitude[t].imag),
-                    "stderr_re": float(curve.stderr_re[t]),
-                    "stderr_im": float(curve.stderr_im[t]),
-                }
-            )
+        # .tolist() gives the Python floats float() would, one call a column
+        columns = zip(
+            curve.fidelity.tolist(),
+            curve.amplitude.real.tolist(),
+            curve.amplitude.imag.tolist(),
+            curve.stderr_re.tolist(),
+            curve.stderr_im.tolist(),
+        )
+        rows.extend(
+            {"step": t, "t": float(t), "method": method, "M": m, "amp_re": re,
+             "amp_im": im, "stderr_re": err_re, "stderr_im": err_im}
+            for t, (m, re, im, err_re, err_im) in enumerate(columns)
+        )
     return rows
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# one template a row: every float with 17 significant digits
+_CSV_ROW = ",".join(f"{{{c}}}" if c in ("step", "method") else f"{{{c}:.17g}}" for c in CSV_COLUMNS)
+# one row of json.dumps(rows, indent=2), its values filled in CSV_COLUMNS order
+_JSON_ROW = "  {{\n" + ",\n".join(f'    "{c}": {{}}' for c in CSV_COLUMNS) + "\n  }}"
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it: its shortest round-trip repr, or NaN and +-Infinity."""
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0.0 else "-Infinity"
 
 
 def render_csv(rows: list[dict]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
+    lines.extend(_CSV_ROW.format_map(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+    """The text of json.dumps(rows, indent=2) and a newline, for rows of `curve_rows`."""
+    if not rows:
+        return "[]\n"
+    f = _json_float
+    body = ",\n".join(
+        _JSON_ROW.format(row["step"], f(row["t"]), json.dumps(row["method"]), f(row["M"]),
+                         f(row["amp_re"]), f(row["amp_im"]), f(row["stderr_re"]),
+                         f(row["stderr_im"]))
+        for row in rows
+    )
+    return "[\n" + body + "\n]\n"
 
 
 def write_result(result: "RunResult"):

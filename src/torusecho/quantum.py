@@ -33,7 +33,8 @@ own DFT construction and no shared phase helpers, so split-operator and
 dense results are independent routes to the same curve. Its drift
 F^-1 diag(drift) F is a circulant matrix, G[a, b] = g[(a - b) mod N], so
 one column g (an explicit DFT matvec over the N roots of unity) gives all
-of G in O(N^2), shared by both branches; a step is psi <- G (kick psi).
+of G in O(N^2), shared by both branches and kept for the process; a step
+is psi <- G (kick psi).
 """
 
 from __future__ import annotations
@@ -102,14 +103,15 @@ class QuantumState:
         object.__setattr__(self, "vector", vec)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _phase_factors(spec: MapSpec):
     """Read-only (rows, entry, drift) of one exact step; rows is (2, N), perturbed row first.
 
     Even N: rows are E = kick * C^2, entry is conj(C), which turns psi into
     phi once, and drift is None, so a step is phi <- F(E phi). Odd N: rows
     are the kicks, entry is None and drift the momentum phase of the split
-    step. Either way a spec's cache entry holds 3N complex values. Every
+    step. Either way a spec's cache entry holds 3N complex values, and the
+    cache keeps the four most recent specs. Every
     quadratic phase is reduced in integers first (j^2 mod 2N for
     exp(i pi j^2 / N), mod N for exp(2 i pi j^2 / N)), so its argument stays
     below 2 pi. Each phase is built in place in the buffer it is kept in,
@@ -294,6 +296,7 @@ def exact_fidelity_curve(
     return _grid_curve(amp, "exact", spec, label)
 
 
+@lru_cache(maxsize=4)
 def _dense_drift(n: int) -> np.ndarray:
     """The dense oracle's position-space drift F^-1 diag(drift) F, an (N, N) circulant.
 
@@ -301,7 +304,8 @@ def _dense_drift(n: int) -> np.ndarray:
     g[c] = (1/N) sum_m drift[m] exp(2 pi i m c / N): one explicit DFT
     matvec over the N roots of unity, indexed by the integer products
     (m c) mod N, so every root's argument stays below 2 pi. O(N^2) work and
-    memory, no FFT and no N^3 product.
+    memory, no FFT and no N^3 product. G depends on N alone, so it is
+    built once per N and kept read-only, for the four most recent N.
     """
     two_pi = 2.0 * np.pi
     hbar = 1.0 / (two_pi * n)
@@ -311,7 +315,9 @@ def _dense_drift(n: int) -> np.ndarray:
     idx = np.arange(n)
     roots = np.exp(1j * two_pi * j / n)
     g = roots[np.outer(idx, idx) % n] @ drift / n
-    return g[np.subtract.outer(idx, idx) % n]
+    gmat = g[np.subtract.outer(idx, idx) % n]
+    gmat.setflags(write=False)
+    return gmat
 
 
 def dense_oracle(
@@ -322,8 +328,8 @@ def dense_oracle(
     """Fidelity curve by dense matrix propagation (independent oracle).
 
     The one-step unitary is U = G diag(kick), with G the circulant
-    position-space drift of `_dense_drift`, built once from its own DFT
-    construction and shared by both branches; each step is
+    position-space drift of `_dense_drift`, built once per N from its own
+    DFT construction and shared by both branches; each step is
     psi <- G @ (kick * psi). Shares no phase or FFT code with the split
     route. Refuses grids above 256 points (dense cost grows as N^2 per
     step).

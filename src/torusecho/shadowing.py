@@ -44,6 +44,7 @@ from .dynamics import (
     _wrap_in_place,
     count_problem,
     is_finite,
+    kick_problem,
     perturbation_problem,
     step_ensemble,
     steps_problem,
@@ -147,6 +148,7 @@ def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit) -> float:
     the image of points[t]; zero iff the segment is a true unperturbed
     orbit.
     """
+    raise_problem(kick_problem(spec.k))
     return float(_residuals(spec, orbit.points))
 
 
@@ -289,10 +291,12 @@ def refine_shadow(
 
     Raises CapacityError for segments longer than 10^4 steps and
     InvalidInputError for tolerances below 1e-13 (under double
-    precision the orbit equations cannot be satisfied more tightly) or
-    a max_iter that is no integer >= 1.
+    precision the orbit equations cannot be satisfied more tightly), a
+    max_iter that is no integer >= 1 or a k that the float map cannot
+    carry (`kick_problem`).
     """
     raise_problem(_refine_problem(orbit.steps, tol, max_iter))
+    raise_problem(kick_problem(spec.k))
 
     pts = orbit.points.copy()
     defect = _orbit_defect(spec, pts)
@@ -354,8 +358,9 @@ def shadow_survey(
     Every argument is checked before any start is drawn: CapacityError
     for more than 10^5 orbits or segments longer than 10^4 steps (a
     default length over that cap is refused in terms of epsilon),
-    InvalidInputError for the other rules of refine_shadow and for an
-    epsilon below the rounding of k (`perturbation_problem`).
+    InvalidInputError for the other rules of refine_shadow, for an
+    epsilon below the rounding of k (`perturbation_problem`) and for a
+    kick the float map cannot carry (`kick_problem`).
     """
     raise_problem(count_problem("count", count, 1, _MAX_SURVEY_COUNT))
     t_shadow = shadow_time_estimate(spec.epsilon)
@@ -368,6 +373,9 @@ def shadow_survey(
     raise_problem(steps_problem(steps, minimum=1))
     raise_problem(_refine_problem(steps, tol, max_iter))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
+    # the orbits kick at k + epsilon, their refinement at k
+    raise_problem(kick_problem(spec.k + spec.epsilon))
+    raise_problem(kick_problem(spec.k))
     starts = _rng(seed).random((count, 2))
     bound = spec.epsilon / TWO_PI
 

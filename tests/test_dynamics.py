@@ -26,7 +26,9 @@ from torusecho import (
 )
 from torusecho.dynamics import (
     _MAX_STEPS,
+    TWO_PI,
     _step_in_place,
+    kick_problem,
     map_problems,
     perturbation_problem,
     phase_scale_problem,
@@ -183,7 +185,41 @@ def test_perturbation_below_the_rounding_of_k():
     ):
         with pytest.raises(InvalidInputError, match="below the rounding of k"):
             route(spec, *args)
+    spec = MapSpec(1e15, 5e-3, 64)  # k + epsilon == k too, at a kick the map still carries
     assert np.isfinite(dr_curve(spec, samples_position_state(spec, 0.25), 3).fidelity).all()
+
+
+def test_kicks_the_float_map_cannot_carry_are_refused():
+    limit = 2.0**52 * TWO_PI  # |k| / 2pi == 2^52
+    for k_eff in (limit, -limit, 1e17, 1e306, math.inf, math.nan):
+        assert "too large for the float map" in kick_problem(k_eff)[1], k_eff
+    for k_eff in (np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), 1e16, 10.0, 0.0):
+        assert kick_problem(k_eff) is None, k_eff
+    # from the limit up a kick at sin(2 pi q) = 1 leaves p' on a grid of 1/2, then of 1
+    c = limit / TWO_PI
+    assert (0.3 - c) % 1.0 == 0.5
+    assert (0.3 - np.nextafter(c, math.inf)) % 1.0 == 0.0
+    # every route that steps the map refuses, at k (unperturbed) or k + epsilon (perturbed)
+    huge = MapSpec(1e17, 1e2, 64)
+    orbit = shadowing.PseudoOrbit(np.full((4, 2), 0.25))
+    for route, args in (
+        (step_ensemble, (0.25, 0.5)),
+        (step_ensemble, (0.25, 0.5, True)),
+        (dr_curve, (samples_position_state(huge, 0.25), 3)),
+        (orbit_from_map, ((0.3, 0.2), 3)),
+        (shadowing.pseudo_residual, (orbit,)),
+        (shadowing.refine_shadow, (orbit,)),
+        (shadow_survey, (2, 3)),
+    ):
+        with pytest.raises(InvalidInputError, match="too large for the float map"):
+            route(huge, *args)
+    # k + epsilon alone over the limit: only the perturbed map refuses
+    edge = MapSpec(np.nextafter(limit, 0.0), 64.0, 64)
+    assert kick_problem(edge.k) is None and kick_problem(edge.k + edge.epsilon) is not None
+    step_ensemble(edge, 0.25, 0.5)
+    for route, args in ((step_ensemble, (0.25, 0.5, True)), (shadow_survey, (2, 3))):
+        with pytest.raises(InvalidInputError, match="too large for the float map"):
+            route(edge, *args)
 
 
 def test_step_rejects_nonfinite_point():

@@ -32,7 +32,16 @@ from torusecho import (
 from torusecho import quantum, shadowing
 from torusecho.cli import emit_config, main
 from torusecho.dynamics import _MAX_STEPS
-from torusecho.harness import _FIELD_PARSERS, check_config, curve_rows, load_config, render_csv
+from torusecho.dephasing import FidelityCurve
+from torusecho.harness import (
+    _FIELD_PARSERS,
+    CSV_COLUMNS,
+    check_config,
+    curve_rows,
+    load_config,
+    render_csv,
+    render_json,
+)
 from torusecho.shadowing import _MAX_SURVEY_COUNT
 
 
@@ -206,6 +215,75 @@ def test_rows_and_csv_round_trip():
         assert float(fields[3]) == row["M"]
         assert float(fields[4]) == row["amp_re"]
         assert float(fields[5]) == row["amp_im"]
+
+
+def _written_out_csv(rows):
+    # the row-at-a-time formula: 17 significant digits for every float
+    def fmt(value):
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _written_out_rows(curves):
+    return [
+        {"step": t, "t": float(t), "method": method, "M": float(curve.fidelity[t]),
+         "amp_re": float(curve.amplitude[t].real), "amp_im": float(curve.amplitude[t].imag),
+         "stderr_re": float(curve.stderr_re[t]), "stderr_im": float(curve.stderr_im[t])}
+        for method, curve in curves.items() for t in range(len(curve.amplitude))
+    ]
+
+
+def _curve_sets():
+    routes = ExperimentConfig(dim_n=64, q0=0.25, steps=6, methods=("dr", "exact", "dense"))
+    yield run_experiment(routes).curves
+    yield run_experiment(routes.replace(sample_mode="monte_carlo", samples=300, seed=7,
+                                        methods=("dr",))).curves
+    yield run_experiment(routes.replace(state="gaussian", sample_mode="wigner", samples=300,
+                                        p0=0.3, sigma=0.1)).curves
+    spec = MapSpec(0.8, 5e-3, 64)
+    amp = np.array([1.0, np.nan, complex(np.inf, -np.inf), complex(-0.0, 5e-324), 1e-300j])
+    odd = np.array([0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308])
+    yield {"dr": FidelityCurve(amp, odd, odd[::-1], "dr", spec, "hand-built", 5)}
+
+
+def test_renderers_match_the_written_out_formulas_byte_for_byte():
+    for curves in _curve_sets():
+        rows = curve_rows(curves)
+        # repr tells every float apart bitwise, nan included, and keeps key order
+        assert repr(rows) == repr(_written_out_rows(curves))
+        assert render_csv(rows) == _written_out_csv(rows)
+        assert render_json(rows) == json.dumps(rows, indent=2) + "\n"
+    assert render_csv([]) == _written_out_csv([])
+    assert render_json([]) == json.dumps([], indent=2) + "\n"
+
+
+def test_hand_built_curve_writes_nan_and_infinities_as_json_does():
+    curves = list(_curve_sets())[-1]
+    text = render_json(curve_rows(curves))
+    for token in ("NaN", "Infinity", "-Infinity", "5e-324", "1.7976931348623157e+308"):
+        assert f": {token}," in text or f": {token}\n" in text, token
+    csv_text = render_csv(curve_rows(curves))
+    assert ",nan," in csv_text and ",inf," in csv_text and ",-inf," in csv_text
+
+
+def test_cli_runs_in_one_process_do_not_share_flags(tmp_path, capsys):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    base = ["run", "--dim-n", "64", "--q0", "0.25", "--steps", "2"]
+    assert main([*base, "--k", "0.9", "--out", str(first)]) == 0
+    assert main([*base, "--out", str(second)]) == 0
+    config_a = json.loads((tmp_path / "a.meta.json").read_text())["config"]
+    config_b = json.loads((tmp_path / "b.meta.json").read_text())["config"]
+    assert config_a["k"] == 0.9 and config_b["k"] == ExperimentConfig().k
+    assert {key for key in config_a if config_a[key] != config_b[key]} == {"k", "out"}
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "-h"])
+        assert exit_info.value.code == 0
+        assert "--dim-n" in capsys.readouterr().out
 
 
 def test_write_csv_and_sidecar(tmp_path):
@@ -410,9 +488,9 @@ def test_cli_huge_q0_exits_2(tmp_path, capsys):
 
 
 def test_cli_shadow_takes_no_grid_size(capsys):
-    # the survey is classical: no grid size gates its phase scale (an epsilon
-    # that still moves k = 1e306, so the perturbation rule passes)
-    assert main(["shadow", "--k", "1e306", "--epsilon", "1e291", "--steps", "3",
+    # the survey is classical: no grid size gates it (a k that the float map
+    # still carries, and an epsilon that still moves it)
+    assert main(["shadow", "--k", "1e16", "--epsilon", "10", "--steps", "3",
                  "--count", "1"]) == 0
     assert capsys.readouterr().err == ""
     assert main(["shadow", "--dim-n", "5"]) == 2
@@ -530,14 +608,35 @@ def test_cli_refuses_a_perturbation_below_the_rounding_of_k(argv, capsys):
 
 def test_perturbation_rule_applies_only_when_exact_or_dense_runs(capsys):
     # dr reads epsilon as a phase factor, never through k + epsilon
-    assert main(["run", "--k", "1e17", "--dim-n", "64", "--q0", "0.25", "--methods", "dr",
+    assert main(["run", "--k", "1e15", "--dim-n", "64", "--q0", "0.25", "--methods", "dr",
                  "--steps", "3"]) == 0
     assert capsys.readouterr().err == ""
-    cfg = ExperimentConfig(k=1e17, dim_n=64, q0=0.25, steps=3, methods=("dr",))
+    cfg = ExperimentConfig(k=1e15, dim_n=64, q0=0.25, steps=3, methods=("dr",))
     assert validate_config(cfg) == []
     for methods in (("exact",), ("dense",), ("dr", "exact")):
         msgs = _messages(cfg.replace(methods=methods))
         assert len(msgs) == 1 and "below the rounding of k" in msgs[0], methods
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--k", "1e17", "--dim-n", "64", "--q0", "0.25", "--methods", "dr", "--steps", "3"],
+    ["shadow", "--k", "1e17", "--epsilon", "1e2", "--count", "2", "--steps", "3"],
+])
+def test_cli_refuses_a_kick_the_float_map_cannot_carry(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "too large for the float map" in lines[0] and captured.out == ""
+
+
+def test_kick_rule_applies_only_when_dr_runs():
+    # dr steps the float map at k; the quantum routes only take phases of it
+    cfg = ExperimentConfig(k=1e17, epsilon=50.0, dim_n=64, q0=0.25, steps=3, methods=("dr",))
+    msgs = _messages(cfg)
+    assert len(msgs) == 1 and "too large for the float map" in msgs[0]
+    assert validate_config(cfg.replace(methods=("exact", "dense"))) == []
+    assert validate_config(cfg.replace(k=1e16)) == []
 
 
 def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):

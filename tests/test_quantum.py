@@ -316,6 +316,41 @@ def test_phase_factors_hold_one_entry_per_spec():
     assert not kicks.flags.writeable and not drift.flags.writeable
 
 
+def test_spec_caches_hold_a_pass_of_each_workload():
+    # a presets pass builds three exact specs and one dense N; an exact-large pass two specs
+    presets = [MapSpec(0.8, 5e-3, 1000), MapSpec(10.0, 2e-3, 1000), MapSpec(0.8, 5e-3, 256)]
+    large = [MapSpec(10.0, 2 / 65536, 65536), MapSpec(0.8, 5 / 65536, 65536)]
+    for specs, dims in ((presets, [256]), (large, [])):
+        quantum._phase_factors.cache_clear()
+        quantum._dense_drift.cache_clear()
+        for _ in range(2):
+            for spec in specs:
+                quantum._phase_factors(spec)
+            for dim_n in dims:
+                quantum._dense_drift(dim_n)
+        info = quantum._phase_factors.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (len(specs), len(specs), 4)
+        info = quantum._dense_drift.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (len(dims), len(dims), 4)
+    # an epsilon sweep keeps no more than four specs' factors alive
+    for eps in np.linspace(1e-3, 5e-3, 9):
+        quantum._phase_factors(MapSpec(0.8, eps, 1000))
+    assert quantum._phase_factors.cache_info().currsize == 4
+
+
+def test_dense_drift_is_one_read_only_matrix_per_grid():
+    quantum._dense_drift.cache_clear()
+    gmat = quantum._dense_drift(64)
+    assert quantum._dense_drift(64) is gmat and quantum._dense_drift(63) is not gmat
+    assert not gmat.flags.writeable
+    with pytest.raises(ValueError):
+        gmat[0, 0] = 0.0
+    # the oracle reads the cached matrix and leaves it as it was
+    before = gmat.copy()
+    dense_oracle(SMALL, PositionEigenstate(0.25), 3)
+    assert quantum._dense_drift(64) is gmat and np.array_equal(gmat, before)
+
+
 @pytest.mark.parametrize("dim_n", [2, 3, 64, 63, 1000, 65536])
 def test_phase_factors_are_the_written_out_phases_bitwise(dim_n):
     # the in-place build keeps the bits of the whole-array expressions

@@ -389,7 +389,14 @@ def test_newton_step_refuses_a_band_or_defect_that_is_not_finite():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _min_norm_newton_step(spec, pts, defect) is None
-            res = refine_shadow(spec, PseudoOrbit(pts), tol=1e-10)
+        # a refinement refuses such a kick; below the kick limit (|k|/2pi < 2^52)
+        # the Newton system is singular and it stops after no iteration
+        with pytest.raises(InvalidInputError, match="too large for the float map"):
+            refine_shadow(spec, PseudoOrbit(pts), tol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = refine_shadow(MapSpec(math.copysign(1e16, k), 5e-3, 1000), PseudoOrbit(pts),
+                                tol=1e-10)
         assert not res.converged and res.iterations == 0
         assert np.array_equal(res.shadow_points, pts)
 
