@@ -33,9 +33,8 @@ TWO_PI = 2.0 * math.pi
 
 # capacity ceiling on the steps of one run, orbit or curve
 _MAX_STEPS = 1_000_000
-# from this kick coefficient |k_eff| / 2pi up, a kick at |sin(2 pi q)| ~ 1
-# rounds p - c sin(2 pi q) to a multiple of 1/2, and past 2^52 + 1 to an
-# integer: the wrapped momentum keeps at most one bit
+# kick coefficients |k_eff| / 2pi from here up leave the momentum at most
+# one bit (`kick_problem`)
 _MAX_KICK_COEFFICIENT = 2.0**52
 
 
@@ -132,8 +131,9 @@ def kick_problem(k_eff):
     |sin| ~ 1 rounds to a multiple of 1/2 (to an integer a little further
     up), so the wrapped momentum keeps at most one bit and the orbit stalls;
     below that, p keeps about 52 - log2(|k_eff| / 2pi) bits.
-    k_eff is k for the unperturbed map (dr, `refine_shadow`) and k + epsilon
-    for the perturbed one (`orbit_from_map`, `shadow_survey`).
+    k_eff is k for the unperturbed map (dr, `pseudo_residual`,
+    `refine_shadow`) and k + epsilon for the perturbed one
+    (`orbit_from_map`, the survey's orbits).
     """
     if abs(k_eff) / TWO_PI < _MAX_KICK_COEFFICIENT:
         return None

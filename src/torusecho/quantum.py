@@ -111,10 +111,9 @@ def _phase_factors(spec: MapSpec):
     phi once, and drift is None, so a step is phi <- F(E phi). Odd N: rows
     are the kicks, entry is None and drift the momentum phase of the split
     step. Either way a spec's cache entry holds 3N complex values, and the
-    cache keeps the four most recent specs. Every
-    quadratic phase is reduced in integers first (j^2 mod 2N for
-    exp(i pi j^2 / N), mod N for exp(2 i pi j^2 / N)), so its argument stays
-    below 2 pi. Each phase is built in place in the buffer it is kept in,
+    cache keeps the four most recent specs. Every quadratic phase is
+    reduced in integers first (j^2 mod 2N for exp(i pi j^2 / N), mod N for
+    exp(2 i pi j^2 / N)), so its argument stays below 2 pi. Each phase is built in place in the buffer it is kept in,
     so a build allocates little beyond the entry itself.
     """
     n = spec.dim_n

@@ -258,15 +258,11 @@ def test_renderers_match_the_written_out_formulas_byte_for_byte():
         assert render_json(rows) == json.dumps(rows, indent=2) + "\n"
     assert render_csv([]) == _written_out_csv([])
     assert render_json([]) == json.dumps([], indent=2) + "\n"
-
-
-def test_hand_built_curve_writes_nan_and_infinities_as_json_does():
-    curves = list(_curve_sets())[-1]
-    text = render_json(curve_rows(curves))
+    # the hand-built curve reaches every non-finite spelling of both formats
+    text = render_json(rows)
     for token in ("NaN", "Infinity", "-Infinity", "5e-324", "1.7976931348623157e+308"):
         assert f": {token}," in text or f": {token}\n" in text, token
-    csv_text = render_csv(curve_rows(curves))
-    assert ",nan," in csv_text and ",inf," in csv_text and ",-inf," in csv_text
+    assert all(f",{token}," in render_csv(rows) for token in ("nan", "inf", "-inf"))
 
 
 def test_cli_runs_in_one_process_do_not_share_flags(tmp_path, capsys):
