@@ -100,14 +100,6 @@ class FidelityCurve:
     def steps(self) -> int:
         return len(self.amplitude) - 1
 
-    @property
-    def fidelity_stderr(self) -> np.ndarray:
-        """First-order error propagation through M = re^2 + im^2."""
-        return 2.0 * np.sqrt(
-            (self.amplitude.real * self.stderr_re) ** 2
-            + (self.amplitude.imag * self.stderr_im) ** 2
-        )
-
 
 def _half_angle(half, cos):
     """cos x into `cos` and sin x into `half`, which holds x/2 on entry.

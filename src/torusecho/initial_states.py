@@ -14,6 +14,7 @@ index range independently.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +23,6 @@ import numpy as np
 
 from .dynamics import MapSpec, _wrap_in_place, count_problem, is_finite, is_integer
 from .errors import InvalidInputError, raise_problem
-
-# relative size below which periodized-Gaussian image terms are dropped
-_IMAGE_TRUNCATION = 1e-16
 
 _GRID_ALIGN_TOL = 1e-9
 
@@ -35,6 +33,11 @@ _MAX_SAMPLES = 10_000_000
 _SEED_LIMIT = 2**128
 
 _SAMPLE_MODES = {"position": ("grid", "monte_carlo"), "gaussian": ("wigner", "position_only")}
+
+# the std from which a wrapped normal is the uniform density to float64
+# precision: its density differs from 1 by at most about 2 exp(-2 pi^2 s^2),
+# below 2^-53 from s = sqrt(54 ln 2 / (2 pi^2)) ~ 1.377 up
+_UNIFORM_STD = math.sqrt(54.0 * math.log(2.0) / (2.0 * math.pi**2))
 
 
 def alignment_problem(q0, dim_n):
@@ -220,7 +223,7 @@ def samples_position_state(
     """
     grid_index(spec, q0)  # alignment check
     raise_problem(mode_problem("position", mode))
-    label = f"position(q0={q0!r})"
+    label = PositionEigenstate(q0).label()
     if mode == "grid":
         n = spec.dim_n
         raise_problem(sample_count_problem(n if count is None else count))
@@ -248,7 +251,8 @@ def samples_gaussian(
     wigner: (q, p) from the Gaussian Wigner function -- wrapped normals with
     position std sigma and momentum std hbar/(2 sigma). Valid while the
     packet is well localized (images overlapping across the torus fall below
-    sampling resolution for sigma <~ 0.15).
+    sampling resolution for sigma <~ 0.15). From a momentum std of
+    `_UNIFORM_STD` up, p is drawn uniformly on [0, 1), the same law there.
 
     Draw order is q then p from one Philox stream keyed by `seed`.
     """
@@ -259,6 +263,8 @@ def samples_gaussian(
     q = _wrapped_normal(rng, count, q0, sigma)
     if mode == "position_only":
         p = _constant(p0, count)
+    elif spec.hbar >= 2.0 * sigma * _UNIFORM_STD:  # std >= _UNIFORM_STD, which may overflow
+        p = rng.random(count)
     else:
         p = _wrapped_normal(rng, count, p0, spec.hbar / (2.0 * sigma))
     return SampleSet(q, p, _constant(1.0 / count, count), "monte_carlo", state.label(), seed=seed)

@@ -48,15 +48,11 @@ import numpy as np
 from .dephasing import FidelityCurve, _worker_count
 from .dynamics import TWO_PI, MapSpec, count_problem, perturbation_problem, steps_problem
 from .errors import CapacityError, InvalidInputError, raise_problem
-from .initial_states import (
-    _IMAGE_TRUNCATION,
-    GaussianWavepacket,
-    InitialState,
-    PositionEigenstate,
-    grid_index,
-)
+from .initial_states import GaussianWavepacket, InitialState, PositionEigenstate, grid_index
 
 _NORM_GUARD = 1e-9
+# relative size below which periodized-Gaussian image terms are dropped
+_IMAGE_TRUNCATION = 1e-16
 # capacity ceiling on the grid of a state or an exact curve
 _MAX_DIM = 65536
 # dense propagation costs N^2 per step and one N^2 drift matrix, built in O(N^2)

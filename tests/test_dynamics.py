@@ -39,6 +39,8 @@ from torusecho.initial_states import _MAX_SAMPLES
 from torusecho.quantum import _MAX_DIM, grid_problem
 from torusecho.shadowing import _MAX_SURVEY_COUNT
 
+from map_reference import step_ref, wrap_ref
+
 MIXED = MapSpec(0.8, 0.0, 1000)
 PERTURBED = MapSpec(0.8, 5e-3, 1000)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -90,24 +92,10 @@ def test_step_ensemble_matches_scalar_loop():
         assert p1[i] == pi
 
 
-def _wrap_ref(x):
-    """The wrap written out apart from the program: x - floor(x), 1.0 -> 0.0."""
-    y = np.asarray(x, dtype=np.float64)
-    y = y - np.floor(y)
-    return np.where(y >= 1.0, y - 1.0, y)
-
-
-def _step_ref(c, q, p):
-    """The kick-then-drift step written out apart from the program's kernel."""
-    q = _wrap_ref(q)
-    p1 = _wrap_ref(_wrap_ref(p) - c * np.sin(2.0 * np.pi * q))
-    return _wrap_ref(q + p1), p1
-
-
 def _step_inverse_ref(c, q, p):
     """The inverse step written out: undo the drift, then undo the kick."""
-    q0 = _wrap_ref(q - p)
-    return q0, _wrap_ref(p + c * np.sin(2.0 * np.pi * q0))
+    q0 = wrap_ref(q - p)
+    return q0, wrap_ref(p + c * np.sin(2.0 * np.pi * q0))
 
 
 @pytest.mark.parametrize("spec", [MIXED, PERTURBED, CHAOTIC])
@@ -128,7 +116,7 @@ def test_kernel_matches_explicit_formula_bitwise():
     p = np.concatenate([rng.random(300), [np.nextafter(1.0, 0.0), 0.0, 0.0]])
     for spec, perturbed in ((CHAOTIC, True), (MIXED, False), (MapSpec(-3.0, 0.1, 50), True)):
         c = spec.kick_coefficient(perturbed)
-        q_ref, p_ref = _step_ref(c, q, p)
+        q_ref, p_ref = step_ref(c, q, p)
         qk, pk = q.copy(), p.copy()
         arg, tmp = np.empty_like(q), np.empty_like(q)
         _step_in_place(c, qk, pk, arg, tmp)
@@ -140,7 +128,7 @@ def test_kernel_matches_explicit_formula_bitwise():
         assert np.array_equal(q1, q_ref) and np.array_equal(p1, p_ref)
         q_raw, p_raw = 4.0 * q - 2.0, 6.0 * p - 3.0
         q1, p1 = step_ensemble(spec, q_raw, p_raw, perturbed=perturbed)
-        q_ref, p_ref = _step_ref(c, q_raw, p_raw)
+        q_ref, p_ref = step_ref(c, q_raw, p_raw)
         assert np.array_equal(q1, q_ref) and np.array_equal(p1, p_ref)
 
 
@@ -276,7 +264,7 @@ def test_wrap_unit_matches_explicit_wrap_bitwise():
          -1e300, np.inf, -np.inf, np.nan],
     ])
     with np.errstate(invalid="ignore"):
-        got, want = wrap_unit(x), _wrap_ref(x)
+        got, want = wrap_unit(x), wrap_ref(x)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert wrap_unit(0.75).shape == () and wrap_unit([0.5]).dtype == np.float64
@@ -302,12 +290,12 @@ def _orbit_and_sums_ref(spec, q, p, steps):
     written 2/(1 + t^2) - 1; the map kicks with np.sin.
     """
     c = spec.kick_coefficient(False)
-    q, p = _wrap_ref(np.array([q])), _wrap_ref(np.array([p]))
+    q, p = wrap_ref(np.array([q])), wrap_ref(np.array([p]))
     orbit, sums, s = [(q[0], p[0])], [0.0], np.zeros(1)
     for _ in range(steps):
         t = np.tan(2.0 * np.pi * q / 2)
         s = s + (2.0 / (1.0 + t * t) - 1.0)
-        q, p = _step_ref(c, q, p)
+        q, p = step_ref(c, q, p)
         orbit.append((q[0], p[0]))
         sums.append(s[0])
     return np.array(orbit), np.array(sums)

@@ -1,5 +1,6 @@
 """Initial-state descriptors and their phase-space samplers."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,8 @@ from torusecho import (
     samples_position_state,
     wrap_unit,
 )
+from torusecho.cli import main
+from torusecho.initial_states import _UNIFORM_STD
 
 SPEC = MapSpec(0.8, 5e-3, 1000)
 SMALL = MapSpec(0.8, 5e-3, 64)
@@ -134,6 +137,39 @@ def test_wigner_marginals_match_gaussian_law():
     p = np.where(s.p > 0.5, s.p - 1.0, s.p)
     res_p = stats.kstest(p, lambda x: stats.norm.cdf(x, 0.0, SPEC.hbar / (2 * sigma)))
     assert res_p.pvalue > 1e-3
+
+
+@pytest.mark.parametrize("sigma", [1e-10, 1e-30, 1e-300, 5e-324])
+def test_narrow_wigner_packets_draw_uniform_momenta(sigma):
+    """A momentum std that p0 + s z would round away gives uniform p; q keeps its stream."""
+    count = 10**4
+    s = samples_gaussian(SPEC, 0.25, 0.3, sigma, count=count, mode="wigner", seed=5)
+    assert len(np.unique(s.p)) == count
+    assert stats.kstest(s.p, "uniform").pvalue > 1e-3
+    rng = np.random.Generator(np.random.Philox(key=5))
+    assert np.array_equal(s.q, wrap_unit(0.25 + sigma * rng.standard_normal(count)))
+    assert np.array_equal(s.p, rng.random(count))
+
+
+def test_wigner_momenta_go_uniform_where_the_wrapped_normal_is_uniform():
+    # the wrapped normal's density is within 2 exp(-2 pi^2 s^2) of 1: 2^-53 at the cut
+    assert 2.0 * np.exp(-2.0 * np.pi**2 * _UNIFORM_STD**2) == pytest.approx(2.0**-53, rel=1e-12)
+    for factor, uniform in ((0.99, False), (1.01, True)):
+        sigma = SPEC.hbar / (2.0 * factor * _UNIFORM_STD)
+        s = samples_gaussian(SPEC, 0.25, 0.3, sigma, count=100, mode="wigner", seed=5)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        rng.standard_normal(100)
+        std = SPEC.hbar / (2.0 * sigma)
+        want = rng.random(100) if uniform else wrap_unit(0.3 + std * rng.standard_normal(100))
+        assert np.array_equal(s.p, want), factor
+
+
+def test_cli_run_of_a_narrow_wigner_packet_decays(capsys):
+    argv = ["run", "--state", "gaussian", "--sample-mode", "wigner", "--samples", "5",
+            "--sigma", "1e-300", "--q0", "0.25", "--methods", "dr"]
+    assert main(argv) == 0
+    fidelity = float(re.search(r"M\(50\) = (\S+),", capsys.readouterr().out).group(1))
+    assert fidelity < 0.9  # it read 1, no decay, while p kept no fraction bit
 
 
 def test_wigner_position_marginal_matches_quantum_density():

@@ -20,7 +20,7 @@ REMOVED = (
     (initial_states.SampleSet, ("uniform",)),
     (quantum, ("loschmidt_equivalence",)),
     (quantum.QuantumState, ("position_density", "overlap")),
-    (dephasing.FidelityCurve, ("amplitude_re", "amplitude_im")),
+    (dephasing.FidelityCurve, ("amplitude_re", "amplitude_im", "fidelity_stderr")),
 )
 
 # parameters that no caller set to anything but the default, and were removed

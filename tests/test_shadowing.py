@@ -25,7 +25,10 @@ from torusecho import (
 )
 from torusecho import shadowing
 from torusecho.cli import main
+from torusecho.dynamics import TWO_PI, kick_problem
 from torusecho.shadowing import _min_norm_newton_step, _orbit_defect
+
+from map_reference import step_ref
 
 MIXED = MapSpec(0.8, 5e-3, 1000)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -372,43 +375,28 @@ def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, o
     assert steps and len(steps) == result.iterations
 
 
-def test_newton_step_refuses_a_band_or_defect_that_is_not_finite():
-    """nan in the defect, or a kick slope that overflows the band: no step, no exception."""
-    orb = orbit_from_map(CHAOTIC, (0.37, 0.61), 30)
-    defect = _orbit_defect(CHAOTIC, orb.points)
-    assert _min_norm_newton_step(CHAOTIC, orb.points, defect) is not None
-    defect[7, 1] = np.nan
-    assert _min_norm_newton_step(CHAOTIC, orb.points, defect) is None
-    # at |k| = 1e200 the squared kick slopes are +inf and the off-diagonal
-    # products -inf or +inf; the map itself is still finite
+def test_refinement_at_the_kick_limit_raises_no_warning():
+    """Past the kick limit a refinement is refused; up to it, nothing warns.
+
+    `kick_problem` keeps |k|/2pi below 2^52, so the kick slopes of the
+    Newton band stay below 2.9e16 and the band is finite; at such kicks it
+    is singular in double precision, and a refinement stops after no
+    iteration.
+    """
     pts = np.random.Generator(np.random.Philox(key=11)).random((31, 2))
-    for k in (1e200, -1e200):
-        spec = MapSpec(k, 5e-3, 1000)
-        defect = _orbit_defect(spec, pts)
-        assert np.all(np.isfinite(defect)) and np.abs(defect).max() > 1e-9
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _min_norm_newton_step(spec, pts, defect) is None
-        # a refinement refuses such a kick; below the kick limit (|k|/2pi < 2^52)
-        # the Newton system is singular and it stops after no iteration
+    k_max = np.nextafter(2.0**52 * TWO_PI, 0.0)  # the largest k the float map carries
+    assert kick_problem(k_max) is None and kick_problem(np.nextafter(k_max, np.inf)) is not None
+    for sign in (1.0, -1.0):
         with pytest.raises(InvalidInputError, match="too large for the float map"):
-            refine_shadow(spec, PseudoOrbit(pts), tol=1e-10)
+            refine_shadow(MapSpec(sign * 1e200, 5e-3, 1000), PseudoOrbit(pts), tol=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = refine_shadow(MapSpec(math.copysign(1e16, k), 5e-3, 1000), PseudoOrbit(pts),
-                                tol=1e-10)
+            res = refine_shadow(MapSpec(sign * 1e16, 5e-3, 1000), PseudoOrbit(pts), tol=1e-10)
+            spec = MapSpec(sign * k_max, 5e-3, 1000)
+            dx = _min_norm_newton_step(spec, pts, _orbit_defect(spec, pts))
         assert not res.converged and res.iterations == 0
         assert np.array_equal(res.shadow_points, pts)
-
-
-def _step_ref(c, q, p):
-    """One map step of a single point, written out: kick, wrap, drift, wrap."""
-    p = p - c * np.sin(2.0 * np.pi * q)
-    p = p - np.floor(p)
-    p = p - np.floor(p)
-    q = q + p
-    q = q - np.floor(q)
-    return q - np.floor(q), p
+        assert dx is None or np.isfinite(dx).all()
 
 
 def _survey_orbits_ref(spec, count, steps, seed):
@@ -419,7 +407,7 @@ def _survey_orbits_ref(spec, count, steps, seed):
     for q, p in starts:
         pts = [(q, p)]
         for _ in range(steps):
-            q, p = _step_ref(c, q, p)
+            q, p = step_ref(c, q, p)
             pts.append((q, p))
         orbits.append(np.array(pts))
     return orbits
@@ -430,7 +418,7 @@ def _residual_ref(spec, pts):
     c = spec.kick_coefficient(False)
     worst = 0.0
     for (q, p), nxt in zip(pts[:-1], pts[1:]):
-        for a, b in zip(nxt, _step_ref(c, q, p)):
+        for a, b in zip(nxt, step_ref(c, q, p)):
             d = abs(a - b) % 1.0
             worst = max(worst, min(d, 1.0 - d))
     return worst
