@@ -23,6 +23,20 @@ Checked-once contract: each job's first map step goes through
 on the job's buffers, which assumes both. The kernel's 2 pi q of the old
 positions is reused for the action cos, so each step computes it once.
 
+Blocks of steps: the loop over t steps the map alone, one kernel call a
+step, and keeps each step's 2 pi q as one row of a block history. The
+action cos, the running action sum and the phase record are arithmetic on
+the orbit, so they run once per block of up to HISTORY sample-steps
+(HISTORY // job width steps, at least one): one numpy call over the whole
+block for each elementwise op and each set of row sums, and one np.add a
+step for the action sum, carried from block to block in step order. On
+grids of about 10^3 samples numpy's per-call overhead, not arithmetic,
+ruled the step; the presets' 1000- and 256-sample jobs now take one or two
+blocks for 50 steps, while 8-chunk Monte Carlo jobs keep one step a block.
+The elementwise ops, the per-row pairwise sums and the sequential action
+sum are the float operations of a step-by-step loop in the same order, so
+no output bit depends on the block length.
+
 Half-angle record: the action's cos(2 pi q) and the record's cos and sin
 of the phase come from one tan of the half angle each (`_half_angle`).
 Where the CPU has AVX-512, numpy runs float64 tan on a SIMD path about ten
@@ -60,6 +74,9 @@ CHUNK = 4096
 # whole chunks one job steps as a stack: fewer numpy calls per sample,
 # at a few buffers of BLOCK * CHUNK floats per worker
 BLOCK = 8
+# sample-steps of orbit history a job holds: its action and phase record
+# run once per block of HISTORY // (job width) steps, at least one
+HISTORY = 2**15
 
 _CONJUGATION_TOL = 1e-15
 
@@ -126,43 +143,61 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     unweighted (the epsilon = 0 sum of ones stays integral). Without
     squares, R2 and I2 are left zero: only a Monte Carlo stderr reads them.
 
-    The action's cos and the record's cos and sin come from `_half_angle`,
-    run in place in the job's re/im pair; the map step keeps np.sin.
+    The loop over t steps the map alone, keeping each step's 2 pi q of the
+    old positions as a row of a block history; the action cos, the running
+    action sum and the phase record then run once per block of up to
+    HISTORY // q.size steps (see the module docstring).
     """
-    cos_sum = np.zeros_like(q)
-    re = np.empty_like(q)  # the cos of the phase, then its square; step scratch
-    im = np.empty_like(q)  # the half phase, then its sin, then its square
-    shape = q.shape[:-1] + (steps + 1,)
-    s_re = np.empty(shape)
-    s_im = np.empty(shape)
-    r2 = np.zeros(shape)
-    i2 = np.zeros(shape)
+    size, width = q.size, q.shape[-1]
+    chunks = size // width
+    block = max(1, min(steps, HISTORY // size))
+    # each step's 2 pi q of the old positions, then half angles, then the record's sin
+    angle = np.empty((block,) + q.shape)
+    # the action cos and its running sums, then the record's cos; between
+    # blocks, its first row is the kernel's scratch
+    cos = np.empty_like(angle)
+    cos_sum = np.zeros(q.shape)  # the running action sum, carried from block to block
+    # one (block * chunks, m) view of each: the elementwise ops and the row sums of a block
+    angle_rows, cos_rows = angle.reshape(-1, width), cos.reshape(-1, width)
+    sums = np.zeros((4, (steps + 1) * chunks))  # S real and imaginary, R2, I2; time-major
     half_factor = phase_factor / 2  # exact, a power-of-two scaling, unless subnormal
 
-    def record(t):
-        np.multiply(cos_sum, half_factor, out=im)
-        _half_angle(im, re)
-        s_re[..., t] = re.sum(axis=-1)
-        s_im[..., t] = im.sum(axis=-1)
+    def record(t, n):
+        """The record's sums at t..t + n - 1 from the running action sums in cos[:n]."""
+        half, re = angle_rows[:n * chunks], cos_rows[:n * chunks]
+        np.multiply(re, half_factor, out=half)
+        _half_angle(half, re)
+        out = slice(t * chunks, (t + n) * chunks)
+        sums[0, out] = re.sum(axis=-1)
+        sums[1, out] = half.sum(axis=-1)
         if squares:  # (x*x).sum() keeps numpy's pairwise order; a BLAS dot would not
-            r2[..., t] = np.multiply(re, re, out=re).sum(axis=-1)
-            i2[..., t] = np.multiply(im, im, out=im).sum(axis=-1)
+            sums[2, out] = np.multiply(re, re, out=re).sum(axis=-1)
+            sums[3, out] = np.multiply(half, half, out=half).sum(axis=-1)
 
-    record(0)
+    cos[0] = 0.0
+    record(0, 1)
     c = spec.kick_coefficient(False)
     for t in range(1, steps + 1):
-        # re and im are free until record(t) refills them: the step's scratch
+        i = (t - 1) % block  # the step's row of the block history
         if t == 1:
             # the checked first step; its fresh outputs become the chunk's buffers
-            np.multiply(q, TWO_PI, out=im)
+            np.multiply(q, TWO_PI, out=angle[0])
             q, p = step_ensemble(spec, q, p, perturbed=False)
         else:
-            _step_in_place(c, q, p, im, re)
-        # im holds 2 pi q of the old positions: halve it for the action cos
-        np.multiply(im, 0.5, out=im)
-        _half_angle(im, re)
-        cos_sum += re
-        record(t)
+            _step_in_place(c, q, p, angle[i], cos[0])
+        if i + 1 < block and t < steps:
+            continue
+        n = i + 1
+        half = angle_rows[:n * chunks]
+        np.multiply(half, 0.5, out=half)  # the half angle pi q of the action cos
+        _half_angle(half, cos_rows[:n * chunks])
+        # the running sum, one row a step in step order, on from the carried sum
+        np.add(cos_sum, cos[0], out=cos[0])
+        for r in range(1, n):
+            np.add(cos[r - 1], cos[r], out=cos[r])
+        cos_sum[...] = cos[i]
+        record(t - i, n)
+    s_re, s_im, r2, i2 = np.moveaxis(sums.reshape((4, steps + 1) + q.shape[:-1]), 1, -1)
     return s_re + 1j * s_im, r2, i2
 
 

@@ -17,7 +17,11 @@ implementation of the map step. The kernel assumes both properties and
 keeps them, so a loop that took its first step through `step_ensemble`
 (or that holds points validated into [0, 1)) iterates the kernel alone.
 Wrapping a coordinate already in [0, 1) is the identity, so the results
-are bitwise those of calling `step_ensemble` on every step.
+are bitwise those of calling `step_ensemble` on every step. The kernel
+wraps p with both passes of `_wrap_in_place`, the one general wrap, and q
+with one floor-and-subtract: for q, p in [0, 1) the sum rounds to at most
+2 - 2^-52 < 2, so x - floor(x) is exact and already in [0, 1), where the
+second pass would be the identity.
 """
 
 from __future__ import annotations
@@ -230,7 +234,9 @@ def _step_in_place(c, q, p, arg, tmp):
     p -= tmp
     _wrap_in_place(p, tmp)
     q += p
-    _wrap_in_place(q, tmp)
+    # q + p < 2 (see the module docstring): one pass of the wrap is enough
+    np.floor(q, out=tmp)
+    q -= tmp
 
 
 def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):

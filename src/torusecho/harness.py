@@ -345,6 +345,8 @@ def curve_rows(curves: dict) -> list[dict]:
 _CSV_ROW = ",".join(f"{{{c}}}" if c in ("step", "method") else f"{{{c}:.17g}}" for c in CSV_COLUMNS)
 # one row of json.dumps(rows, indent=2), its values filled in CSV_COLUMNS order
 _JSON_ROW = "  {{\n" + ",\n".join(f'    "{c}": {{}}' for c in CSV_COLUMNS) + "\n  }}"
+# each method's json string, taken once
+_JSON_METHOD = {m: json.dumps(m) for m in METHOD_ORDER}
 
 
 def _json_float(x: float) -> str:
@@ -368,7 +370,7 @@ def render_json(rows: list[dict]) -> str:
         return "[]\n"
     f = _json_float
     body = ",\n".join(
-        _JSON_ROW.format(row["step"], f(row["t"]), json.dumps(row["method"]), f(row["M"]),
+        _JSON_ROW.format(row["step"], f(row["t"]), _JSON_METHOD[row["method"]], f(row["M"]),
                          f(row["amp_re"]), f(row["amp_im"]), f(row["stderr_re"]),
                          f(row["stderr_im"]))
         for row in rows

@@ -121,22 +121,37 @@ def _reference_chunk_sums(spec, q, p, steps, phase_factor):
     return out[0] + 1j * out[1], out[2], out[3]
 
 
-def test_chunk_sums_match_checked_loop_bitwise():
+def test_chunk_sums_match_checked_loop_bitwise(monkeypatch):
     rng = np.random.default_rng(8)
     n = 500
     # raw coordinates off the torus: the chunk's checked first step wraps them
     q = 3.0 * rng.random(n) - 1.0
     p = 5.0 * rng.random(n) - 2.0
-    for spec in (CHAOTIC, MIXED.with_epsilon(-0.03)):
-        factor = spec.epsilon * spec.dim_n / (2 * np.pi)
-        for steps in (0, 1, 2, 17):
-            got = _chunk_sums(spec, q, p, steps, factor)
-            want = _reference_chunk_sums(spec, q, p, steps, factor)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-            # grid sets skip the stderr square sums, leaving them zero
-            s, r2, i2 = _chunk_sums(spec, q, p, steps, factor, squares=False)
-            assert np.array_equal(s, want[0]) and not r2.any() and not i2.any()
+    calls = []
+
+    def counted(half, cos):
+        calls.append(half.size)
+        _half_angle(half, cos)
+
+    monkeypatch.setattr(dephasing, "_half_angle", counted)
+    # blocks of one step, of three (17 steps end in a ragged block of two) and of all steps
+    for block in (1, 3, 17):
+        monkeypatch.setattr(dephasing, "HISTORY", block * n)
+        for spec in (CHAOTIC, MIXED.with_epsilon(-0.03)):
+            factor = spec.epsilon * spec.dim_n / (2 * np.pi)
+            for steps in (0, 1, 2, 17):
+                calls.clear()
+                got = _chunk_sums(spec, q, p, steps, factor)
+                # the record at t = 0, then the action and the record once a block
+                blocks = -(-steps // block)
+                assert len(calls) == 1 + 2 * blocks
+                assert max(calls) == n * min(block, max(steps, 1))
+                want = _reference_chunk_sums(spec, q, p, steps, factor)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                # grid sets skip the stderr square sums, leaving them zero
+                s, r2, i2 = _chunk_sums(spec, q, p, steps, factor, squares=False)
+                assert np.array_equal(s, want[0]) and not r2.any() and not i2.any()
 
 
 def _half_angle_of(x):
@@ -204,12 +219,18 @@ def test_stacked_chunk_sums_equal_one_row_calls_bitwise():
         factor = spec.epsilon * spec.dim_n / (2 * np.pi)
         for steps in (0, 1, 2, 17):
             for squares in (True, False):
-                stacked = _chunk_sums(spec, q, p, steps, factor, squares)
-                for row in range(len(q)):
-                    one = _chunk_sums(spec, q[row], p[row], steps, factor, squares)
-                    for got, want in zip(stacked, one):
-                        assert got.shape == (len(q), steps + 1)
-                        assert np.array_equal(got[row], want)
+                # the one-row references at the default budget: one block of all steps
+                ones = [_chunk_sums(spec, q[row], p[row], steps, factor, squares)
+                        for row in range(len(q))]
+                # stacks in blocks of one step, of three (17 end ragged) and of all steps
+                for block in (1, 3, 17):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(dephasing, "HISTORY", block * q.size)
+                        stacked = _chunk_sums(spec, q, p, steps, factor, squares)
+                    for row, one in enumerate(ones):
+                        for got, want in zip(stacked, one):
+                            assert got.shape == (len(q), steps + 1)
+                            assert np.array_equal(got[row], want)
 
 
 def _per_chunk_curve(spec, samples, steps):
@@ -291,8 +312,8 @@ def test_chunk_rejects_nonfinite_sample_at_first_step():
         np.array([0.2, np.inf]), np.array([0.1, 0.3]), np.array([0.5, 0.5]),
         "monte_carlo", "bad", seed=0,
     )
-    # the first step's action cos meets the inf before the check, as before
-    with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError):
+    # the checked first step refuses the inf before any cos is taken of it
+    with pytest.raises(InvalidInputError):
         dr_curve(MIXED, s, 3)
     assert dr_curve(MIXED, s, 0).steps == 0  # no step, nothing to check
 
@@ -434,3 +455,7 @@ def test_dr_bits_do_not_depend_on_threads(case):
         for threads in (2, 3):
             for got, want in zip(_bits(dr_curve(spec, samples, steps, threads=threads)), base):
                 assert np.array_equal(got, want)
+        # nor on the block length: the action and the record one step at a time
+        mp.setattr(dephasing, "HISTORY", 1)
+        for got, want in zip(_bits(dr_curve(spec, samples, steps)), base):
+            assert np.array_equal(got, want)

@@ -132,6 +132,28 @@ def test_kernel_matches_explicit_formula_bitwise():
         assert np.array_equal(q1, q_ref) and np.array_equal(p1, p_ref)
 
 
+def test_kernel_wraps_q_in_one_pass_bitwise():
+    """One floor-and-subtract wraps q + p: for q, p in [0, 1) the sum stays below 2."""
+    below_one = np.nextafter(1.0, 0.0)
+    rng = np.random.default_rng(15)
+    # unkicked, so p stays as drawn: q + p at its largest, exactly 1, and 0
+    edges = ([below_one, 0.25, 0.5, below_one, 0.0], [below_one, 0.75, 0.5, 2.0**-53, 0.0])
+    cases = [(0.0, *map(np.array, edges))]
+    cases += [(c, rng.random(2000), rng.random(2000)) for c in (0.0, 0.127, -1.59, 1e6)]
+    for c, q, p in cases:
+        q_ref, p_ref = step_ref(c, q, p)
+        qk, pk = q.copy(), p.copy()
+        _step_in_place(c, qk, pk, np.empty_like(q), np.empty_like(q))
+        # the bits themselves, so that a -0.0 would show
+        assert np.array_equal(qk.view(np.uint64), q_ref.view(np.uint64))
+        assert np.array_equal(pk.view(np.uint64), p_ref.view(np.uint64))
+        assert np.all((qk >= 0.0) & (qk < 1.0))
+    # the edges: 2 - 2^-52 wraps to 1 - 2^-52; a sum of exactly 1 wraps to 0
+    q, p = map(np.array, edges)
+    _step_in_place(0.0, q, p, np.empty_like(q), np.empty_like(q))
+    assert q.tolist() == [1.0 - 2.0**-52, 0.0, 0.0, 0.0, 0.0]
+
+
 def test_step_ensemble_broadcasts_and_keeps_inputs():
     q = np.array([0.1, 0.6, 1.7])
     q_before = q.copy()
