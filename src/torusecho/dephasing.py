@@ -23,19 +23,15 @@ Checked-once contract: each job's first map step goes through
 on the job's buffers, which assumes both. The kernel's 2 pi q of the old
 positions is reused for the action cos, so each step computes it once.
 
-Blocks of steps: the loop over t steps the map alone, one kernel call a
-step, and keeps each step's 2 pi q as one row of a block history. The
-action cos, the running action sum and the phase record are arithmetic on
-the orbit, so they run once per block of up to HISTORY sample-steps
-(HISTORY // job width steps, at least one): one numpy call over the whole
-block for each elementwise op and each set of row sums, and one np.add a
-step for the action sum, carried from block to block in step order. On
-grids of about 10^3 samples numpy's per-call overhead, not arithmetic,
-ruled the step; the presets' 1000- and 256-sample jobs now take one or two
-blocks for 50 steps, while 8-chunk Monte Carlo jobs keep one step a block.
-The elementwise ops, the per-row pairwise sums and the sequential action
-sum are the float operations of a step-by-step loop in the same order, so
-no output bit depends on the block length.
+Blocks of steps: only the map is sequential. The loop over t runs the
+kernel alone and keeps each step's 2 pi q as a row of a block history; the
+action cos, the running action sum and the phase record then run once per
+block of HISTORY // (job width) steps, at least one: each elementwise op and
+each set of row sums as one numpy call over the block, the action sum as one
+np.add a step, carried from block to block. On grids of about 10^3 samples
+numpy's per-call overhead, not arithmetic, ruled the step. These are the
+float operations of a step-by-step loop in the same order, so no output bit
+depends on the block length.
 
 Half-angle record: the action's cos(2 pi q) and the record's cos and sin
 of the phase come from one tan of the half angle each (`_half_angle`).
@@ -143,10 +139,8 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     unweighted (the epsilon = 0 sum of ones stays integral). Without
     squares, R2 and I2 are left zero: only a Monte Carlo stderr reads them.
 
-    The loop over t steps the map alone, keeping each step's 2 pi q of the
-    old positions as a row of a block history; the action cos, the running
-    action sum and the phase record then run once per block of up to
-    HISTORY // q.size steps (see the module docstring).
+    The map steps alone; the action and the record run once per block of
+    steps (see "Blocks of steps" in the module docstring).
     """
     size, width = q.size, q.shape[-1]
     chunks = size // width

@@ -210,7 +210,8 @@ def _require_finite(q, p):
 def _wrap_in_place(x, tmp):
     """Map x onto [0, 1) in place; tmp is scratch of x's shape.
 
-    Non-finite values become nan. The one implementation of the wrap.
+    Non-finite values become nan. The one general wrap (the map kernel
+    wraps q, known to lie in [0, 2), with its first pass alone).
     """
     np.floor(x, out=tmp)
     x -= tmp
