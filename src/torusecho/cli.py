@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -41,7 +42,17 @@ _ORACLE_COMBOS = tuple(
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a malformed command line as invalid input, which `main` reports."""
+    """Refuses a malformed command line as invalid input, which `main` reports.
+
+    A value such as -5e-3 is read as a negative number, not as an option:
+    argparse's own rule knows no exponent forms, so `--epsilon -5e-3` would
+    leave --epsilon without its argument.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise InvalidInputError(message)
 

@@ -20,7 +20,13 @@ by a direct LAPACK dpbsv call; scipy is loaded by the first step, not by
 `import torusecho`. The step is damped by the first of the scales 1,
 1/2, ..., 2^-16 that lowers the residual: scale 1 is tried alone, the
 other 16 in one stacked defect call (split on long orbits), so an
-iteration on a short orbit makes one or two calls. Orbits and their
+iteration on a short orbit makes one or two calls. A refinement holds its
+orbit coordinate-first, a q row and a p row, in arrays allocated once
+(`_Workspace`): the map kernel steps contiguous rows with no transposed
+copy, an accepted trial swaps with the current orbit, and an iteration on
+a short orbit, where per-call overhead decides the speed, makes about 45
+numpy calls. The float operations are those of the earlier (L, 2)
+construction, in the same order, so no result bit moved. Orbits and their
 pseudo-residuals are computed for a whole ensemble of starts at once
 (`_orbits`, `_residuals`), bitwise the one-start results;
 `shadow_survey` takes its starts `_SURVEY_BLOCK` at a time, so its orbit
@@ -63,9 +69,9 @@ _MAX_SURVEY_COUNT = 100_000
 # holds 64 x (10^4 + 1) x 2 floats, about 10 MB
 _SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
-# the damping scales 1, 1/2, ..., 2^-16 in ladder order: scale 1 alone, then
-# the other 16, each group one stacked _orbit_defect call
-_DAMPING_GROUPS = tuple(np.split(0.5 ** np.arange(17.0), [1]))
+# the damping scales after 1: 1/2, ..., 2^-16 in ladder order, tried in one
+# stacked _orbit_defect call once scale 1, tried alone, fails
+_DAMPED_SCALES = 0.5 ** np.arange(1.0, 17.0)
 # most orbit points one stacked trial call holds: the 16 damped scales are one
 # call up to 128 points, one scale per call from 1025. On long orbits a call's
 # overhead is small against its arithmetic, so stacking saves nothing there, and
@@ -157,25 +163,29 @@ def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit) -> float:
 
 def _residuals(spec, pts):
     """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call."""
-    return np.abs(_orbit_defect(spec, pts)).max(axis=(-2, -1))
+    x = np.moveaxis(pts, -1, 0)
+    defect, scratch = np.empty(x[..., 1:].shape), np.empty(x[..., 1:].shape)
+    _orbit_defect(spec, x, defect, scratch)
+    return np.abs(defect, out=scratch).max(axis=(0, -1))
 
 
-def _orbit_defect(spec, pts):
-    """Signed defect G[t] = points[t+1] - f(points[t]), f the unperturbed map, torus-wrapped.
+def _orbit_defect(spec, x, defect, scratch):
+    """Signed defect G[t] = x[:, t+1] - f(x[:, t]), f the unperturbed map, torus-wrapped.
 
-    pts has shape (..., T+1, 2), the defect (..., T, 2); a leading axis
-    stacks orbits. pts are PseudoOrbit points, `_orbits` blocks or wrapped
+    x is coordinate-first, (2, ..., T+1): a q row and a p row, with an
+    optional middle axis that stacks orbits. The defect is written into
+    `defect`, (2, ..., T), and returned; `scratch`, of the same shape, is
+    the kernel's. x holds PseudoOrbit points, `_orbits` blocks or wrapped
     trials, so finite and in [0, 1): the unchecked map kernel applies. The
-    images are stepped in one coordinate-first copy, (2, ..., T), so q and
-    p are contiguous at every length; the defect is a view of that copy,
-    wrapped in place into [-0.5, 0.5], the shortest signed displacement.
+    images are stepped in `defect` itself, so q and p are contiguous rows
+    at every length; the defect is then wrapped in place into
+    [-0.5, 0.5], the shortest signed displacement.
     """
-    coords_first = (pts.ndim - 1, *range(pts.ndim - 1))
-    q, p = image = pts[..., :-1, :].transpose(coords_first).copy()
-    _step_in_place(spec.kick_coefficient(False), q, p, np.empty_like(q), np.empty_like(q))
-    defect = np.subtract(pts[..., 1:, :].transpose(coords_first), image, out=image)
-    defect -= np.rint(defect)
-    return defect.transpose((*range(1, pts.ndim), 0))
+    defect[...] = x[..., :-1]
+    _step_in_place(spec.kick_coefficient(False), defect[0], defect[1], scratch[0], scratch[1])
+    np.subtract(x[..., 1:], defect, out=defect)
+    defect -= np.rint(defect, out=scratch)
+    return defect
 
 
 @functools.cache
@@ -185,8 +195,39 @@ def _dpbsv():
     return dpbsv
 
 
-def _min_norm_newton_step(spec, pts, defect):
-    """Minimum-norm correction dX with J dX = -G for the orbit equations.
+class _Workspace:
+    """The arrays one refinement of a T-step orbit works in, each allocated once.
+
+    x (the current orbit), trial and dx (the Newton step) are
+    coordinate-first, (2, T+1); defect and trial_defect are their defects,
+    (2, T). An accepted scale-1 trial swaps with x. The Newton step writes
+    slopes (rows a00 = 1 - K_t and kick = K_t), a0 = A_0, band (J J^T in
+    LAPACK upper band storage; `diagonal` views its main diagonal as
+    (2, T)) and rhs. dpbsv overwrites band and rhs, so each step first
+    copies the band's constant entries from template. wrap, scratch, terms
+    and multipliers are scratch.
+    """
+
+    def __init__(self, points):
+        big_t = len(points) - 1
+        orbit, defect = (2, big_t + 1), (2, big_t)
+        # one np.empty a buffer: unpacking rows of one allocation costs more per row
+        self.x = points.T.copy()
+        self.trial, self.wrap, self.dx = np.empty(orbit), np.empty(orbit), np.empty(orbit)
+        self.defect, self.trial_defect, self.scratch = np.empty(defect), np.empty(defect), np.empty(defect)
+        self.slopes, self.terms, self.multipliers = np.empty(defect), np.empty(defect), np.empty(defect)
+        self.a00, self.kick = self.slopes[0], self.slopes[1]
+        self.a0 = np.array([[0.0, 1.0], [0.0, 1.0]])
+        # Fortran order and the overwrite flags: f2py hands band and rhs to LAPACK uncopied
+        self.template = np.zeros((4, 2 * big_t), order="F")
+        self.template[2, 2::2] = self.template[1, 3::2] = -1.0
+        self.band = np.empty_like(self.template)
+        self.diagonal = self.band[3].reshape(big_t, 2).T
+        self.rhs = np.empty(2 * big_t)
+
+
+def _min_norm_newton_step(spec, work):
+    """Minimum-norm correction dX with J dX = -G for the orbit equations, in work.dx.
 
     J is the 2T x 2(T+1) block bidiagonal orbit Jacobian (blocks -A_t and
     I, A_t = [[1 - K_t, 1], [-K_t, 1]] the tangent map at q_t, with kick
@@ -196,63 +237,91 @@ def _min_norm_newton_step(spec, pts, defect):
     definite with half-bandwidth 3. Its entries are written from K_t
     straight into LAPACK upper band storage, ab[3 + i - j, j] =
     (J J^T)[i, j], in the order of the products and sums of A_t A_t^T, and
-    solved by a direct LAPACK dpbsv call (banded Cholesky). Returns None
-    where no step exists in double precision: a band that is not positive
-    definite (at kicks beyond about 10^7, A_t A_t^T + I rounds to a
-    singular matrix). The band is finite: `kick_problem` keeps |k|/2pi
+    solved by a direct LAPACK dpbsv call (banded Cholesky). The orbit and
+    its defect G are work.x and work.defect (see `_Workspace`). Returns
+    None where no step exists in double precision: a band that is not
+    positive definite (at kicks beyond about 10^7, A_t A_t^T + I rounds to
+    a singular matrix). The band is finite: `kick_problem` keeps |k|/2pi
     below 2^52, so |K_t| < 2.9e16 and every band entry is below 1e33, and
-    pts and their defect are finite.
+    the orbit and its defect are finite.
     """
-    big_t = pts.shape[0] - 1
-    kick = spec.kick_coefficient(False) * TWO_PI * np.cos(TWO_PI * pts[:-1, 0])
-    neg_kick = -kick
-    a00 = 1.0 - kick
-    # Fortran order and the overwrite flags: f2py hands both arrays to LAPACK uncopied
-    ab = np.zeros((4, 2 * big_t), order="F")
-    ab[3, 0::2] = a00 * a00 + 1.0 + 1.0
-    ab[3, 1::2] = kick * kick + 1.0 + 1.0
-    ab[2, 1::2] = a00 * neg_kick + 1.0
-    ab[2, 2::2] = -1.0
-    ab[1, 2::2] = -a00[1:]
-    ab[1, 3::2] = -1.0
+    a00, kick, slopes = work.a00, work.kick, work.slopes
+    terms, multipliers = work.terms, work.multipliers
+    big_t = kick.shape[0]
+    np.multiply(work.x[0, :-1], TWO_PI, out=kick)
+    np.cos(kick, out=kick)
+    kick *= spec.kick_coefficient(False) * TWO_PI
+    np.subtract(1.0, kick, out=a00)
+    ab = work.band
+    ab[...] = work.template
+    # (1 - K_t)^2 + 1 + 1 and K_t^2 + 1 + 1, then (1 - K_t)(-K_t) + 1, taken as
+    # 1 - (1 - K_t) K_t: negation is exact, so the bits are the same
+    np.multiply(slopes, slopes, out=terms)
+    terms += 1.0
+    terms += 1.0
+    work.diagonal[...] = terms
+    np.multiply(a00, kick, out=terms[0])
+    np.subtract(1.0, terms[0], out=ab[2, 1::2])
+    np.negative(a00[1:], out=ab[1, 2::2])
     ab[0, 3::2] = kick[1:]
-    _, lam, info = _dpbsv()(ab, -defect.reshape(-1), overwrite_ab=1, overwrite_b=1)
+    rhs = work.rhs
+    rhs.reshape(big_t, 2)[...] = work.defect.T
+    np.negative(rhs, out=rhs)
+    _, lam, info = _dpbsv()(ab, rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         return None  # J J^T is singular in double precision
     lam = lam.reshape(big_t, 2)
 
-    dx = np.empty((big_t + 1, 2))
-    a0 = np.array([[a00[0], 1.0], [neg_kick[0], 1.0]])
-    dx[0] = -a0.T @ lam[0]
-    if big_t > 1:
-        l0, l1 = lam[1:, 0], lam[1:, 1]
-        np.subtract(lam[:-1, 0], a00[1:] * l0 + neg_kick[1:] * l1, out=dx[1:big_t, 0])
-        np.subtract(lam[:-1, 1], l0 + l1, out=dx[1:big_t, 1])
-    dx[big_t] = lam[big_t - 1]
+    dx, a0 = work.dx, work.a0
+    a0[0, 0], a0[1, 0] = a00[0], -kick[0]
+    dx[:, 0] = -a0.T @ lam[0]
+    # dx_t = lam_{t-1} - A_t^T lam_t: rows (1 - K_t) l0 + (-K_t) l1, taken as
+    # (1 - K_t) l0 - K_t l1, and l0 + l1
+    multipliers[...] = lam.T
+    np.multiply(slopes, multipliers, out=terms)
+    np.subtract(terms[0], terms[1], out=terms[0])
+    np.add(multipliers[0], multipliers[1], out=terms[1])
+    np.subtract(multipliers[:, :-1], terms[:, 1:], out=dx[:, 1:big_t])
+    dx[:, big_t] = lam[big_t - 1]
     return dx
 
 
-def _damped_trial(spec, pts, dx, res):
-    """(points, defect, residual) at the first damping scale whose residual is below res.
+def _sup_defect(defect, scratch):
+    """max |defect| of one orbit, as a float; scratch has the defect's shape."""
+    # ndarray.max's Python wrapper costs as much as the reduction on 10-30 points
+    return float(np.maximum.reduce(np.abs(defect, out=scratch), axis=None))
 
-    The scales are tried in ladder order: scale 1 alone, then the other 16
-    in one stacked defect call, split where it would hold more than
-    `_TRIAL_POINTS` orbit points; None when no scale lowers the residual (a
-    stall). Every step is elementwise or an exact max, so the accepted trial
-    is bitwise the one a one-scale-at-a-time ladder accepts.
+
+def _damped_trial(spec, work, res):
+    """Residual at the first damping scale whose residual is below res, or None (a stall).
+
+    The scales are tried in ladder order: scale 1 alone, in work.trial,
+    then the other 16 in one stacked defect call, split where it would hold
+    more than `_TRIAL_POINTS` orbit points. The accepted trial and its
+    defect are left in work.trial and work.trial_defect. Every step is
+    elementwise or an exact max, so the accepted trial is bitwise the one a
+    one-scale-at-a-time ladder accepts.
     """
-    per_call = max(1, _TRIAL_POINTS // len(pts))
-    for group in _DAMPING_GROUPS:
-        for lo in range(0, len(group), per_call):
-            scales = group[lo : lo + per_call]
-            trials = pts + scales[:, None, None] * dx
-            _wrap_in_place(trials, np.empty_like(trials))
-            defects = _orbit_defect(spec, trials)
-            trial_res = np.abs(defects).max(axis=(1, 2))
-            first = (trial_res < res).argmax()
-            if trial_res[first] < res:
-                # a copy: a view would keep the whole stack alive in the result
-                return trials[first].copy(), defects[first], float(trial_res[first])
+    x, dx, trial = work.x, work.dx, work.trial
+    np.add(x, dx, out=trial)
+    _wrap_in_place(trial, work.wrap)
+    trial_res = _sup_defect(_orbit_defect(spec, trial, work.trial_defect, work.scratch), work.scratch)
+    if trial_res < res:
+        return trial_res
+    length = x.shape[1]
+    per_call = max(1, _TRIAL_POINTS // length)
+    for lo in range(0, len(_DAMPED_SCALES), per_call):
+        scales = _DAMPED_SCALES[lo : lo + per_call, None]
+        trials = x[:, None] + scales * dx[:, None]
+        _wrap_in_place(trials, np.empty_like(trials))
+        defects, scratch = np.empty(trials[..., 1:].shape), np.empty(trials[..., 1:].shape)
+        _orbit_defect(spec, trials, defects, scratch)
+        trial_res = np.abs(defects, out=scratch).max(axis=(0, 2))
+        first = (trial_res < res).argmax()
+        if trial_res[first] < res:
+            trial[...] = trials[:, first]
+            work.trial_defect[...] = defects[:, first]
+            return float(trial_res[first])
     return None
 
 
@@ -276,8 +345,16 @@ def refine_shadow(
     Endpoints are free; each iteration applies the minimum-norm correction
     at the largest damping scale 1, 1/2, ..., 2^-16 that lowers the sup
     residual, and stops (stalled) where none does; scale 1 is tested alone,
-    the other 16 in one stacked call (`_DAMPING_GROUPS`, split on orbits of
-    more than 128 points). Convergence means sup residual <= tol.
+    the other 16 in one stacked call (split on orbits of more than 128
+    points). Convergence means sup residual <= tol.
+
+    The refinement works on the orbit coordinate-first, as a q row and a p
+    row, in arrays allocated once (`_Workspace`); an accepted step swaps
+    the trial with the current orbit. The result's points are a fresh
+    (L, 2) array that shares no memory with the input or the work arrays.
+    The float operations are those of the earlier (L, 2) construction that
+    allocated every array afresh, in the same order, so no result bit
+    moved.
 
     Refinement can fail honestly: a segment that brushes a
     non-hyperbolic region (an island pass, where the one-step stability
@@ -297,25 +374,26 @@ def refine_shadow(
     raise_problem(_refine_problem(orbit.steps, tol, max_iter))
     raise_problem(kick_problem(spec.k))
 
-    pts = orbit.points.copy()
-    defect = _orbit_defect(spec, pts)
-    res = float(np.abs(defect).max())
+    work = _Workspace(orbit.points)
+    res = _sup_defect(_orbit_defect(spec, work.x, work.defect, work.scratch), work.scratch)
     iterations, converged = 0, res <= tol
 
     while not converged and iterations < max_iter:
-        dx = _min_norm_newton_step(spec, pts, defect)
-        if dx is None:
+        if _min_norm_newton_step(spec, work) is None:
             break  # no Newton step; report best point found
         iterations += 1
-        accepted = _damped_trial(spec, pts, dx, res)
-        if accepted is None:
+        trial_res = _damped_trial(spec, work, res)
+        if trial_res is None:
             break  # stalled; report best point found
-        pts, defect, res = accepted
+        work.x, work.trial = work.trial, work.x
+        work.defect, work.trial_defect = work.trial_defect, work.defect
+        res = trial_res
         converged = res <= tol
 
-    distance = float(torus_distance(pts, orbit.points).max())
+    points = work.x.T.copy()
+    distance = float(torus_distance(points, orbit.points).max())
     return ShadowResult(
-        shadow_points=pts,
+        shadow_points=points,
         shadow_distance=distance,
         residual=res,
         converged=bool(converged),

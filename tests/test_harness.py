@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -462,6 +465,28 @@ def test_cli_presets_listing_and_emit(tmp_path, capsys):
     assert main(["presets", "--emit", "nope"]) == 2
 
 
+def test_python_m_torusecho_runs_the_cli_from_a_checkout(tmp_path):
+    import torusecho
+
+    src = str(Path(torusecho.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "torusecho", "presets"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "fig1-mixed" in proc.stdout and "fig1-chaotic" in proc.stdout
+
+
+def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):
+    """-5e-3 is a value, as -0.005 is, and not an unknown option."""
+    for name, flag in (("spaced", ["--epsilon", "-5e-3"]), ("joined", ["--epsilon=-5e-3"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", *flag, "--methods", "dr", "--steps", "5", "--out", str(out)]) == 0
+    assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+    assert main(["shadow", "--k", "-1e1", "--count", "2", "--steps", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_shadow_and_oracle_check(capsys):
     assert main(["shadow", "--epsilon", "0.005", "--count", "4", "--steps", "10"]) == 0
     out = capsys.readouterr().out
@@ -532,6 +557,7 @@ _MALFORMED_ARGV = [
     ["shadow", "--k", "x"],
     ["oracle-check", "--steps", "x"],
     ["presets", "--emit", "nope"],
+    ["run", "--epsilon", "--k", "1"],
     ["bogus"],
     [],
 ]

@@ -1,5 +1,6 @@
 """Pseudo-orbit residual bounds and Newton shadow refinement."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -35,6 +36,20 @@ CHAOTIC = MapSpec(10.0, 2e-3, 1000)
 KICK_BOUND = lambda spec: spec.epsilon / (2 * np.pi)  # noqa: E731
 
 
+def _defect(spec, pts):
+    """`_orbit_defect` of (L, 2) points, as (T, 2); the refinement works coordinate-first."""
+    shape = (2, len(pts) - 1)
+    return _orbit_defect(spec, np.ascontiguousarray(pts.T), np.empty(shape), np.empty(shape)).T
+
+
+def _newton_step(spec, pts, defect):
+    """`_min_norm_newton_step` on (L, 2) points and their (T, 2) defect: dx as (L, 2), or None."""
+    work = shadowing._Workspace(pts)
+    work.defect[...] = defect.T
+    dx = _min_norm_newton_step(spec, work)
+    return None if dx is None else dx.T.copy()
+
+
 def _perturbed_target(spec):
     """The spec whose unperturbed map is spec's perturbed map."""
     return MapSpec(spec.k + spec.epsilon, 0.0, spec.dim_n)
@@ -60,7 +75,7 @@ def test_orbit_defect_is_the_shortest_signed_displacement():
     for t, (dq, dp) in enumerate(jumps):
         q, p = step_ensemble(MIXED, pts[t, 0], pts[t, 1])
         pts[t + 1] = wrap_unit(q + dq), wrap_unit(p + dp)
-    defect = _orbit_defect(MIXED, pts)
+    defect = _defect(MIXED, pts)
     assert np.all(np.abs(defect) <= 0.5)
     assert np.abs(defect - [[-0.4, 0.4], [0.49, 0.2], [-0.3, 0.45]]).max() < 1e-12
     assert pseudo_residual(MIXED, PseudoOrbit(pts)) == np.abs(defect).max()
@@ -208,9 +223,7 @@ def test_glitch_orbit_reports_honest_failure():
     res = refine_shadow(CHAOTIC, orb, tol=1e-11, max_iter=80)
     assert not res.converged
     assert res.residual <= pseudo_residual(CHAOTIC, orb)
-    from torusecho.shadowing import _orbit_defect
-
-    defect = _orbit_defect(CHAOTIC, res.shadow_points)
+    defect = _defect(CHAOTIC, res.shadow_points)
     worst = int(np.argmax(np.abs(defect).max(axis=1)))
     head = refine_shadow(CHAOTIC, PseudoOrbit(orb.points[:worst]), tol=1e-11, max_iter=60)
     tail = refine_shadow(CHAOTIC, PseudoOrbit(orb.points[worst + 2 :]), tol=1e-11, max_iter=60)
@@ -298,11 +311,11 @@ def _orbit_jacobian_ref(c, pts):
 @pytest.mark.parametrize("steps", [1, 2, 22, 200])
 def test_newton_step_is_the_written_out_min_norm_solution(spec, steps):
     orb = orbit_from_map(spec, (0.37, 0.61), steps)
-    defect = _orbit_defect(spec, orb.points)
+    defect = _defect(spec, orb.points)
     jac = _orbit_jacobian_ref(spec.kick_coefficient(False), orb.points)
     g = defect.reshape(-1)
     ref = jac.T @ np.linalg.solve(jac @ jac.T, -g)
-    dx = _min_norm_newton_step(spec, orb.points, defect)
+    dx = _newton_step(spec, orb.points, defect)
     assert dx.shape == orb.points.shape
     assert np.abs(dx.reshape(-1) - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.abs(jac @ dx.reshape(-1) + g).max() <= 1e-10 * np.abs(g).max()
@@ -312,8 +325,7 @@ def test_newton_step_without_a_double_precision_solution_stalls():
     """At |k| = 1e8, A A^T + I rounds to a singular matrix: no step, no exception."""
     spec = MapSpec(1e8, 5e-3, 1000)
     orb = orbit_from_map(spec, (0.37, 0.61), 30)
-    defect = _orbit_defect(spec, orb.points)
-    assert _min_norm_newton_step(spec, orb.points, defect) is None
+    assert _newton_step(spec, orb.points, _defect(spec, orb.points)) is None
     res = refine_shadow(spec, orb, tol=1e-10)
     assert not res.converged and res.iterations == 0
     assert np.array_equal(res.shadow_points, orb.points)
@@ -364,10 +376,11 @@ def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, o
     """Every Newton step of a refinement, bitwise the block-and-einsum construction."""
     newton, steps = shadowing._min_norm_newton_step, []
 
-    def checked(spec_, pts, defect):
-        dx = newton(spec_, pts, defect)
-        assert dx.tobytes() == _newton_step_ref(spec_, pts, defect).tobytes()
-        steps.append(dx)
+    def checked(spec_, work):
+        pts, defect = work.x.T.copy(), work.defect.T.copy()
+        dx = newton(spec_, work)
+        assert dx.T.tobytes() == _newton_step_ref(spec_, pts, defect).tobytes()
+        steps.append(dx.copy())
         return dx
 
     monkeypatch.setattr(shadowing, "_min_norm_newton_step", checked)
@@ -393,7 +406,7 @@ def test_refinement_at_the_kick_limit_raises_no_warning():
             warnings.simplefilter("error")
             res = refine_shadow(MapSpec(sign * 1e16, 5e-3, 1000), PseudoOrbit(pts), tol=1e-10)
             spec = MapSpec(sign * k_max, 5e-3, 1000)
-            dx = _min_norm_newton_step(spec, pts, _orbit_defect(spec, pts))
+            dx = _newton_step(spec, pts, _defect(spec, pts))
         assert not res.converged and res.iterations == 0
         assert np.array_equal(res.shadow_points, pts)
         assert dx is None or np.isfinite(dx).all()
@@ -476,16 +489,68 @@ def test_survey_report_does_not_depend_on_the_block_size(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(orbits3, orbits))
 
 
+# sha256 over every refine_shadow result of a benchmark survey, in call order
+# (shadow_points bytes in (L, 2) C order, then the repr of shadow_distance,
+# residual, converged and iterations), then over the report's repr
+SURVEY_DIGESTS = {
+    0: "a64c1dddacd803b65e822047d35aab958497cf1ac80ec4a97ef2f189c98d131c",
+    3: "c4140e11c3eaed50f5e17a562213fc9220a24d312c6cf5a38b668dbc48009473",
+}
+
+
+def _survey_digest(report, results):
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(r.shadow_points.tobytes())
+        digest.update(repr((r.shadow_distance, r.residual, r.converged, r.iterations)).encode())
+    digest.update(repr(report).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize(
     "spec,seed,converged,iterations", [(CHAOTIC, 0, 217, 1205), (MIXED, 3, 256, 519)]
 )
 def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, converged, iterations):
-    """The benchmark's surveys: one refinement per orbit, same outcomes as before."""
+    """The benchmark's surveys: one refinement per orbit, same outcomes as before.
+
+    The digest pins every bit of every refinement and of the report. Like
+    the golden digests it rests on the platform's libm sin and cos bits:
+    on another libm it may move with no fault in the program.
+    """
     report, _, _, results = _recorded_survey(monkeypatch, spec, count=256, seed=seed, tol=1e-9)
     assert len(results) == 256
     assert sum(r.converged for r in results) == converged
     assert report["fraction_converged"] == converged / 256
     assert sum(r.iterations for r in results) == iterations
+    assert _survey_digest(report, results) == SURVEY_DIGESTS[seed]
+
+
+def test_refinements_own_their_points():
+    """Results share no memory with the refinement's reused and swapped buffers,
+    with each other or with their input, and later refinements leave them be."""
+    orbits = [
+        (CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 22)),
+        (MIXED, orbit_from_map(MIXED, (0.4, 0.2), 14)),  # another length
+        # no Newton step exists: the result is the input's points
+        (MapSpec(1e8, 5e-3, 1000), orbit_from_map(MapSpec(1e8, 5e-3, 1000), (0.37, 0.61), 30)),
+    ]
+    inputs = [orb.points.copy() for _, orb in orbits]
+    results = []
+    for spec, orb in orbits:
+        results.append(refine_shadow(spec, orb, tol=1e-10))
+        if len(results) == 1:
+            first = results[0].shadow_points.copy()
+    assert results[0].iterations > 0 and results[1].iterations > 0
+    assert results[2].iterations == 0 and not results[2].converged
+    assert results[0].shadow_points.tobytes() == first.tobytes()
+    for (_, orb), before, result in zip(orbits, inputs, results):
+        assert orb.points.tobytes() == before.tobytes()
+        assert result.shadow_points.shape == orb.points.shape == (len(orb), 2)
+        assert not np.shares_memory(result.shadow_points, orb.points)
+        for other in results:
+            if other is not result:
+                assert not np.shares_memory(result.shadow_points, other.shadow_points)
+    assert np.array_equal(results[2].shadow_points, orbits[2][1].points)
 
 
 def _refine_ref(spec, orbit, tol, max_iter):
@@ -501,7 +566,7 @@ def _refine_ref(spec, orbit, tol, max_iter):
     res = float(np.abs(d).max())
     iterations, converged = 0, res <= tol
     while not converged and iterations < max_iter:
-        dx = _min_norm_newton_step(spec, pts, d)
+        dx = _newton_step(spec, pts, d)
         iterations += 1
         scale = 1.0
         while scale >= 2.0**-16:
@@ -569,9 +634,9 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     defect, newton = shadowing._orbit_defect, shadowing._min_norm_newton_step
     events = []
 
-    def counted_defect(spec, pts):
-        events.append(len(pts) if pts.ndim == 3 else None)
-        return defect(spec, pts)
+    def counted_defect(spec, x, *buffers):
+        events.append(x.shape[1] if x.ndim == 3 else 1)  # x (2, S, L) stacks S trials
+        return defect(spec, x, *buffers)
 
     def counted_newton(*args):
         events.append("newton")
