@@ -24,7 +24,7 @@ iteration on a short orbit makes one or two calls. A refinement holds its
 orbit coordinate-first, a q row and a p row, in arrays allocated once
 (`_Workspace`): the map kernel steps contiguous rows with no transposed
 copy, an accepted trial swaps with the current orbit, and an iteration on
-a short orbit, where per-call overhead decides the speed, makes about 45
+a short orbit, where per-call overhead decides the speed, makes about 50
 numpy calls. The float operations are those of the earlier (L, 2)
 construction, in the same order, so no result bit moved. Orbits and their
 pseudo-residuals are computed for a whole ensemble of starts at once
