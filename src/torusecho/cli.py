@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -93,12 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shadow = sub.add_parser("shadow", help="shadowing diagnostics")
     shadow.add_argument("--k", type=float, default=0.8)
     shadow.add_argument("--epsilon", type=float, default=5e-3)
-    shadow.add_argument("--count", type=int, default=32, help="number of orbits")
-    shadow.add_argument("--steps", type=int, default=None,
+    # the survey's keywords: a flag not given leaves shadow_survey's own default
+    shadow.add_argument("--count", type=int, default=argparse.SUPPRESS, help="number of orbits")
+    shadow.add_argument("--steps", type=int, default=argparse.SUPPRESS,
                         help="segment length (default: the epsilon^-1/2 horizon)")
-    shadow.add_argument("--seed", type=int, default=0)
-    shadow.add_argument("--tol", type=float, default=1e-9)
-    shadow.add_argument("--max-iter", type=int, default=40)
+    shadow.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    shadow.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    shadow.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
     shadow.set_defaults(func=_cmd_shadow)
 
     oracle = sub.add_parser(
@@ -182,10 +184,8 @@ def _cmd_shadow(args) -> int:
     # the survey is classical and reads only k and epsilon: the smallest grid
     # keeps the quantum phase-scale rule from refusing what it can run
     spec = MapSpec(args.k, args.epsilon, 2)
-    report = shadow_survey(
-        spec, count=args.count, steps=args.steps, seed=args.seed,
-        tol=args.tol, max_iter=args.max_iter,
-    )
+    keys = ("count", "steps", "seed", "tol", "max_iter")
+    report = shadow_survey(spec, **{key: getattr(args, key) for key in keys if hasattr(args, key)})
     print(f"epsilon = {report['epsilon']:g}, shadow horizon ~ {report['shadow_time']:.4g} steps")
     print(f"orbits: {report['count']} x {report['steps']} steps")
     print(
@@ -229,10 +229,23 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
+def _stdout_to_null():
+    """Point fd 1 at the null device, so the exit flush of a closed pipe adds nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # an in-process caller's stand-in stream
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return status
     except ConfigValidationError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
@@ -244,6 +257,8 @@ def main(argv=None) -> int:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _stdout_to_null()
         print(f"io error: {exc}", file=sys.stderr)
         return 4
 

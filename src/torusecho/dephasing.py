@@ -12,10 +12,14 @@ across the ensemble.
 
 Determinism contract: samples are processed in fixed chunks of CHUNK
 consecutive indices and the per-chunk partial sums are combined in index
-order, so results are bitwise identical for any thread count. A job steps
-up to BLOCK whole chunks as one (B, CHUNK) stack, summing each row alone
-(the ragged tail is a one-row job), with the bits of one chunk a job; no
-more threads start than there are jobs or usable CPUs.
+order, so results are bitwise identical for any thread count.
+
+Work budget: HISTORY, the number of values one numpy call covers, is the
+route's one budget. A job steps up to HISTORY // CHUNK whole chunks (at
+least one) as one (B, CHUNK) stack, summing each row alone (the ragged
+tail is a one-row job), with the bits of one chunk a job; no more threads
+start than there are jobs or usable CPUs. A job of S samples runs its
+action and phase record once per block of HISTORY // S steps, at least one.
 
 Checked-once contract: each job's first map step goes through
 `step_ensemble`, which rejects non-finite coordinates and wraps them onto
@@ -26,21 +30,22 @@ positions is reused for the action cos, so each step computes it once.
 Blocks of steps: only the map is sequential. The loop over t runs the
 kernel alone and keeps each step's 2 pi q as a row of a block history; the
 action cos, the running action sum and the phase record then run once per
-block of HISTORY // (job width) steps, at least one: each elementwise op and
-each set of row sums as one numpy call over the block, the action sum as one
-np.add a step, carried from block to block. On grids of about 10^3 samples
-numpy's per-call overhead, not arithmetic, ruled the step. These are the
-float operations of a step-by-step loop in the same order, so no output bit
-depends on the block length.
+block of steps: each elementwise op and each set of row sums as one numpy
+call over the block, the action sum as one np.add a step, carried from
+block to block. On grids of about 10^3 samples numpy's per-call overhead,
+not arithmetic, ruled the step. These are the float operations of a
+step-by-step loop in the same order, so no output bit depends on the block
+length. At t = 0 every z_j is exactly 1, so that record is written, not
+computed.
 
 Half-angle record: the action's cos(2 pi q) and the record's cos and sin
 of the phase come from one tan of the half angle each (`_half_angle`).
 Where the CPU has AVX-512, numpy runs float64 tan on a SIMD path about ten
 times faster than its scalar-libm sin and cos; elsewhere tan is one libm
 call where the record made two. The power-of-two halving is exact. The map
-kicks with np.sin as before: at k = 10 one ulp on an orbit grows to O(1)
-within 25 steps, so only the libm sin keeps the orbits, and every
-shadowing result, bitwise those of the written-out map.
+kicks with np.sin: at k = 10 one ulp on an orbit grows to O(1) within 25
+steps, so only the libm sin keeps the orbits, and every shadowing result,
+bitwise those of the written-out map.
 """
 
 from __future__ import annotations
@@ -67,11 +72,7 @@ from .initial_states import SampleSet
 # fixed work unit; combining per-chunk sums in index order keeps the
 # floating-point reduction identical for every thread count
 CHUNK = 4096
-# whole chunks one job steps as a stack: fewer numpy calls per sample,
-# at a few buffers of BLOCK * CHUNK floats per worker
-BLOCK = 8
-# sample-steps of orbit history a job holds: its action and phase record
-# run once per block of HISTORY // (job width) steps, at least one
+# the work budget: values one numpy call covers (see the module docstring)
 HISTORY = 2**15
 
 _CONJUGATION_TOL = 1e-15
@@ -133,11 +134,11 @@ def _half_angle(half, cos):
 def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     """Raw partial sums over each chunk of a (..., m) stack of samples.
 
-    Returns (S, R2, I2), each (..., steps + 1): S[..., t] = sum_j z_j(t)
-    as complex, R2 and I2 the sums of (Re z_j)^2 and (Im z_j)^2, over
-    the last axis, so each row's sums are bitwise a 1-D call's. They are
-    unweighted (the epsilon = 0 sum of ones stays integral). Without
-    squares, R2 and I2 are left zero: only a Monte Carlo stderr reads them.
+    Returns one (4, ..., steps + 1) array: the sums of Re z_j(t), Im z_j(t),
+    (Re z_j)^2 and (Im z_j)^2 over the last axis, so each row's sums are
+    bitwise a 1-D call's. They are unweighted (the epsilon = 0 sum of ones
+    stays integral). Without squares the last two are left zero: only a
+    Monte Carlo stderr reads them.
 
     The map steps alone; the action and the record run once per block of
     steps (see "Blocks of steps" in the module docstring).
@@ -153,46 +154,39 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     cos_sum = np.zeros(q.shape)  # the running action sum, carried from block to block
     # one (block * chunks, m) view of each: the elementwise ops and the row sums of a block
     angle_rows, cos_rows = angle.reshape(-1, width), cos.reshape(-1, width)
-    sums = np.zeros((4, (steps + 1) * chunks))  # S real and imaginary, R2, I2; time-major
+    sums = np.zeros((4, (steps + 1) * chunks))  # Re, Im, Re^2, Im^2 sums; time-major
+    # t = 0: every z_j is exactly 1
+    sums[0, :chunks] = width
+    if squares:
+        sums[2, :chunks] = width
     half_factor = phase_factor / 2  # exact, a power-of-two scaling, unless subnormal
-
-    def record(t, n):
-        """The record's sums at t..t + n - 1 from the running action sums in cos[:n]."""
+    c = spec.kick_coefficient(False)
+    for t0 in range(1, steps + 1, block):
+        n = min(block, steps + 1 - t0)
+        for i in range(n):
+            if t0 + i > 1:
+                _step_in_place(c, q, p, angle[i], cos[0])
+            else:  # the checked first step; its fresh outputs become the job's buffers
+                np.multiply(q, TWO_PI, out=angle[0])
+                q, p = step_ensemble(spec, q, p, perturbed=False)
         half, re = angle_rows[:n * chunks], cos_rows[:n * chunks]
+        np.multiply(half, 0.5, out=half)  # the half angle pi q of the action cos
+        _half_angle(half, re)
+        # the running sum, one row a step in step order, on from the carried sum
+        np.add(cos_sum, cos[0], out=cos[0])
+        for r in range(1, n):
+            np.add(cos[r - 1], cos[r], out=cos[r])
+        cos_sum[...] = cos[n - 1]
+        # the record's cos and sin of the phases at t0..t0 + n - 1
         np.multiply(re, half_factor, out=half)
         _half_angle(half, re)
-        out = slice(t * chunks, (t + n) * chunks)
+        out = slice(t0 * chunks, (t0 + n) * chunks)
         sums[0, out] = re.sum(axis=-1)
         sums[1, out] = half.sum(axis=-1)
         if squares:  # (x*x).sum() keeps numpy's pairwise order; a BLAS dot would not
             sums[2, out] = np.multiply(re, re, out=re).sum(axis=-1)
             sums[3, out] = np.multiply(half, half, out=half).sum(axis=-1)
-
-    cos[0] = 0.0
-    record(0, 1)
-    c = spec.kick_coefficient(False)
-    for t in range(1, steps + 1):
-        i = (t - 1) % block  # the step's row of the block history
-        if t == 1:
-            # the checked first step; its fresh outputs become the chunk's buffers
-            np.multiply(q, TWO_PI, out=angle[0])
-            q, p = step_ensemble(spec, q, p, perturbed=False)
-        else:
-            _step_in_place(c, q, p, angle[i], cos[0])
-        if i + 1 < block and t < steps:
-            continue
-        n = i + 1
-        half = angle_rows[:n * chunks]
-        np.multiply(half, 0.5, out=half)  # the half angle pi q of the action cos
-        _half_angle(half, cos_rows[:n * chunks])
-        # the running sum, one row a step in step order, on from the carried sum
-        np.add(cos_sum, cos[0], out=cos[0])
-        for r in range(1, n):
-            np.add(cos[r - 1], cos[r], out=cos[r])
-        cos_sum[...] = cos[i]
-        record(t - i, n)
-    s_re, s_im, r2, i2 = np.moveaxis(sums.reshape((4, steps + 1) + q.shape[:-1]), 1, -1)
-    return s_re + 1j * s_im, r2, i2
+    return np.moveaxis(sums.reshape((4, steps + 1) + q.shape[:-1]), 1, -1)
 
 
 def _worker_count(threads, chunks):
@@ -244,9 +238,9 @@ def dr_curve(
     monte_carlo = samples.kind == "monte_carlo"
     chunks, whole = -(-n // CHUNK), n - n % CHUNK
     workers = _worker_count(int(threads), chunks)
-    # up to BLOCK whole chunks a job, fewer where that would idle a worker;
-    # the ragged tail is a job of its own
-    size = min(BLOCK, -(-chunks // workers)) * CHUNK
+    # up to HISTORY // CHUNK whole chunks a job (at least one), fewer where
+    # that would idle a worker; the ragged tail is a job of its own
+    size = min(max(1, HISTORY // CHUNK), -(-chunks // workers)) * CHUNK
     bounds = [(lo, min(lo + size, whole)) for lo in range(0, whole, size)]
     bounds += [(whole, n)] * (whole < n)
 
@@ -264,28 +258,21 @@ def dr_curve(
             parts = [f.result() for f in futures]  # index order, not completion
 
     n_t = steps + 1
-    s_tot = np.zeros(n_t, dtype=np.complex128)
-    r2_tot = np.zeros(n_t)
-    i2_tot = np.zeros(n_t)
-    for rows in parts:
-        for s, r2, i2 in zip(*rows):  # one chunk a row, in index order
-            s_tot += s
-            r2_tot += r2
-            i2_tot += i2
+    total = np.zeros((4, n_t))
+    for part in parts:
+        for chunk in np.moveaxis(part, 1, 0):  # one chunk a row, in index order
+            total += chunk
 
-    # each part divided alone: complex / n multiplies by a rounded 1/n, so
-    # an epsilon = 0 sum of n ones would not give exactly 1 (n = 161, say)
-    amp = s_tot
-    amp.real /= n
-    amp.imag /= n
+    # the real and imaginary sums divided apart: complex / n multiplies by a
+    # rounded 1/n, so an epsilon = 0 sum of n ones would not give exactly 1
+    # (n = 161, say)
+    mean = total[:2] / n
+    amp = np.empty(n_t, dtype=np.complex128)
+    amp.real, amp.imag = mean
     if monte_carlo:
-        var_re = np.maximum(r2_tot / n - amp.real**2, 0.0)
-        var_im = np.maximum(i2_tot / n - amp.imag**2, 0.0)
-        stderr_re = np.sqrt(var_re / n)
-        stderr_im = np.sqrt(var_im / n)
+        stderr_re, stderr_im = np.sqrt(np.maximum(total[2:] / n - mean**2, 0.0) / n)
     else:
-        stderr_re = np.zeros(n_t)
-        stderr_im = np.zeros(n_t)
+        stderr_re, stderr_im = np.zeros(n_t), np.zeros(n_t)
 
     return FidelityCurve(
         amplitude=amp,

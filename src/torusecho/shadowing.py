@@ -25,14 +25,13 @@ orbit coordinate-first, a q row and a p row, in arrays allocated once
 (`_Workspace`): the map kernel steps contiguous rows with no transposed
 copy, an accepted trial swaps with the current orbit, and an iteration on
 a short orbit, where per-call overhead decides the speed, makes about 50
-numpy calls. The float operations are those of the earlier (L, 2)
-construction, in the same order, so no result bit moved. Orbits and their
-pseudo-residuals are computed for a whole ensemble of starts at once
-(`_orbits`, `_residuals`), bitwise the one-start results;
-`shadow_survey` takes its starts `_SURVEY_BLOCK` at a time, so its orbit
-storage does not grow with the orbit count. The one-step defect has one
-implementation, `_orbit_defect`: the Newton iteration solves against it,
-and a pseudo-residual is its largest magnitude.
+numpy calls. Orbits and their pseudo-residuals are computed for a whole
+ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
+one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
+time, so its orbit storage does not grow with the orbit count. The
+one-step defect has one implementation, `_orbit_defect`: the Newton
+iteration solves against it, and a pseudo-residual is its largest
+magnitude.
 
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as
@@ -352,9 +351,6 @@ def refine_shadow(
     row, in arrays allocated once (`_Workspace`); an accepted step swaps
     the trial with the current orbit. The result's points are a fresh
     (L, 2) array that shares no memory with the input or the work arrays.
-    The float operations are those of the earlier (L, 2) construction that
-    allocated every array afresh, in the same order, so no result bit
-    moved.
 
     Refinement can fail honestly: a segment that brushes a
     non-hyperbolic region (an island pass, where the one-step stability

@@ -19,9 +19,12 @@ from torusecho import (
     step_ensemble,
 )
 from torusecho import dephasing, samples_gaussian
-from torusecho.dephasing import BLOCK, _chunk_sums, _half_angle, _worker_count
+from torusecho.dephasing import HISTORY, _chunk_sums, _half_angle, _worker_count
 
 from map_reference import step_ref
+
+# whole chunks one dr job stacks at most
+STACK = HISTORY // CHUNK
 
 MIXED = MapSpec(0.8, 5e-3, 64)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -118,7 +121,7 @@ def _reference_chunk_sums(spec, q, p, steps, phase_factor):
             q, p = step_ref(c, q, p)
         re, im = _cos_sin_ref(phase_factor * cos_sum)
         out[:, t] = re.sum(), im.sum(), (re * re).sum(), (im * im).sum()
-    return out[0] + 1j * out[1], out[2], out[3]
+    return out
 
 
 def test_chunk_sums_match_checked_loop_bitwise(monkeypatch):
@@ -142,16 +145,15 @@ def test_chunk_sums_match_checked_loop_bitwise(monkeypatch):
             for steps in (0, 1, 2, 17):
                 calls.clear()
                 got = _chunk_sums(spec, q, p, steps, factor)
-                # the record at t = 0, then the action and the record once a block
+                # the action and the record once a block; the t = 0 record is written
                 blocks = -(-steps // block)
-                assert len(calls) == 1 + 2 * blocks
-                assert max(calls) == n * min(block, max(steps, 1))
+                assert len(calls) == 2 * blocks
+                assert max(calls, default=0) == n * min(block, steps)
                 want = _reference_chunk_sums(spec, q, p, steps, factor)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w)
+                assert got.shape == (4, steps + 1) and np.array_equal(got, want)
                 # grid sets skip the stderr square sums, leaving them zero
-                s, r2, i2 = _chunk_sums(spec, q, p, steps, factor, squares=False)
-                assert np.array_equal(s, want[0]) and not r2.any() and not i2.any()
+                got = _chunk_sums(spec, q, p, steps, factor, squares=False)
+                assert np.array_equal(got[:2], want[:2]) and not got[2:].any()
 
 
 def _half_angle_of(x):
@@ -237,25 +239,21 @@ def _per_chunk_curve(spec, samples, steps):
     """dr_curve's amplitude and stderrs from one 1-D `_chunk_sums` call per chunk."""
     n = len(samples)
     factor = spec.epsilon * spec.dim_n / (2 * np.pi)
-    s_tot = np.zeros(steps + 1, dtype=np.complex128)
-    r2_tot = np.zeros(steps + 1)
-    i2_tot = np.zeros(steps + 1)
+    total = np.zeros((4, steps + 1))
     for lo in range(0, n, CHUNK):
-        s, r2, i2 = _chunk_sums(spec, samples.q[lo:lo + CHUNK], samples.p[lo:lo + CHUNK],
-                                steps, factor)
-        s_tot += s
-        r2_tot += r2
-        i2_tot += i2
-    amp = s_tot.real / n + 1j * (s_tot.imag / n)  # each part divided alone
-    stderr_re = np.sqrt(np.maximum(r2_tot / n - amp.real**2, 0.0) / n)
-    stderr_im = np.sqrt(np.maximum(i2_tot / n - amp.imag**2, 0.0) / n)
+        total += _chunk_sums(spec, samples.q[lo:lo + CHUNK], samples.p[lo:lo + CHUNK],
+                             steps, factor)
+    re, im, r2, i2 = total
+    amp = re / n + 1j * (im / n)  # each part divided alone
+    stderr_re = np.sqrt(np.maximum(r2 / n - amp.real**2, 0.0) / n)
+    stderr_im = np.sqrt(np.maximum(i2 / n - amp.imag**2, 0.0) / n)
     return amp, stderr_re, stderr_im
 
 
 @pytest.mark.parametrize(
     "count",
-    [1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK * CHUNK - 1, BLOCK * CHUNK + 1,
-     2 * BLOCK * CHUNK + 77],
+    [1, CHUNK - 1, CHUNK, CHUNK + 1, STACK * CHUNK - 1, STACK * CHUNK + 1,
+     2 * STACK * CHUNK + 77],
 )
 def test_stacked_jobs_match_a_per_chunk_loop_bitwise(count, monkeypatch):
     # many usable CPUs, so the requested workers start on any machine
@@ -275,9 +273,9 @@ def test_stacked_jobs_match_a_per_chunk_loop_bitwise(count, monkeypatch):
         (CHUNK + 1, 8, 2, 2, 2),
         (2 * CHUNK + 1808, 2, 2, 2, 2),  # the golden monte-carlo run: 3 chunks, 2 threads
         (2 * CHUNK + 1808, 8, 64, 3, 3),
-        (BLOCK * CHUNK, 2, 2, 2, 2),  # one stack would idle a CPU: two half stacks
-        (3 * BLOCK * CHUNK + 5, 2, 2, 2, 4),
-        (3 * BLOCK * CHUNK + 5, 8, 1, 1, 4),
+        (STACK * CHUNK, 2, 2, 2, 2),  # one stack would idle a CPU: two half stacks
+        (3 * STACK * CHUNK + 5, 2, 2, 2, 4),
+        (3 * STACK * CHUNK + 5, 8, 1, 1, 4),
     ],
 )
 def test_workers_follow_the_jobs(count, threads, cpus, workers, n_jobs, monkeypatch):
@@ -286,8 +284,7 @@ def test_workers_follow_the_jobs(count, threads, cpus, workers, n_jobs, monkeypa
 
     def counted_sums(spec, q, p, steps, phase_factor, squares=True):
         jobs.append(q.shape)
-        rows = np.zeros(q.shape[:-1] + (steps + 1,))
-        return rows + 0j, rows, rows
+        return np.zeros((4,) + q.shape[:-1] + (steps + 1,))
 
     class CountedPool(dephasing.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -301,8 +298,8 @@ def test_workers_follow_the_jobs(count, threads, cpus, workers, n_jobs, monkeypa
     dr_curve(CHAOTIC, s, 2, threads=threads)
     assert started == ([workers] if workers > 1 else [])
     assert len(jobs) == n_jobs
-    # stacks of at most BLOCK whole chunks; a ragged tail is a one-row job
-    assert all(rows <= BLOCK and (width == CHUNK or rows == 1) for rows, width in jobs)
+    # stacks of at most STACK whole chunks; a ragged tail is a one-row job
+    assert all(rows <= STACK and (width == CHUNK or rows == 1) for rows, width in jobs)
     assert sum(width != CHUNK for _, width in jobs) == (count % CHUNK > 0)
     assert sum(rows * width for rows, width in jobs) == count
 
@@ -327,6 +324,20 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _worker_count(1, 2442) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _worker_count(8, 100) == 1
+
+
+def test_worker_count_without_cpu_affinity(monkeypatch):
+    # platforms without sched_getaffinity (macOS, Windows): os.cpu_count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    s = samples_position_state(CHAOTIC, 0.4, count=3 * CHUNK + 5, mode="monte_carlo", seed=21)
+    want = _per_chunk_curve(CHAOTIC, s, 6)
+    for cpus in (3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for threads, chunks in ((10_000, 2442), (2, 2442), (8, 2), (8, 1), (1, 2442)):
+            assert _worker_count(threads, chunks) == min(threads, chunks, cpus or 1)
+        curve = dr_curve(CHAOTIC, s, 6, threads=3)
+        for got, ref in zip((curve.amplitude, curve.stderr_re, curve.stderr_im), want):
+            assert np.array_equal(got, ref)
 
 
 def test_dr_curve_rejects_phases_that_overflow_over_the_run():

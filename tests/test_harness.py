@@ -32,7 +32,7 @@ from torusecho import (
     samples_position_state,
     validate_config,
 )
-from torusecho import quantum, shadowing
+from torusecho import cli, quantum, shadowing
 from torusecho.cli import emit_config, main
 from torusecho.dynamics import _MAX_STEPS
 from torusecho.dephasing import FidelityCurve
@@ -475,6 +475,43 @@ def test_python_m_torusecho_runs_the_cli_from_a_checkout(tmp_path):
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert "fig1-mixed" in proc.stdout and "fig1-chaotic" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_closed_stdout_exits_4_once(unbuffered):
+    import torusecho
+
+    src = str(Path(torusecho.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for command in (["presets"], ["oracle-check", "--steps", "2"],
+                    ["shadow", "--count", "2", "--steps", "5"]):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "torusecho", *command], env=env,
+                                  stdout=write, stderr=subprocess.PIPE, text=True, check=False)
+        finally:
+            os.close(write)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.count("io error:") == 1 and len(proc.stderr.splitlines()) == 1
+        assert "Exception ignored" not in proc.stderr
+
+
+def test_cli_shadow_passes_only_the_flags_given(monkeypatch, capsys):
+    # shadow_survey alone owns the defaults of its keywords
+    seen = []
+
+    def survey(spec, **kwargs):
+        seen.append(kwargs)
+        return shadowing.shadow_survey(spec, count=1, steps=3)
+
+    monkeypatch.setattr(cli, "shadow_survey", survey)
+    assert main(["shadow"]) == 0
+    assert main(["shadow", "--count", "4", "--tol", "1e-8"]) == 0
+    assert seen == [{}, {"count": 4, "tol": 1e-8}]
 
 
 def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):

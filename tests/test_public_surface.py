@@ -13,7 +13,7 @@ TRACING = Path(__file__).resolve().parents[1] / "torusbench" / "tracing.py"
 # names removed from the program: test-only ones, and rules folded into a shared one
 REMOVED = (
     (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian", "dim_problem")),
-    (dephasing, ("threads_problem",)),
+    (dephasing, ("threads_problem", "BLOCK")),
     (harness, ("_parse_value", "_POSITION_MODES", "_GAUSSIAN_MODES")),
     (initial_states, ("WignerSampler", "periodized_gaussian_density")),
     (shadowing, ("wrap_signed", "noisy_orbit", "_GENERATORS", "_against_flag")),
