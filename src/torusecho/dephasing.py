@@ -18,8 +18,10 @@ Work budget: HISTORY, the number of values one numpy call covers, is the
 route's one budget. A job steps up to HISTORY // CHUNK whole chunks (at
 least one) as one (B, CHUNK) stack, summing each row alone (the ragged
 tail is a one-row job), with the bits of one chunk a job; no more threads
-start than there are jobs or usable CPUs. A job of S samples runs its
-action and phase record once per block of HISTORY // S steps, at least one.
+start than there are jobs or usable CPUs. Each job's sums are added into
+one accumulator as they arrive, in index order, so only the jobs in flight
+hold theirs. A job of S samples runs its action and phase record once per
+block of HISTORY // S steps, at least one.
 
 Checked-once contract: each job's first map step goes through
 `step_ensemble`, which rejects non-finite coordinates and wraps them onto
@@ -50,6 +52,7 @@ bitwise those of the written-out map.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -244,24 +247,20 @@ def dr_curve(
     bounds = [(lo, min(lo + size, whole)) for lo in range(0, whole, size)]
     bounds += [(whole, n)] * (whole < n)
 
-    def job(lo, hi):
+    def job(bound):
+        lo, hi = bound
         width = min(CHUNK, hi - lo)
         return _chunk_sums(spec, q[lo:hi].reshape(-1, width), p[lo:hi].reshape(-1, width),
                            steps, phase_factor, monte_carlo)
 
-    workers = min(workers, len(bounds))
-    if workers == 1:
-        parts = [job(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job, lo, hi) for lo, hi in bounds]
-            parts = [f.result() for f in futures]  # index order, not completion
-
     n_t = steps + 1
     total = np.zeros((4, n_t))
-    for part in parts:
-        for chunk in np.moveaxis(part, 1, 0):  # one chunk a row, in index order
-            total += chunk
+    workers = min(workers, len(bounds))
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        # each part is added as it arrives, in index order, not completion
+        for part in pool.map(job, bounds) if pool else map(job, bounds):
+            for chunk in np.moveaxis(part, 1, 0):  # one chunk a row, in index order
+                total += chunk
 
     # the real and imaginary sums divided apart: complex / n multiplies by a
     # rounded 1/n, so an epsilon = 0 sum of n ones would not give exactly 1

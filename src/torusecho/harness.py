@@ -227,6 +227,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         invalid(f"p0 must lie in [0, 1), got {config.p0!r}")
     if config.format not in _FORMATS:
         invalid(f"format must be one of {_FORMATS}, got {config.format!r}")
+    if config.out is not None and not os.fspath(config.out):
+        invalid("out must name a file, got ''")
     add(count_problem("threads", config.threads, 1))
     add(seed_problem(config.seed))
 
@@ -318,35 +320,25 @@ def compare(curve_a: FidelityCurve, curve_b: FidelityCurve) -> ComparisonReport:
     )
 
 
-def curve_rows(curves: dict) -> list[dict]:
-    """Flat output rows, method-major in canonical order, steps ascending."""
-    rows = []
+def _tables(curves: dict):
+    """Each curve present, method-major in canonical order: its method and its rows.
+
+    A row is (step, (M, amp_re, amp_im, stderr_re, stderr_im)), steps
+    ascending. Each column is read through a memoryview, whose items are
+    the Python floats .tolist() gives, one at a time, so no list is built.
+    """
     for method in METHOD_ORDER:
         curve = curves.get(method)
-        if curve is None:
-            continue
-        # .tolist() gives the Python floats float() would, one call a column
-        columns = zip(
-            curve.fidelity.tolist(),
-            curve.amplitude.real.tolist(),
-            curve.amplitude.imag.tolist(),
-            curve.stderr_re.tolist(),
-            curve.stderr_im.tolist(),
-        )
-        rows.extend(
-            {"step": t, "t": float(t), "method": method, "M": m, "amp_re": re,
-             "amp_im": im, "stderr_re": err_re, "stderr_im": err_im}
-            for t, (m, re, im, err_re, err_im) in enumerate(columns)
-        )
-    return rows
+        if curve is not None:
+            columns = (curve.fidelity, curve.amplitude.real, curve.amplitude.imag,
+                       curve.stderr_re, curve.stderr_im)
+            yield method, enumerate(zip(*map(memoryview, columns)))
 
 
-# one template a row: every float with 17 significant digits
-_CSV_ROW = ",".join(f"{{{c}}}" if c in ("step", "method") else f"{{{c}:.17g}}" for c in CSV_COLUMNS)
+# one template a row, values in CSV_COLUMNS order: every float with 17 significant digits
+_CSV_ROW = ",".join("{}" if c in ("step", "method") else "{:.17g}" for c in CSV_COLUMNS) + "\n"
 # one row of json.dumps(rows, indent=2), its values filled in CSV_COLUMNS order
 _JSON_ROW = "  {{\n" + ",\n".join(f'    "{c}": {{}}' for c in CSV_COLUMNS) + "\n  }}"
-# each method's json string, taken once
-_JSON_METHOD = {m: json.dumps(m) for m in METHOD_ORDER}
 
 
 def _json_float(x: float) -> str:
@@ -358,24 +350,27 @@ def _json_float(x: float) -> str:
     return "Infinity" if x > 0.0 else "-Infinity"
 
 
-def render_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(_CSV_ROW.format_map(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def render_csv(curves: dict):
+    """The CSV text of the curves' table, one piece a line: the header, then each row."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for method, rows in _tables(curves):
+        for t, row in rows:  # .17g formats the int step t as float(t)
+            yield _CSV_ROW.format(t, t, method, *row)
 
 
-def render_json(rows: list[dict]) -> str:
-    """The text of json.dumps(rows, indent=2) and a newline, for rows of `curve_rows`."""
-    if not rows:
-        return "[]\n"
+def render_json(curves: dict):
+    """The text of json.dumps(rows, indent=2) and a newline, one piece a row.
+
+    rows is the table as a list of dicts keyed by CSV_COLUMNS, "t" a float.
+    """
     f = _json_float
-    body = ",\n".join(
-        _JSON_ROW.format(row["step"], f(row["t"]), _JSON_METHOD[row["method"]], f(row["M"]),
-                         f(row["amp_re"]), f(row["amp_im"]), f(row["stderr_re"]),
-                         f(row["stderr_im"]))
-        for row in rows
-    )
-    return "[\n" + body + "\n]\n"
+    lead = "[\n"
+    for method, rows in _tables(curves):
+        name = json.dumps(method)
+        for t, row in rows:
+            yield lead + _JSON_ROW.format(t, f(float(t)), name, *map(f, row))
+            lead = ",\n"
+    yield "[]\n" if lead == "[\n" else "\n]\n"
 
 
 def write_result(result: "RunResult"):
@@ -386,10 +381,10 @@ def write_result(result: "RunResult"):
     """
     start = time.perf_counter()
     out = Path(result.config.out)
-    rows = curve_rows(result.curves)
-    text = render_csv(rows) if result.config.format == "csv" else render_json(rows)
+    render = render_csv if result.config.format == "csv" else render_json
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, newline="\n")
+    with out.open("w", newline="\n") as data:
+        data.writelines(render(result.curves))
     result.timings["write"] = time.perf_counter() - start
     meta_path = out.parent / (out.stem + ".meta.json")
     meta = {

@@ -27,7 +27,7 @@ from torusecho import (
     step_ensemble,
     wrap_unit,
 )
-from torusecho.harness import render_csv, curve_rows
+from torusecho.harness import render_csv
 
 
 def _line(name, ok, detail):
@@ -229,7 +229,7 @@ def test_c8_output_bytes_independent_of_workers(tmp_path):
     )
     assert b1 == b8
     # and the rendered text is derived purely from the curves
-    assert render_csv(curve_rows(r1.curves)).encode() == b1
+    assert "".join(render_csv(r1.curves)).encode() == b1
 
 
 def test_c9_gaussian_states():

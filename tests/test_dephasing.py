@@ -1,6 +1,7 @@
 """Dephasing-representation estimator: exactness limits, errors, threading."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +303,31 @@ def test_workers_follow_the_jobs(count, threads, cpus, workers, n_jobs, monkeypa
     assert all(rows <= STACK and (width == CHUNK or rows == 1) for rows, width in jobs)
     assert sum(width != CHUNK for _, width in jobs) == (count % CHUNK > 0)
     assert sum(rows * width for rows, width in jobs) == count
+
+
+def test_dr_holds_at_most_two_parts_at_one_thread(monkeypatch):
+    """Each job's sums are added as they arrive: only the part in hand and the next are alive."""
+    n_jobs = 32
+    count = n_jobs * STACK * CHUNK
+    counts = {"jobs": 0, "alive": 0, "peak": 0}
+
+    def released():
+        counts["alive"] -= 1
+
+    def counted_sums(spec, q, p, steps, phase_factor, squares=True):
+        part = np.zeros((4,) + q.shape[:-1] + (steps + 1,))
+        weakref.finalize(part, released)
+        counts["jobs"] += 1
+        counts["alive"] += 1
+        counts["peak"] = max(counts["peak"], counts["alive"])
+        return part
+
+    monkeypatch.setattr(dephasing, "_chunk_sums", counted_sums)
+    s = SampleSet(np.zeros(count), np.zeros(count), np.full(count, 1.0 / count),
+                  "monte_carlo", "flat", seed=0)
+    dr_curve(CHAOTIC, s, 2, threads=1)
+    assert counts["jobs"] == n_jobs
+    assert counts["peak"] <= 2 and counts["alive"] == 0, counts
 
 
 def test_chunk_rejects_nonfinite_sample_at_first_step():

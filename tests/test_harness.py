@@ -9,6 +9,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -39,11 +40,12 @@ from torusecho.dephasing import FidelityCurve
 from torusecho.harness import (
     _FIELD_PARSERS,
     CSV_COLUMNS,
+    RunResult,
     check_config,
-    curve_rows,
     load_config,
     render_csv,
     render_json,
+    write_result,
 )
 from torusecho.shadowing import _MAX_SURVEY_COUNT
 
@@ -205,19 +207,18 @@ def test_compare_validation():
 def test_rows_and_csv_round_trip():
     cfg = ExperimentConfig(dim_n=64, q0=0.25, steps=3, methods=("dr", "exact"))
     result = run_experiment(cfg)
-    rows = curve_rows(result.curves)
-    assert len(rows) == 2 * 4
-    assert [r["method"] for r in rows[:4]] == ["dr"] * 4
-    assert [r["step"] for r in rows[:4]] == [0, 1, 2, 3]
-    text = render_csv(rows)
-    lines = text.strip().split("\n")
+    lines = "".join(render_csv(result.curves)).strip().split("\n")
     assert lines[0] == "step,t,method,M,amp_re,amp_im,stderr_re,stderr_im"
+    assert len(lines) == 1 + 2 * 4
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[2] for r in rows] == ["dr"] * 4 + ["exact"] * 4
+    assert [r[0] for r in rows[:4]] == ["0", "1", "2", "3"]
     # 17-significant-digit serialization round-trips bitwise
-    for line, row in zip(lines[1:], rows):
-        fields = line.split(",")
-        assert float(fields[3]) == row["M"]
-        assert float(fields[4]) == row["amp_re"]
-        assert float(fields[5]) == row["amp_im"]
+    for method, fields in zip(("dr", "exact"), (rows[:4], rows[4:])):
+        curve = result.curves[method]
+        assert [float(r[3]) for r in fields] == curve.fidelity.tolist()
+        assert [float(r[4]) for r in fields] == curve.amplitude.real.tolist()
+        assert [float(r[5]) for r in fields] == curve.amplitude.imag.tolist()
 
 
 def _written_out_csv(rows):
@@ -253,19 +254,43 @@ def _curve_sets():
 
 
 def test_renderers_match_the_written_out_formulas_byte_for_byte():
-    for curves in _curve_sets():
-        rows = curve_rows(curves)
-        # repr tells every float apart bitwise, nan included, and keeps key order
-        assert repr(rows) == repr(_written_out_rows(curves))
-        assert render_csv(rows) == _written_out_csv(rows)
-        assert render_json(rows) == json.dumps(rows, indent=2) + "\n"
-    assert render_csv([]) == _written_out_csv([])
-    assert render_json([]) == json.dumps([], indent=2) + "\n"
+    for curves in [*_curve_sets(), {}]:
+        rows = _written_out_rows(curves)
+        assert "".join(render_csv(curves)) == _written_out_csv(rows)
+        assert "".join(render_json(curves)) == json.dumps(rows, indent=2) + "\n"
     # the hand-built curve reaches every non-finite spelling of both formats
-    text = render_json(rows)
+    curves = list(_curve_sets())[-1]
+    text = "".join(render_json(curves))
     for token in ("NaN", "Infinity", "-Infinity", "5e-324", "1.7976931348623157e+308"):
         assert f": {token}," in text or f": {token}\n" in text, token
-    assert all(f",{token}," in render_csv(rows) for token in ("nan", "inf", "-inf"))
+    text = "".join(render_csv(curves))
+    assert all(f",{token}," in text for token in ("nan", "inf", "-inf"))
+
+
+def _long_result(steps, out, fmt):
+    spec = MapSpec(0.8, 5e-3, 64)
+    amp = np.exp(1j * np.linspace(0.0, 1.0, steps + 1))
+    err = np.linspace(0.0, 1e-3, steps + 1)
+    curves = {"dr": FidelityCurve(amp, err, err[::-1], "dr", spec, "hand-built", 5)}
+    return RunResult(ExperimentConfig(steps=steps, out=out, format=fmt), curves, None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_result_peak_does_not_grow_with_steps(fmt, tmp_path):
+    """The table is written a row at a time: no list of rows, no whole-table string."""
+    out = tmp_path / f"run.{fmt}"
+    write_result(_long_result(10, out, fmt))  # first-call imports and caches
+    peaks = []
+    for steps in (2_000, 20_000):
+        result = _long_result(steps, out, fmt)
+        tracemalloc.start()
+        try:
+            write_result(result)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out.stat().st_size > 20_000 * 100  # the long table was written
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
 
 def test_cli_runs_in_one_process_do_not_share_flags(tmp_path, capsys):
@@ -301,7 +326,9 @@ def test_write_csv_and_sidecar(tmp_path):
     assert "created_utc" in meta and "duration_s" in meta
     # the platform that dr bits rest on: numpy's SIMD tan, the C library's sin
     assert meta["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
-    assert set(meta["numpy_simd"]) >= {"baseline", "found"}
+    # numpy lists the dispatched features it found, or says it found none
+    assert "baseline" in meta["numpy_simd"]
+    assert set(meta["numpy_simd"]) <= {"baseline", "found", "not found"}
     assert meta["libc"] == list(platform.libc_ver())
     assert meta["machine"] == platform.machine()
     assert meta["python"] == platform.python_version()
@@ -383,6 +410,16 @@ def test_cli_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "state" in err and "steps" in err
+
+
+def test_cli_empty_out_exits_2(tmp_path, capsys):
+    """An empty out names no file: refused as input before any work, not an I/O error."""
+    assert _messages(ExperimentConfig(out="")) == ["out must name a file, got ''"]
+    cfg = tmp_path / "empty-out.cfg"
+    cfg.write_text("steps = 3\nout =\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: out must name a file, got ''\n"
 
 
 def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -595,6 +632,7 @@ _MALFORMED_ARGV = [
     ["oracle-check", "--steps", "x"],
     ["presets", "--emit", "nope"],
     ["run", "--epsilon", "--k", "1"],
+    ["run", "--out", ""],
     ["bogus"],
     [],
 ]
