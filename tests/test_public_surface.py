@@ -14,7 +14,8 @@ TRACING = Path(__file__).resolve().parents[1] / "torusbench" / "tracing.py"
 REMOVED = (
     (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian", "dim_problem")),
     (dephasing, ("threads_problem", "BLOCK")),
-    (harness, ("_parse_value", "_POSITION_MODES", "_GAUSSIAN_MODES")),
+    (harness, ("_parse_value", "_POSITION_MODES", "_GAUSSIAN_MODES", "curve_rows",
+               "_JSON_METHOD")),
     (initial_states, ("WignerSampler", "periodized_gaussian_density")),
     (shadowing, ("wrap_signed", "noisy_orbit", "_GENERATORS", "_against_flag")),
     (initial_states.SampleSet, ("uniform",)),
