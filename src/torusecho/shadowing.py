@@ -18,14 +18,17 @@ Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
 steps: the band is built straight from the map's kick slope and solved
 by a direct LAPACK dpbsv call; scipy is loaded by the first step, not by
 `import torusecho`. The step is damped by the first of the scales 1,
-1/2, ..., 2^-16 that lowers the residual: scale 1 is tried alone, the
-other 16 in one stacked defect call (split on long orbits), so an
-iteration on a short orbit makes one or two calls. A refinement holds its
-orbit coordinate-first, a q row and a p row, in arrays allocated once
+1/2, ..., 2^-16 that lowers the residual. After a full step (and on the
+first iteration) scale 1 is tried alone, then the other 16 in one
+stacked defect call; after a damped step, which is most often followed
+by another, all 17 go in one stacked call. Stacked calls are split on
+long orbits, so an iteration on a short orbit makes one or two calls.
+A refinement holds its orbit coordinate-first, a q row and a p row, in
+arrays that each thread allocates once per orbit length and reuses
 (`_Workspace`): the map kernel steps contiguous rows with no transposed
-copy, an accepted trial swaps with the current orbit, and an iteration on
-a short orbit, where per-call overhead decides the speed, makes about 50
-numpy calls. Orbits and their pseudo-residuals are computed for a whole
+copy, an accepted trial swaps with the current orbit, and the Newton
+step writes into fixed views of the band and its right-hand side.
+Orbits and their pseudo-residuals are computed for a whole
 ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
 one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
 time, so its orbit storage does not grow with the orbit count. The
@@ -41,6 +44,7 @@ epsilon^(-1/2); `shadow_time_estimate` returns that scale.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +60,6 @@ from .dynamics import (
     perturbation_problem,
     step_ensemble,
     steps_problem,
-    torus_distance,
 )
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import _rng
@@ -68,13 +71,12 @@ _MAX_SURVEY_COUNT = 100_000
 # holds 64 x (10^4 + 1) x 2 floats, about 10 MB
 _SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
-# the damping scales after 1: 1/2, ..., 2^-16 in ladder order, tried in one
-# stacked _orbit_defect call once scale 1, tried alone, fails
-_DAMPED_SCALES = 0.5 ** np.arange(1.0, 17.0)
-# most orbit points one stacked trial call holds: the 16 damped scales are one
-# call up to 128 points, one scale per call from 1025. On long orbits a call's
-# overhead is small against its arithmetic, so stacking saves nothing there, and
-# trials past the accepted scale made whole groups 1.4x slower at 10^4 steps
+# the damping ladder 1, 1/2, ..., 2^-16, tried in this order
+_SCALES = 0.5 ** np.arange(17.0)
+# most orbit points one stacked trial call holds: the 17 scales are one call up
+# to 120 points, one scale per call from 1025. On long orbits a call's overhead
+# is small against its arithmetic, so stacking saves nothing there, and trials
+# past the accepted scale made whole groups 1.4x slower at 10^4 steps
 _TRIAL_POINTS = 2048
 
 
@@ -88,7 +90,8 @@ class PseudoOrbit:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise InvalidInputError(f"orbit needs shape (L, 2) with L >= 2, got {pts.shape}")
-        if not ((pts >= 0.0) & (pts < 1.0)).all():  # nan fails this test too
+        # one reduction each way; a nan propagates through both and fails the test too
+        if not (np.minimum.reduce(pts, axis=None) >= 0.0 and np.maximum.reduce(pts, axis=None) < 1.0):
             if not np.isfinite(pts).all():
                 raise InvalidInputError("orbit contains non-finite coordinates")
             raise InvalidInputError("orbit coordinates must lie in [0, 1)")
@@ -195,34 +198,85 @@ def _dpbsv():
 
 
 class _Workspace:
-    """The arrays one refinement of a T-step orbit works in, each allocated once.
+    """The arrays a refinement of a T-step orbit works in: one set a thread and orbit length.
 
     x (the current orbit), trial and dx (the Newton step) are
     coordinate-first, (2, T+1); defect and trial_defect are their defects,
-    (2, T). An accepted scale-1 trial swaps with x. The Newton step writes
-    slopes (rows a00 = 1 - K_t and kick = K_t), a0 = A_0, band (J J^T in
-    LAPACK upper band storage; `diagonal` views its main diagonal as
-    (2, T)) and rhs. dpbsv overwrites band and rhs, so each step first
-    copies the band's constant entries from template. wrap, scratch, terms
-    and multipliers are scratch.
+    (2, T). An accepted trial swaps with x. The Newton step writes slopes
+    (rows a00 = 1 - K_t and kick = K_t), a0 = A_0, band (J J^T in LAPACK
+    upper band storage, through fixed views: `diagonal`, the main
+    diagonal, with its (1 - K_t)^2 and K_t^2 entries diagonal_q and
+    diagonal_p, and upper1, upper2 and upper3, the entries of the upper
+    rows that change) and rhs, which `multipliers` views as (2, T).
+    dpbsv overwrites band and rhs, the latter with the multipliers, so each
+    step first copies the band's constant entries from template. `ladder`
+    (scales 1, ..., 2^-16) and `damped` (1/2, ..., 2^-16) split the scales
+    into stacked trial calls of at most `_TRIAL_POINTS` orbit points, each
+    as its first ladder position, its scale column and its views of a
+    stack of up to 17 trial orbits, (2, S, T+1), with their wrap scratch,
+    defects and kernel scratch. wrap, scratch and terms are scratch; the
+    other attributes are fixed views of these arrays.
     """
 
-    def __init__(self, points):
-        big_t = len(points) - 1
-        orbit, defect = (2, big_t + 1), (2, big_t)
+    def __init__(self, length):
+        big_t = length - 1
+        orbit, defect = (2, length), (2, big_t)
+        self.length = length
         # one np.empty a buffer: unpacking rows of one allocation costs more per row
-        self.x = points.T.copy()
-        self.trial, self.wrap, self.dx = np.empty(orbit), np.empty(orbit), np.empty(orbit)
+        self.x, self.trial, self.wrap, self.dx = (np.empty(orbit), np.empty(orbit),
+                                                  np.empty(orbit), np.empty(orbit))
         self.defect, self.trial_defect, self.scratch = np.empty(defect), np.empty(defect), np.empty(defect)
-        self.slopes, self.terms, self.multipliers = np.empty(defect), np.empty(defect), np.empty(defect)
+        self.slopes, self.terms = np.empty(defect), np.empty(defect)
         self.a00, self.kick = self.slopes[0], self.slopes[1]
+        self.a00_tail, self.kick_tail = self.a00[1:], self.kick[1:]
         self.a0 = np.array([[0.0, 1.0], [0.0, 1.0]])
+        self.a0t = self.a0.T
         # Fortran order and the overwrite flags: f2py hands band and rhs to LAPACK uncopied
         self.template = np.zeros((4, 2 * big_t), order="F")
         self.template[2, 2::2] = self.template[1, 3::2] = -1.0
         self.band = np.empty_like(self.template)
-        self.diagonal = self.band[3].reshape(big_t, 2).T
+        # the main diagonal, its (1 - K_t)^2 and K_t^2 entries: 1-D views, since a
+        # ufunc writes a strided 2-D view by its slower general loop
+        self.diagonal, self.diagonal_q, self.diagonal_p = self.band[3], self.band[3, 0::2], self.band[3, 1::2]
+        self.upper1, self.upper2, self.upper3 = self.band[2, 1::2], self.band[1, 2::2], self.band[0, 3::2]
         self.rhs = np.empty(2 * big_t)
+        self.multipliers = self.rhs.reshape(big_t, 2).T
+        self.lam_q, self.lam_p = self.multipliers
+        self.lam0, self.lam_head, self.lam_last = self.rhs[:2], self.multipliers[:, :-1], self.rhs[-2:]
+        self.terms0, self.terms1, self.terms_tail = self.terms[0], self.terms[1], self.terms[:, 1:]
+        self.dx0, self.dx_inner, self.dx_last = self.dx[:, 0], self.dx[:, 1:big_t], self.dx[:, big_t]
+        self.dx_stack = self.dx[:, None]
+
+        per_call = max(1, _TRIAL_POINTS // length)
+        stack = min(per_call, len(_SCALES))
+        # the stacked trials, their wrap scratch, their defects and the kernel's scratch
+        buffers = [np.empty((2, stack, n)) for n in (length, length, big_t, big_t)]
+
+        def groups(start):
+            return [
+                (lo, scales, *(b[:, : len(scales)] for b in buffers))
+                for lo in range(start, len(_SCALES), per_call)
+                for scales in [_SCALES[lo : lo + per_call, None]]
+            ]
+
+        self.ladder, self.damped = groups(0), groups(1)
+
+
+_THREAD = threading.local()
+
+
+def _workspace(points):
+    """This thread's `_Workspace` for len(points) points, with the (L, 2) points copied into x.
+
+    One is kept a thread and replaced when the orbit length changes; every
+    buffer is written before it is read, so nothing of an earlier refinement
+    reaches the next.
+    """
+    work = getattr(_THREAD, "work", None)
+    if work is None or work.length != len(points):
+        work = _THREAD.work = _Workspace(len(points))
+    work.x[...] = points.T
+    return work
 
 
 def _min_norm_newton_step(spec, work):
@@ -244,45 +298,40 @@ def _min_norm_newton_step(spec, work):
     below 2^52, so |K_t| < 2.9e16 and every band entry is below 1e33, and
     the orbit and its defect are finite.
     """
-    a00, kick, slopes = work.a00, work.kick, work.slopes
-    terms, multipliers = work.terms, work.multipliers
-    big_t = kick.shape[0]
+    a00, kick, slopes, diagonal = work.a00, work.kick, work.slopes, work.diagonal
     np.multiply(work.x[0, :-1], TWO_PI, out=kick)
     np.cos(kick, out=kick)
     kick *= spec.kick_coefficient(False) * TWO_PI
     np.subtract(1.0, kick, out=a00)
-    ab = work.band
-    ab[...] = work.template
+    work.band[...] = work.template
     # (1 - K_t)^2 + 1 + 1 and K_t^2 + 1 + 1, then (1 - K_t)(-K_t) + 1, taken as
     # 1 - (1 - K_t) K_t: negation is exact, so the bits are the same
-    np.multiply(slopes, slopes, out=terms)
-    terms += 1.0
-    terms += 1.0
-    work.diagonal[...] = terms
-    np.multiply(a00, kick, out=terms[0])
-    np.subtract(1.0, terms[0], out=ab[2, 1::2])
-    np.negative(a00[1:], out=ab[1, 2::2])
-    ab[0, 3::2] = kick[1:]
-    rhs = work.rhs
-    rhs.reshape(big_t, 2)[...] = work.defect.T
-    np.negative(rhs, out=rhs)
-    _, lam, info = _dpbsv()(ab, rhs, overwrite_ab=1, overwrite_b=1)
+    np.multiply(a00, a00, out=work.diagonal_q)
+    np.multiply(kick, kick, out=work.diagonal_p)
+    diagonal += 1.0
+    diagonal += 1.0
+    np.multiply(a00, kick, out=work.terms0)
+    np.subtract(1.0, work.terms0, out=work.upper1)
+    np.negative(work.a00_tail, out=work.upper2)
+    work.upper3[...] = work.kick_tail
+    multipliers = work.multipliers
+    np.negative(work.defect, out=multipliers)
+    info = _dpbsv()(work.band, work.rhs, overwrite_ab=1, overwrite_b=1)[2]
     if info != 0:
         return None  # J J^T is singular in double precision
-    lam = lam.reshape(big_t, 2)
+    # solved in place: rhs, which multipliers views, now holds lambda
 
-    dx, a0 = work.dx, work.a0
+    a0, terms = work.a0, work.terms
     a0[0, 0], a0[1, 0] = a00[0], -kick[0]
-    dx[:, 0] = -a0.T @ lam[0]
+    work.dx0[...] = -work.a0t @ work.lam0
     # dx_t = lam_{t-1} - A_t^T lam_t: rows (1 - K_t) l0 + (-K_t) l1, taken as
     # (1 - K_t) l0 - K_t l1, and l0 + l1
-    multipliers[...] = lam.T
     np.multiply(slopes, multipliers, out=terms)
-    np.subtract(terms[0], terms[1], out=terms[0])
-    np.add(multipliers[0], multipliers[1], out=terms[1])
-    np.subtract(multipliers[:, :-1], terms[:, 1:], out=dx[:, 1:big_t])
-    dx[:, big_t] = lam[big_t - 1]
-    return dx
+    np.subtract(work.terms0, work.terms1, out=work.terms0)
+    np.add(work.lam_q, work.lam_p, out=work.terms1)
+    np.subtract(work.lam_head, work.terms_tail, out=work.dx_inner)
+    work.dx_last[...] = work.lam_last
+    return work.dx
 
 
 def _sup_defect(defect, scratch):
@@ -291,37 +340,52 @@ def _sup_defect(defect, scratch):
     return float(np.maximum.reduce(np.abs(defect, out=scratch), axis=None))
 
 
-def _damped_trial(spec, work, res):
-    """Residual at the first damping scale whose residual is below res, or None (a stall).
+def _damped_trial(spec, work, res, alone):
+    """The first damping scale whose residual is below res, as (residual, ladder position), or None (a stall).
 
-    The scales are tried in ladder order: scale 1 alone, in work.trial,
-    then the other 16 in one stacked defect call, split where it would hold
-    more than `_TRIAL_POINTS` orbit points. The accepted trial and its
-    defect are left in work.trial and work.trial_defect. Every step is
-    elementwise or an exact max, so the accepted trial is bitwise the one a
-    one-scale-at-a-time ladder accepts.
+    The scales are tried in ladder order, 1, 1/2, ..., 2^-16. With `alone`
+    (on the first iteration and after one that took scale 1) scale 1 is
+    tried by itself, in work.trial, and the other 16 follow in stacked
+    defect calls; without it (after a damped step, which is most often
+    followed by another) all 17 are stacked. A stacked call holds at most
+    `_TRIAL_POINTS` orbit points. The accepted trial and its defect are
+    left in work.trial and work.trial_defect. Every step is elementwise or
+    an exact max, and a stacked scale 1 gives x + dx as the lone trial does,
+    so the accepted trial is bitwise the one a one-scale-at-a-time ladder
+    accepts.
     """
-    x, dx, trial = work.x, work.dx, work.trial
-    np.add(x, dx, out=trial)
-    _wrap_in_place(trial, work.wrap)
-    trial_res = _sup_defect(_orbit_defect(spec, trial, work.trial_defect, work.scratch), work.scratch)
-    if trial_res < res:
-        return trial_res
-    length = x.shape[1]
-    per_call = max(1, _TRIAL_POINTS // length)
-    for lo in range(0, len(_DAMPED_SCALES), per_call):
-        scales = _DAMPED_SCALES[lo : lo + per_call, None]
-        trials = x[:, None] + scales * dx[:, None]
-        _wrap_in_place(trials, np.empty_like(trials))
-        defects, scratch = np.empty(trials[..., 1:].shape), np.empty(trials[..., 1:].shape)
+    x = work.x
+    if alone:
+        trial = work.trial
+        np.add(x, work.dx, out=trial)
+        _wrap_in_place(trial, work.wrap)
+        trial_res = _sup_defect(_orbit_defect(spec, trial, work.trial_defect, work.scratch), work.scratch)
+        if trial_res < res:
+            return trial_res, 0
+    for lo, scales, trials, wrap, defects, scratch in work.damped if alone else work.ladder:
+        # scale dx + x: addition commutes, so these are the bits of x + scale dx
+        np.multiply(scales, work.dx_stack, out=trials)
+        trials += x[:, None]
+        _wrap_in_place(trials, wrap)
         _orbit_defect(spec, trials, defects, scratch)
-        trial_res = np.abs(defects, out=scratch).max(axis=(0, 2))
+        trial_res = np.maximum.reduce(np.abs(defects, out=scratch), axis=(0, 2))
         first = (trial_res < res).argmax()
         if trial_res[first] < res:
-            trial[...] = trials[:, first]
+            work.trial[...] = trials[:, first]
             work.trial_defect[...] = defects[:, first]
-            return float(trial_res[first])
+            return float(trial_res[first]), lo + int(first)
     return None
+
+
+def _shadow_distance(work, points):
+    """Sup torus distance between work.x and the (L, 2) points, elementwise as
+    `torus_distance` takes it, in the free buffers work.wrap and work.trial."""
+    d, far = work.wrap, work.trial
+    np.subtract(work.x, points.T, out=d)
+    np.abs(d, out=d)
+    np.remainder(d, 1.0, out=d)
+    np.subtract(1.0, d, out=far)
+    return float(np.maximum.reduce(np.minimum(d, far, out=d), axis=None))
 
 
 def _refine_problem(steps, tol, max_iter):
@@ -343,14 +407,17 @@ def refine_shadow(
 
     Endpoints are free; each iteration applies the minimum-norm correction
     at the largest damping scale 1, 1/2, ..., 2^-16 that lowers the sup
-    residual, and stops (stalled) where none does; scale 1 is tested alone,
-    the other 16 in one stacked call (split on orbits of more than 128
+    residual, and stops (stalled) where none does. On the first iteration
+    and after one that took scale 1, scale 1 is tested alone and the other
+    16 in one stacked call; after a damped iteration all 17 go in one
+    stacked call (stacked calls are split on orbits of more than 120
     points). Convergence means sup residual <= tol.
 
     The refinement works on the orbit coordinate-first, as a q row and a p
-    row, in arrays allocated once (`_Workspace`); an accepted step swaps
-    the trial with the current orbit. The result's points are a fresh
-    (L, 2) array that shares no memory with the input or the work arrays.
+    row, in arrays that each thread allocates once per orbit length and
+    reuses (`_Workspace`); an accepted step swaps the trial with the
+    current orbit. The result's points are a fresh (L, 2) array that
+    shares no memory with the input, the work arrays or other results.
 
     Refinement can fail honestly: a segment that brushes a
     non-hyperbolic region (an island pass, where the one-step stability
@@ -370,27 +437,26 @@ def refine_shadow(
     raise_problem(_refine_problem(orbit.steps, tol, max_iter))
     raise_problem(kick_problem(spec.k))
 
-    work = _Workspace(orbit.points)
+    work = _workspace(orbit.points)
     res = _sup_defect(_orbit_defect(spec, work.x, work.defect, work.scratch), work.scratch)
-    iterations, converged = 0, res <= tol
+    iterations, converged, alone = 0, res <= tol, True
 
     while not converged and iterations < max_iter:
         if _min_norm_newton_step(spec, work) is None:
             break  # no Newton step; report best point found
         iterations += 1
-        trial_res = _damped_trial(spec, work, res)
-        if trial_res is None:
+        accepted = _damped_trial(spec, work, res, alone)
+        if accepted is None:
             break  # stalled; report best point found
+        res, position = accepted
+        alone = position == 0
         work.x, work.trial = work.trial, work.x
         work.defect, work.trial_defect = work.trial_defect, work.defect
-        res = trial_res
         converged = res <= tol
 
-    points = work.x.T.copy()
-    distance = float(torus_distance(points, orbit.points).max())
     return ShadowResult(
-        shadow_points=points,
-        shadow_distance=distance,
+        shadow_points=work.x.T.copy(),
+        shadow_distance=_shadow_distance(work, orbit.points),
         residual=res,
         converged=bool(converged),
         iterations=iterations,

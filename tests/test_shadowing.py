@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +46,8 @@ def _defect(spec, pts):
 
 def _newton_step(spec, pts, defect):
     """`_min_norm_newton_step` on (L, 2) points and their (T, 2) defect: dx as (L, 2), or None."""
-    work = shadowing._Workspace(pts)
-    work.defect[...] = defect.T
+    work = shadowing._Workspace(len(pts))
+    work.x[...], work.defect[...] = pts.T, defect.T
     dx = _min_norm_newton_step(spec, work)
     return None if dx is None else dx.T.copy()
 
@@ -507,6 +509,11 @@ def _survey_digest(report, results):
     return digest.hexdigest()
 
 
+# `_orbit_defect` calls a benchmark survey makes: its residual blocks, each
+# refinement's first defect and its trial calls
+SURVEY_DEFECT_CALLS = {0: 1509, 3: 779}
+
+
 @pytest.mark.parametrize(
     "spec,seed,converged,iterations", [(CHAOTIC, 0, 217, 1205), (MIXED, 3, 256, 519)]
 )
@@ -515,22 +522,48 @@ def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, conve
 
     The digest pins every bit of every refinement and of the report. Like
     the golden digests it rests on the platform's libm sin and cos bits:
-    on another libm it may move with no fault in the program.
+    on another libm it may move with no fault in the program. The count of
+    `_orbit_defect` calls pins the work done: a separate scale-1 call after
+    every damped iteration would raise it at k = 10.
     """
+    defect, calls = shadowing._orbit_defect, []
+
+    def counted(*args):
+        calls.append(1)
+        return defect(*args)
+
+    monkeypatch.setattr(shadowing, "_orbit_defect", counted)
     report, _, _, results = _recorded_survey(monkeypatch, spec, count=256, seed=seed, tol=1e-9)
     assert len(results) == 256
+    assert len(calls) == SURVEY_DEFECT_CALLS[seed]
     assert sum(r.converged for r in results) == converged
     assert report["fraction_converged"] == converged / 256
     assert sum(r.iterations for r in results) == iterations
     assert _survey_digest(report, results) == SURVEY_DIGESTS[seed]
 
 
-def test_refinements_own_their_points():
+def _fresh_workspace(points):
+    """A new `_Workspace` for every refinement, in place of the thread's reused one."""
+    work = shadowing._Workspace(len(points))
+    work.x[...] = points.T
+    return work
+
+
+def _same_result(a, b):
+    return (a.shadow_points.tobytes() == b.shadow_points.tobytes()
+            and repr((a.shadow_distance, a.residual, a.converged, a.iterations))
+            == repr((b.shadow_distance, b.residual, b.converged, b.iterations)))
+
+
+def test_refinements_own_their_points(monkeypatch):
     """Results share no memory with the refinement's reused and swapped buffers,
-    with each other or with their input, and later refinements leave them be."""
+    with each other or with their input, later refinements leave them be, and
+    each is bitwise the result of a refinement in a workspace of its own."""
     orbits = [
         (CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 22)),
+        (CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22)),  # the same length: it stalls
         (MIXED, orbit_from_map(MIXED, (0.4, 0.2), 14)),  # another length
+        (CHAOTIC, _survey_orbit(CHAOTIC, 0, 42, 22)),  # the first length again
         # no Newton step exists: the result is the input's points
         (MapSpec(1e8, 5e-3, 1000), orbit_from_map(MapSpec(1e8, 5e-3, 1000), (0.37, 0.61), 30)),
     ]
@@ -540,8 +573,8 @@ def test_refinements_own_their_points():
         results.append(refine_shadow(spec, orb, tol=1e-10))
         if len(results) == 1:
             first = results[0].shadow_points.copy()
-    assert results[0].iterations > 0 and results[1].iterations > 0
-    assert results[2].iterations == 0 and not results[2].converged
+    assert all(r.iterations > 0 for r in results[:4]) and not results[1].converged
+    assert results[4].iterations == 0 and not results[4].converged
     assert results[0].shadow_points.tobytes() == first.tobytes()
     for (_, orb), before, result in zip(orbits, inputs, results):
         assert orb.points.tobytes() == before.tobytes()
@@ -550,11 +583,53 @@ def test_refinements_own_their_points():
         for other in results:
             if other is not result:
                 assert not np.shares_memory(result.shadow_points, other.shadow_points)
-    assert np.array_equal(results[2].shadow_points, orbits[2][1].points)
+    assert np.array_equal(results[4].shadow_points, orbits[4][1].points)
+    monkeypatch.setattr(shadowing, "_workspace", _fresh_workspace)
+    for (spec, orb), result in zip(orbits, results):
+        assert _same_result(result, refine_shadow(spec, orb, tol=1e-10))
 
 
-def _refine_ref(spec, orbit, tol, max_iter):
-    """refine_shadow written out with the damping scales tried one at a time."""
+def test_surveys_on_a_thread_pool_match_fresh_sequential_runs(monkeypatch):
+    """Both benchmark surveys, twice each on two threads, give the reports and
+    refinements of one-workspace-a-refinement runs on one thread, bitwise, in
+    arrays of their own."""
+    refine, kept = shadowing.refine_shadow, threading.local()
+
+    def keep(*args, **kwargs):
+        kept.results.append(refine(*args, **kwargs))
+        return kept.results[-1]
+
+    def survey(case):
+        spec, seed = case
+        kept.results = []
+        return shadow_survey(spec, count=256, seed=seed, tol=1e-9), kept.results
+
+    monkeypatch.setattr(shadowing, "refine_shadow", keep)
+    cases = [(CHAOTIC, 0), (MIXED, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads take turns within refinements
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            pooled = list(pool.map(survey, cases * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(shadowing, "_workspace", _fresh_workspace)
+    fresh = [survey(case) for case in cases]
+    for (report, results), (want_report, want) in zip(pooled, fresh * 2):
+        assert repr(report) == repr(want_report)
+        assert len(results) == len(want) == 256
+        assert all(_same_result(a, b) for a, b in zip(results, want))
+    # each result's points own their memory, so no two share any
+    points = [r.shadow_points for _, results in pooled for r in results]
+    assert all(p.flags.owndata for p in points)
+    assert len({id(p) for p in points}) == len(points)
+
+
+def _refine_ref(spec, orbit, tol, max_iter, accepted=None):
+    """refine_shadow written out with the damping scales tried one at a time.
+
+    `accepted`, if given, receives each accepted trial and its scale.
+    """
 
     def defect(pts):
         q, p = step_ensemble(spec, pts[:-1, 0], pts[:-1, 1], perturbed=False)
@@ -579,6 +654,8 @@ def _refine_ref(spec, orbit, tol, max_iter):
             return pts, res, False, iterations  # stalled
         pts, d, res = trial, trial_d, float(np.abs(trial_d).max())
         converged = res <= tol
+        if accepted is not None:
+            accepted.append((pts, scale))
     return pts, res, converged, iterations
 
 
@@ -617,6 +694,44 @@ def test_damping_ladder_matches_a_sequential_ladder_bitwise(spec, orbit, tol):
     assert (res.residual, res.converged, res.iterations) == (residual, converged, iterations)
 
 
+@pytest.mark.parametrize(
+    "orbit,tol",
+    [
+        # k=10, seed-0 survey orbit 42: its second iteration is damped, and its
+        # third takes scale 1 from the 17-scale call that follows a damped one
+        (lambda: _survey_orbit(CHAOTIC, 0, 42, 22), 1e-9),
+        # damped on every iteration, in 5-scale calls, up to a stall
+        (lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10),
+    ],
+)
+def test_folded_ladder_keeps_every_iterate_bitwise(monkeypatch, orbit, tol):
+    """Each iterate, and the result, is bitwise the one-scale-at-a-time ladder's,
+    scale 1 included after a damped iteration."""
+    orb = orbit()
+    newton, iterates = shadowing._min_norm_newton_step, []
+
+    def keep(spec_, work):
+        iterates.append(work.x.T.copy())  # the orbit this iteration starts from
+        return newton(spec_, work)
+
+    monkeypatch.setattr(shadowing, "_min_norm_newton_step", keep)
+    result = refine_shadow(CHAOTIC, orb, tol=tol, max_iter=40)
+    accepted = []
+    pts, residual, converged, iterations = _refine_ref(CHAOTIC, orb, tol, 40, accepted)
+    want = [orb.points] + [trial for trial, _ in accepted]
+    scales = [scale for _, scale in accepted]
+    if orb.steps == 22:
+        assert any(a < 1.0 and b == 1.0 for a, b in zip(scales, scales[1:]))
+    assert len(iterates) == result.iterations == iterations
+    assert len(want) in (iterations, iterations + 1)  # a stall accepts no trial
+    for got, ref in zip(iterates, want):
+        assert got.tobytes() == ref.tobytes()
+    assert result.shadow_points.tobytes() == want[-1].tobytes() == pts.tobytes()
+    assert (result.residual, result.converged) == (residual, converged)
+    d = np.abs(pts - orb.points) % 1.0
+    assert result.shadow_distance == np.minimum(d, 1.0 - d).max()
+
+
 def test_benchmark_survey_refinements_match_a_sequential_ladder_bitwise(monkeypatch):
     """Every refinement of the k=10, seed-0 benchmark survey, stalled orbits
     included, is bitwise the one-scale-at-a-time ladder's."""
@@ -652,15 +767,22 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
 
     monkeypatch.setattr(shadowing, "_orbit_defect", counted_defect)
     monkeypatch.setattr(shadowing, "_min_norm_newton_step", counted_newton)
+    # scale 1 alone on the first iteration and after one that took it: [1] where
+    # it is taken again, [1, 16] where it is not; after a damped iteration the
+    # 17 scales go in one call, [17], the stall included
     stalled, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9)
     assert not stalled.converged and stalled.iterations < 40
-    assert all(c in ([1], [1, 16]) for c in calls)
-    assert calls[-1] == [1, 16]  # the stall: 17 scales in 2 calls
+    assert calls == [[1], [1, 16]] + [[17]] * 5
+    # orbit 42 takes scale 1 from the folded call of its third iteration, so the
+    # fourth tries it alone again
+    damped, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 42, 22), 1e-9)
+    assert calls[:4] == [[1, 16], [17], [1, 16], [17]]
+    assert all(c == [17] for c in calls[3:])
     # at 401 points a call holds at most 2048 // 401 = 5 scales
     stalled, calls = refined(CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10)
     assert not stalled.converged
-    ladder = [1, 5, 5, 5, 1]  # the stall: 17 scales in 5 calls
-    assert all(c == ladder[: len(c)] for c in calls) and calls[-1] == ladder
+    # damped from the first iteration on; the stall: 17 scales in 4 calls
+    assert calls == [[1, 5], [5], [5, 5], [5, 5, 5], [5, 5, 5, 2], [5, 5, 5, 2]]
     converged, calls = refined(MIXED, orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11)
     assert converged.converged and converged.iterations >= 2
     assert calls == [[1]] * converged.iterations  # scale 1 taken: one call
