@@ -10,12 +10,7 @@ trustworthy over the relevant horizon.
 __version__ = "0.1.0"
 
 from .dephasing import CHUNK, FidelityCurve, dr_conjugation_check, dr_curve
-from .dynamics import (
-    MapSpec,
-    step_ensemble,
-    torus_distance,
-    wrap_unit,
-)
+from .dynamics import MapSpec, step_ensemble, wrap_unit
 from .errors import CapacityError, ConfigValidationError, InvalidInputError
 from .harness import (
     PRESETS,
@@ -91,7 +86,6 @@ __all__ = [
     "shadow_time_estimate",
     "step_ensemble",
     "step_quantum",
-    "torus_distance",
     "validate_config",
     "wrap_unit",
     "write_result",

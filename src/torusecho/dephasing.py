@@ -23,11 +23,10 @@ one accumulator as they arrive, in index order, so only the jobs in flight
 hold theirs. A job of S samples runs its action and phase record once per
 block of HISTORY // S steps, at least one.
 
-Checked-once contract: each job's first map step goes through
-`step_ensemble`, which rejects non-finite coordinates and wraps them onto
-[0, 1); every later step runs the unchecked in-place kernel of `dynamics`
-on the job's buffers, which assumes both. The kernel's 2 pi q of the old
-positions is reused for the action cos, so each step computes it once.
+A `SampleSet` holds finite points of [0, 1) (`dynamics.unit_problem`), so
+each job copies its slice and runs the unchecked in-place kernel of
+`dynamics` from its first step. The kernel's 2 pi q of the old positions
+is reused for the action cos, so each step computes it once.
 
 Blocks of steps: only the map is sequential. The loop over t runs the
 kernel alone and keeps each step's 2 pi q as a row of a block history; the
@@ -66,7 +65,7 @@ from .dynamics import (
     count_problem,
     kick_problem,
     phase_scale_problem,
-    step_ensemble,
+    step_ensemble,  # noqa: F401  (not called here; torusbench traces it under this name)
     steps_problem,
 )
 from .errors import InvalidInputError, raise_problem
@@ -143,9 +142,11 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     stays integral). Without squares the last two are left zero: only a
     Monte Carlo stderr reads them.
 
+    q and p are finite and in [0, 1); copies of them are stepped in place.
     The map steps alone; the action and the record run once per block of
     steps (see "Blocks of steps" in the module docstring).
     """
+    q, p = np.array(q), np.array(p)
     size, width = q.size, q.shape[-1]
     chunks = size // width
     block = max(1, min(steps, HISTORY // size))
@@ -167,11 +168,7 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
     for t0 in range(1, steps + 1, block):
         n = min(block, steps + 1 - t0)
         for i in range(n):
-            if t0 + i > 1:
-                _step_in_place(c, q, p, angle[i], cos[0])
-            else:  # the checked first step; its fresh outputs become the job's buffers
-                np.multiply(q, TWO_PI, out=angle[0])
-                q, p = step_ensemble(spec, q, p, perturbed=False)
+            _step_in_place(c, q, p, angle[i], cos[0])
         half, re = angle_rows[:n * chunks], cos_rows[:n * chunks]
         np.multiply(half, 0.5, out=half)  # the half angle pi q of the action cos
         _half_angle(half, re)

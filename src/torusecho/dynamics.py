@@ -11,15 +11,13 @@ The dephasing route accumulates the action difference
 dS(T) = -eps * sum_{m<T} V(q_m) = (eps/4pi^2) * sum_{m<T} cos(2pi q_m)
 along the *unperturbed* orbit; eps enters only as a multiplicative factor.
 
-Checked-once contract: `step_ensemble` checks that its coordinates are
-finite and wraps them onto [0, 1), then applies `_step_in_place`, the one
-implementation of the map step. The kernel assumes both properties and
-keeps them, so a loop that took its first step through `step_ensemble`
-(or that holds points validated into [0, 1)) iterates the kernel alone.
-Wrapping a coordinate already in [0, 1) is the identity, so the results
-are bitwise those of calling `step_ensemble` on every step. The kernel
-wraps p with both passes of `_wrap_in_place`, the one general wrap, and q
-with one floor-and-subtract: for q, p in [0, 1) the sum rounds to at most
+Points are checked where they enter, not where they move: `unit_problem`
+is the one rule that coordinates are finite and in [0, 1), and
+`SampleSet`, `PseudoOrbit` and `orbit_from_map`'s start obey it, so every
+orbit loop runs `_step_in_place`, the one implementation of the map step,
+from its first step. The kernel keeps the rule: it wraps p with both
+passes of `_wrap_in_place`, the one general wrap, and q with one
+floor-and-subtract: for q, p in [0, 1) the sum rounds to at most
 2 - 2^-52 < 2, so x - floor(x) is exact and already in [0, 1), where the
 second pass would be the identity.
 """
@@ -193,13 +191,17 @@ def wrap_unit(x):
     return out
 
 
-def torus_distance(a, b):
-    """Shortest-wrap distance per coordinate, sup over coordinates.
+def unit_problem(what, x):
+    """Why the nonempty array x holds a coordinate not finite and in [0, 1), or None.
 
-    Accepts arrays whose last axis is (q, p); broadcasts over leading axes.
+    The one rule for the points that map loops step (see the module
+    docstring). A nan fails both reductions; only a refusal looks for one.
     """
-    d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) % 1.0
-    return np.minimum(d, 1.0 - d).max(axis=-1)
+    if np.minimum.reduce(x, axis=None) >= 0.0 and np.maximum.reduce(x, axis=None) < 1.0:
+        return None
+    if not np.isfinite(x).all():
+        return InvalidInputError, f"{what} contains non-finite coordinates"
+    return InvalidInputError, f"{what} coordinates must lie in [0, 1)"
 
 
 def _require_finite(q, p):
@@ -227,7 +229,7 @@ def _step_in_place(c, q, p, arg, tmp):
     q and p receive the image; arg is left holding 2 pi q of the old
     positions, which the action record reuses; tmp is scratch. All four
     are caller-owned float arrays of one shape. Nothing is checked here:
-    see the checked-once contract in the module docstring.
+    the points were checked where they entered (`unit_problem`).
     """
     np.multiply(q, TWO_PI, out=arg)
     np.sin(arg, out=tmp)
@@ -243,9 +245,9 @@ def _step_in_place(c, q, p, arg, tmp):
 def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):
     """One kick-then-drift map step applied elementwise to coordinate arrays.
 
-    The checked entry to the map step: rejects a kick the float map cannot
-    carry (`kick_problem`) and non-finite coordinates, wraps them onto
-    [0, 1) and applies `_step_in_place` to fresh arrays.
+    The entry to the map step for raw coordinates: rejects a kick the
+    float map cannot carry (`kick_problem`) and non-finite coordinates,
+    wraps them onto [0, 1) and applies `_step_in_place` to fresh arrays.
 
     Parameters
     ----------

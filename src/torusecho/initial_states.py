@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import MapSpec, _wrap_in_place, count_problem, is_finite, is_integer
+from .dynamics import MapSpec, _wrap_in_place, count_problem, is_finite, is_integer, unit_problem
 from .errors import InvalidInputError, raise_problem
 
 _GRID_ALIGN_TOL = 1e-9
@@ -99,7 +99,9 @@ class SampleSet:
     """Vectorized container of phase-space samples, each of weight 1/len.
 
     kind is "grid" for exact-quadrature sets (deterministic, no statistical
-    error bars) or "monte_carlo" for seeded random draws.
+    error bars) or "monte_carlo" for seeded random draws. q and p must be
+    finite and in [0, 1) (`unit_problem`), so the dr route steps them
+    unchecked.
 
     The samplers return every column that holds one value (the weights,
     a position state's q, a position_only set's p) as a read-only
@@ -119,6 +121,8 @@ class SampleSet:
             raise InvalidInputError("sample set must be nonempty")
         if not (len(self.q) == len(self.p) == len(self.weights)):
             raise InvalidInputError("q, p, weights must have equal lengths")
+        raise_problem(unit_problem("sample set q", self.q))
+        raise_problem(unit_problem("sample set p", self.p))
         if not np.all(self.weights == 1.0 / len(self.q)):
             raise InvalidInputError("weights must all equal 1/len")
         if self.kind not in ("grid", "monte_carlo"):

@@ -58,8 +58,9 @@ from .dynamics import (
     is_finite,
     kick_problem,
     perturbation_problem,
-    step_ensemble,
+    step_ensemble,  # noqa: F401  (not called here; torusbench traces it under this name)
     steps_problem,
+    unit_problem,
 )
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import _rng
@@ -90,11 +91,7 @@ class PseudoOrbit:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise InvalidInputError(f"orbit needs shape (L, 2) with L >= 2, got {pts.shape}")
-        # one reduction each way; a nan propagates through both and fails the test too
-        if not (np.minimum.reduce(pts, axis=None) >= 0.0 and np.maximum.reduce(pts, axis=None) < 1.0):
-            if not np.isfinite(pts).all():
-                raise InvalidInputError("orbit contains non-finite coordinates")
-            raise InvalidInputError("orbit coordinates must lie in [0, 1)")
+        raise_problem(unit_problem("orbit", pts))
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -125,28 +122,31 @@ class ShadowResult:
 def orbit_from_map(spec: MapSpec, start, steps: int) -> PseudoOrbit:
     """Orbit segment generated by iterating the perturbed map.
 
-    The one-start case of the ensemble generator `_orbits`.
+    The one-start case of the ensemble generator `_orbits`. The start must
+    be finite and in [0, 1) (`unit_problem`); it is refused before any map
+    step, as is a kick the float map cannot carry (`kick_problem`).
     """
     raise_problem(steps_problem(steps, minimum=1))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
+    raise_problem(kick_problem(spec.k + spec.epsilon))
     starts = np.array([(start[0], start[1])], dtype=np.float64)
+    raise_problem(unit_problem("orbit start", starts))
     return PseudoOrbit(_orbits(spec, starts, steps)[0])
 
 
 def _orbits(spec, starts, steps):
     """Perturbed-map orbit segments of every start at once, (len(starts), steps + 1, 2).
 
-    The first step is the checked `step_ensemble`; its outputs are then
-    stepped in place by the map kernel, one call per step for the whole
+    The starts are finite points of [0, 1) (`unit_problem`); copies of them
+    are stepped in place by the map kernel, one call per step for the whole
     ensemble.
     """
     pts = np.empty((starts.shape[0], steps + 1, 2))
     pts[:, 0] = starts
-    q, p = step_ensemble(spec, starts[:, 0], starts[:, 1], perturbed=True)
-    pts[:, 1, 0], pts[:, 1, 1] = q, p
+    q, p = starts[:, 0].copy(), starts[:, 1].copy()
     c = spec.kick_coefficient(True)
     arg, tmp = np.empty_like(q), np.empty_like(q)
-    for t in range(2, steps + 1):
+    for t in range(1, steps + 1):
         _step_in_place(c, q, p, arg, tmp)
         pts[:, t, 0], pts[:, t, 1] = q, p
     return pts
@@ -378,8 +378,8 @@ def _damped_trial(spec, work, res, alone):
 
 
 def _shadow_distance(work, points):
-    """Sup torus distance between work.x and the (L, 2) points, elementwise as
-    `torus_distance` takes it, in the free buffers work.wrap and work.trial."""
+    """Sup torus distance between work.x and the (L, 2) points, in the free buffers
+    work.wrap and work.trial: max over every coordinate of min(d, 1 - d), d = |x - y| mod 1."""
     d, far = work.wrap, work.trial
     np.subtract(work.x, points.T, out=d)
     np.abs(d, out=d)

@@ -128,9 +128,8 @@ def _reference_chunk_sums(spec, q, p, steps, phase_factor):
 def test_chunk_sums_match_checked_loop_bitwise(monkeypatch):
     rng = np.random.default_rng(8)
     n = 500
-    # raw coordinates off the torus: the chunk's checked first step wraps them
-    q = 3.0 * rng.random(n) - 1.0
-    p = 5.0 * rng.random(n) - 2.0
+    # points of a sample set: finite and in [0, 1)
+    q, p = rng.random(n), rng.random(n)
     calls = []
 
     def counted(half, cos):
@@ -216,8 +215,7 @@ def test_dr_orbits_are_the_written_out_sin_map(monkeypatch):
 
 def test_stacked_chunk_sums_equal_one_row_calls_bitwise():
     rng = np.random.default_rng(9)
-    q = 3.0 * rng.random((3, 700)) - 1.0
-    p = 5.0 * rng.random((3, 700)) - 2.0
+    q, p = rng.random((3, 700)), rng.random((3, 700))
     for spec in (CHAOTIC, MIXED.with_epsilon(-0.03)):
         factor = spec.epsilon * spec.dim_n / (2 * np.pi)
         for steps in (0, 1, 2, 17):
@@ -330,15 +328,14 @@ def test_dr_holds_at_most_two_parts_at_one_thread(monkeypatch):
     assert counts["peak"] <= 2 and counts["alive"] == 0, counts
 
 
-def test_chunk_rejects_nonfinite_sample_at_first_step():
-    s = SampleSet(
-        np.array([0.2, np.inf]), np.array([0.1, 0.3]), np.array([0.5, 0.5]),
-        "monte_carlo", "bad", seed=0,
-    )
-    # the checked first step refuses the inf before any cos is taken of it
-    with pytest.raises(InvalidInputError):
-        dr_curve(MIXED, s, 3)
-    assert dr_curve(MIXED, s, 0).steps == 0  # no step, nothing to check
+@pytest.mark.parametrize("column", ["q", "p"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -0.1, 1.0])
+def test_sample_set_refuses_points_off_the_torus(column, bad):
+    # the set is dr's one checked entry: its jobs step the unchecked kernel from t = 1
+    columns = {"q": np.array([0.2, 0.4]), "p": np.array([0.1, 0.3])}
+    columns[column][1] = bad
+    with pytest.raises(InvalidInputError, match=f"sample set {column}"):
+        SampleSet(columns["q"], columns["p"], np.array([0.5, 0.5]), "monte_carlo", "bad", seed=0)
 
 
 def test_worker_count_is_clamped(monkeypatch):

@@ -5,6 +5,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import torusecho
 from torusecho import dephasing, dynamics, harness, initial_states, quantum, shadowing
 
@@ -12,7 +14,8 @@ TRACING = Path(__file__).resolve().parents[1] / "torusbench" / "tracing.py"
 
 # names removed from the program: test-only ones, and rules folded into a shared one
 REMOVED = (
-    (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian", "dim_problem")),
+    (dynamics, ("PhasePoint", "step", "step_inverse", "jacobian", "dim_problem",
+                "torus_distance")),
     (dephasing, ("threads_problem", "BLOCK")),
     (harness, ("_parse_value", "_POSITION_MODES", "_GAUSSIAN_MODES", "curve_rows",
                "_JSON_METHOD")),
@@ -77,3 +80,28 @@ def test_every_traced_name_resolves():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_no_orbit_loop_steps_through_step_ensemble(monkeypatch):
+    # points are checked where they enter, so every loop steps the kernel from t = 1;
+    # the benchmark still traces step_ensemble in dephasing and shadowing
+    def never(*args, **kwargs):
+        raise AssertionError("an orbit loop stepped through step_ensemble")
+
+    for module in (dynamics, dephasing, shadowing):
+        monkeypatch.setattr(module, "step_ensemble", never)
+    grid_spec = dynamics.MapSpec(0.8, 5e-3, 64)
+    grid = initial_states.samples_position_state(grid_spec, 0.25)
+    spec = dynamics.MapSpec(10.0, 2e-3, 1000)
+    # more than one job at either thread count, with a ragged tail
+    mc = initial_states.samples_position_state(spec, 0.4, count=10 * dephasing.CHUNK - 7,
+                                               mode="monte_carlo", seed=4)
+    for threads in (1, 2):
+        assert dephasing.dr_curve(grid_spec, grid, 5, threads=threads).steps == 5
+        assert dephasing.dr_curve(spec, mc, 3, threads=threads).steps == 3
+    assert shadowing.orbit_from_map(spec, (0.37, 0.21), 5).steps == 5
+    assert shadowing.shadow_survey(spec, count=3, steps=5)["count"] == 3
+    for name, config in harness.PRESETS.items():
+        assert config.out is None, name
+        assert harness.run_experiment(config).curves.keys() == {"dr", "exact"}
+

@@ -241,6 +241,13 @@ def _fail_on_map_step(monkeypatch):
     monkeypatch.setattr(shadowing, "_rng", never)
 
 
+@pytest.mark.parametrize("start", [(float("nan"), 0.2), (1.5, 0.2)], ids=["nan", "off-torus"])
+def test_orbit_from_map_refuses_a_start_off_the_torus_before_any_map_step(monkeypatch, start):
+    _fail_on_map_step(monkeypatch)
+    with pytest.raises(InvalidInputError, match="orbit start"):
+        orbit_from_map(MIXED, start, 5)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
