@@ -13,7 +13,7 @@ along the *unperturbed* orbit; eps enters only as a multiplicative factor.
 
 Points are checked where they enter, not where they move: `unit_problem`
 is the one rule that coordinates are finite and in [0, 1), and
-`SampleSet`, `PseudoOrbit` and `orbit_from_map`'s start obey it, so every
+`SampleSet`, `PseudoOrbit` and `orbit_from_map`'s start apply it, so every
 orbit loop runs `_step_in_place`, the one implementation of the map step,
 from its first step. The kernel keeps the rule: it wraps p with both
 passes of `_wrap_in_place`, the one general wrap, and q with one
@@ -192,7 +192,7 @@ def wrap_unit(x):
 
 
 def unit_problem(what, x):
-    """Why the nonempty array x holds a coordinate not finite and in [0, 1), or None.
+    """Why some coordinate of the nonempty array x is nan or outside [0, 1), or None.
 
     The one rule for the points that map loops step (see the module
     docstring). A nan fails both reductions; only a refusal looks for one.
