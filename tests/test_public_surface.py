@@ -5,8 +5,6 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import pytest
-
 import torusecho
 from torusecho import dephasing, dynamics, harness, initial_states, quantum, shadowing
 
@@ -104,4 +102,3 @@ def test_no_orbit_loop_steps_through_step_ensemble(monkeypatch):
     for name, config in harness.PRESETS.items():
         assert config.out is None, name
         assert harness.run_experiment(config).curves.keys() == {"dr", "exact"}
-
