@@ -227,8 +227,13 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         invalid(f"p0 must lie in [0, 1), got {config.p0!r}")
     if config.format not in _FORMATS:
         invalid(f"format must be one of {_FORMATS}, got {config.format!r}")
-    if config.out is not None and not os.fspath(config.out):
-        invalid("out must name a file, got ''")
+    if config.out is not None:
+        out = os.fspath(config.out)
+        if not out:
+            invalid("out must name a file, got ''")
+        elif os.path.exists(out) and not os.path.isfile(out):
+            # /dev/null or a directory: the sidecar is named after a regular file
+            invalid(f"out must name a regular file, got {out!r}")
     add(count_problem("threads", config.threads, 1))
     add(seed_problem(config.seed))
 

@@ -22,11 +22,11 @@ each step is the split pair: kick, FFT, drift, inverse FFT.
 A state is checked (shape, norm) once, as a `QuantumState` where it
 enters; from there one in-place kernel steps both branches as one (2, N)
 array, perturbed row first, and builds no state and takes no norm. From
-N = 8192 up the two rows are stepped one call each instead, on two threads
-where two CPUs are usable, whatever thread count the run was given. The
-overlap of the rows is a numpy pairwise sum, not a BLAS dot, so an exact
-curve's bits depend neither on the thread count nor on the BLAS library's
-threads.
+N = 8192 up the two rows are stepped one call each instead, on two
+threads whatever thread count the run was given; the path depends on N
+alone, never on the machine's CPU count. The overlap of the rows is a
+numpy pairwise sum, not a BLAS dot, so an exact curve's bits depend
+neither on the thread count nor on the BLAS library's threads.
 
 `dense_oracle` rebuilds the same unitary as an explicit matrix with its
 own DFT construction and no shared phase helpers, so split-operator and
@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dephasing import FidelityCurve, _worker_count
+from .dephasing import FidelityCurve
 from .dynamics import TWO_PI, MapSpec, count_problem, perturbation_problem, steps_problem
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import GaussianWavepacket, InitialState, PositionEigenstate, grid_index
@@ -57,10 +57,10 @@ _IMAGE_TRUNCATION = 1e-16
 _MAX_DIM = 65536
 # dense propagation costs N^2 per step and one N^2 drift matrix, built in O(N^2)
 _DENSE_MAX_DIM = 256
-# from this grid size up, the two rows are stepped one call each (on two
-# threads where two CPUs are usable) instead of as one (2, N) call. Median ms
-# per one-FFT step, (2, N) call / one call per row / rows on two threads, on
-# a 2-vCPU x86-64 VM with numpy 2.4: 0.09 / 0.13 / 0.17 at N = 4096,
+# from this grid size up, the two rows are stepped one call each, the bare
+# row on a pool thread, instead of as one (2, N) call. Median ms per one-FFT
+# step, (2, N) call / one call per row / rows on two threads, on a 2-vCPU
+# x86-64 VM with numpy 2.4: 0.09 / 0.13 / 0.17 at N = 4096,
 # 0.35 / 0.28 / 0.31 at 8192, 0.92 / 0.62 / 0.66 at 16384, 4.3 / 3.1 / 2.8
 # at 65536. Two threads only win from about 32768 there (two FFT processes
 # ran at 1.6x the time of one on its two vCPUs), but a second cut would save
@@ -252,12 +252,12 @@ def exact_fidelity_curve(
     module docstring). The overlap of the phi rows equals that of the psi
     rows.
 
-    From N = `_THREAD_MIN_DIM` up, and where two CPUs are usable, one pool
-    worker steps the bare row while the calling thread steps the perturbed
-    one (np.fft releases the GIL); they join before each overlap. With one
-    usable CPU the two rows are stepped one call each, in turn; below the
-    cut, as one (2, N) array. The rows are stepped exactly as in the (2, N)
-    step, so the curve's bits do not depend on the thread count.
+    Below N = `_THREAD_MIN_DIM` both rows are stepped as one (2, N) array.
+    From the cut up, one pool worker steps the bare row while the calling
+    thread steps the perturbed one (np.fft releases the GIL); they join
+    before each overlap. The path depends on N alone, not on how many CPUs
+    are usable, and the rows are stepped exactly as in the (2, N) step, so
+    the curve's bits do not depend on the thread count.
     """
     raise_problem(grid_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
@@ -270,24 +270,17 @@ def exact_fidelity_curve(
     amp[0] = _overlap(psi, buf)
     if entry is not None:
         psi *= entry
-    if spec.dim_n >= _THREAD_MIN_DIM and _worker_count(2, 2) >= 2:
+    if spec.dim_n < _THREAD_MIN_DIM:
+        for t in range(1, steps + 1):
+            _split_step(psi, rows, drift)
+            amp[t] = _overlap(psi, buf)
+    else:
         with ThreadPoolExecutor(max_workers=1) as pool:
             for t in range(1, steps + 1):
                 plain = pool.submit(_split_step, psi[1], rows[1], drift)
                 _split_step(psi[0], rows[0], drift)
                 plain.result()
                 amp[t] = _overlap(psi, buf)
-    else:
-        # from the cut up, one call per row even on one thread: the (2, N)
-        # call faults its temporaries' pages in afresh on every step
-        if spec.dim_n < _THREAD_MIN_DIM:
-            stepped = [(psi, rows)]
-        else:
-            stepped = [(psi[0], rows[0]), (psi[1], rows[1])]
-        for t in range(1, steps + 1):
-            for row, factor in stepped:
-                _split_step(row, factor, drift)
-            amp[t] = _overlap(psi, buf)
     return _grid_curve(amp, "exact", spec, label)
 
 

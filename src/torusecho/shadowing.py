@@ -379,13 +379,11 @@ def _damped_trial(spec, work, res, alone):
 
 def _shadow_distance(work, points):
     """Sup torus distance between work.x and the (L, 2) points, in the free buffers
-    work.wrap and work.trial: max over every coordinate of min(d, 1 - d), d = |x - y| mod 1."""
-    d, far = work.wrap, work.trial
-    np.subtract(work.x, points.T, out=d)
-    np.abs(d, out=d)
-    np.remainder(d, 1.0, out=d)
-    np.subtract(1.0, d, out=far)
-    return float(np.maximum.reduce(np.minimum(d, far, out=d), axis=None))
+    work.wrap and work.trial: max over every coordinate of |d - rint(d)|, d = x - y,
+    the shortest wrap that `_orbit_defect` takes."""
+    d = np.subtract(work.x, points.T, out=work.wrap)
+    d -= np.rint(d, out=work.trial)
+    return float(np.maximum.reduce(np.abs(d, out=d), axis=None))
 
 
 def _refine_problem(steps, tol, max_iter):

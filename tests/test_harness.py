@@ -33,7 +33,7 @@ from torusecho import (
     samples_position_state,
     validate_config,
 )
-from torusecho import cli, quantum, shadowing
+from torusecho import cli, harness, quantum, shadowing
 from torusecho.cli import emit_config, main
 from torusecho.dynamics import _MAX_STEPS
 from torusecho.dephasing import FidelityCurve
@@ -420,6 +420,29 @@ def test_cli_empty_out_exits_2(tmp_path, capsys):
     for command in ("validate", "run"):
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: out must name a file, got ''\n"
+
+
+def test_out_that_is_not_a_regular_file_is_refused(monkeypatch):
+    """/dev/null would take its sidecar as /dev/null.meta.json: refused, and nothing opened."""
+    def never(*args, **kwargs):
+        raise AssertionError("validation opened a file")
+
+    monkeypatch.setattr("builtins.open", never)
+    monkeypatch.setattr(os, "open", never)
+    assert validate_config(ExperimentConfig(out="/dev/null")) == [
+        (InvalidInputError, "out must name a regular file, got '/dev/null'")
+    ]
+
+
+def test_cli_directory_out_exits_2_before_any_route(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(harness, "dr_curve", never)
+    monkeypatch.setattr(harness, "exact_fidelity_curve", never)
+    assert main(["run", "--preset", "fig1-mixed", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: out must name a regular file, got {str(tmp_path)!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):

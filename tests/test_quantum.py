@@ -198,6 +198,7 @@ def _usable_cpus(monkeypatch, count):
 def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
     spec = MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM)
     psi = build_state(spec, PositionEigenstate(0.25))
+    reference = _per_branch_amplitudes(spec, psi.vector, 8).tobytes()
     pools = []
 
     class CountedPool(quantum.ThreadPoolExecutor):
@@ -212,23 +213,36 @@ def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
         stepped.append((rows.ndim, drift is None))
         step(rows, factor, drift)
 
-    _usable_cpus(monkeypatch, 1)
-    with monkeypatch.context() as patch:
-        patch.setattr(quantum, "_split_step", counted_step)
-        serial = exact_fidelity_curve(spec, psi, 8).amplitude
-    assert pools == []
-    # one one-FFT call per row per step (even N, no drift), no (2, N) call
-    assert stepped == [(1, True)] * 16
-    _usable_cpus(monkeypatch, 64)
+    monkeypatch.setattr(quantum, "_split_step", counted_step)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
     try:
-        threaded = exact_fidelity_curve(spec, psi, 8).amplitude
+        for cpus in (1, 64):
+            _usable_cpus(monkeypatch, cpus)
+            amplitude = exact_fidelity_curve(spec, psi, 8).amplitude
+            # one one-worker pool, for the bare row, however many CPUs are usable
+            assert pools == [{"max_workers": 1}]
+            # one one-FFT call per row per step (even N, no drift), no (2, N) call
+            assert stepped == [(1, True)] * 16
+            assert amplitude.tobytes() == reference
+            pools.clear()
+            stepped.clear()
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [{"max_workers": 1}]  # one worker, for the second branch
-    assert threaded.tobytes() == serial.tobytes()
-    assert threaded.tobytes() == _per_branch_amplitudes(spec, psi.vector, 8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim_n", [quantum._THREAD_MIN_DIM - 1, quantum._THREAD_MIN_DIM, quantum._THREAD_MIN_DIM + 1]
+)
+def test_exact_curve_reads_no_cpu_count(monkeypatch, dim_n):
+    def never(*args):
+        raise AssertionError("CPU count read by the exact route")
+
+    monkeypatch.setattr(os, "sched_getaffinity", never, raising=False)
+    monkeypatch.setattr(os, "cpu_count", never)
+    psi = _random_state(MapSpec(10.0, 2e-3, dim_n))
+    curve = exact_fidelity_curve(psi.spec, psi, 5)
+    assert curve.amplitude.tobytes() == _per_branch_amplitudes(psi.spec, psi.vector, 5).tobytes()
 
 
 def test_exact_curve_below_the_cut_starts_no_thread(monkeypatch):

@@ -31,7 +31,7 @@ from torusecho.cli import main
 from torusecho.dynamics import TWO_PI, kick_problem
 from torusecho.shadowing import _min_norm_newton_step, _orbit_defect
 
-from map_reference import step_ref
+from map_reference import step_ref, torus_distance_ref
 
 MIXED = MapSpec(0.8, 5e-3, 1000)
 CHAOTIC = MapSpec(10.0, 2e-3, 1000)
@@ -147,6 +147,40 @@ def test_true_orbit_needs_no_iterations():
     assert res.converged and res.iterations == 0
     assert res.residual == 0.0
     assert res.shadow_distance == 0.0
+
+
+def _unit_pairs(rng, n):
+    """n pairs of torus points, (n, 2) each, drawn where a shortest-wrap rule could slip:
+    uniform, one ulp apart, 0.5 apart, about 1 apart and subnormal."""
+    x = rng.random((n, 2))
+    y = rng.random((n, 2))
+    near = rng.random((n, 2))
+    half = rng.random((n, 2)) * 0.5
+    low = rng.random((n, 2)) * 1e-3
+    tiny = rng.random((n, 2)) * 1e-310
+    return [
+        (x, y),
+        (near, np.nextafter(near, rng.choice([0.0, 1.0], (n, 2)))),
+        (half, half + 0.5),
+        (low, 1.0 - low),
+        (tiny, rng.random((n, 2)) * 1e-310),
+        (tiny, 1.0 - tiny),  # rounds to 1.0 where tiny is below half an ulp of 1
+    ]
+
+
+def test_shadow_distance_is_the_written_out_torus_distance_bitwise():
+    rng = np.random.default_rng(11)
+    for a, b in _unit_pairs(rng, 500):
+        b = np.where(b >= 1.0, 0.0, b)
+        want = torus_distance_ref(a, b)
+        work = shadowing._Workspace(len(a))
+        work.x[...] = a.T
+        assert shadowing._shadow_distance(work, b).hex() == float(want.max()).hex()
+        pair = shadowing._Workspace(2)
+        for i in range(0, len(a), 2):  # two points at a time, so no pair hides behind the max
+            pair.x[...] = a[i:i + 2].T
+            got = shadowing._shadow_distance(pair, b[i:i + 2])
+            assert got.hex() == float(want[i:i + 2].max()).hex()
 
 
 def test_refine_toward_perturbed_map():
