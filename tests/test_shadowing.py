@@ -149,34 +149,26 @@ def test_true_orbit_needs_no_iterations():
     assert res.shadow_distance == 0.0
 
 
-def _unit_pairs(rng, n):
-    """n pairs of torus points, (n, 2) each, drawn where a shortest-wrap rule could slip:
-    uniform, one ulp apart, 0.5 apart, about 1 apart and subnormal."""
-    x = rng.random((n, 2))
-    y = rng.random((n, 2))
-    near = rng.random((n, 2))
-    half = rng.random((n, 2)) * 0.5
-    low = rng.random((n, 2)) * 1e-3
-    tiny = rng.random((n, 2)) * 1e-310
-    return [
-        (x, y),
-        (near, np.nextafter(near, rng.choice([0.0, 1.0], (n, 2)))),
-        (half, half + 0.5),
-        (low, 1.0 - low),
-        (tiny, rng.random((n, 2)) * 1e-310),
-        (tiny, 1.0 - tiny),  # rounds to 1.0 where tiny is below half an ulp of 1
-    ]
-
-
 def test_shadow_distance_is_the_written_out_torus_distance_bitwise():
+    """Pairs where a shortest-wrap rule could slip: uniform, one ulp apart,
+    0.5 apart, about 1 apart and subnormal, each against the written-out rule."""
     rng = np.random.default_rng(11)
-    for a, b in _unit_pairs(rng, 500):
-        b = np.where(b >= 1.0, 0.0, b)
+    x, near, low, tiny = (rng.random((500, 2)) for _ in range(4))
+    low *= 1e-3
+    tiny *= 1e-310
+    cases = [
+        (x, rng.random((500, 2))),
+        (near, np.nextafter(near, rng.choice([0.0, 1.0], (500, 2)))),
+        (0.5 * x, 0.5 * x + 0.5),
+        (low, 1.0 - low),
+        (tiny, rng.random((500, 2)) * 1e-310),
+    ]
+    whole, pair = shadowing._Workspace(500), shadowing._Workspace(2)
+    for a, b in cases:
+        b = np.where(b >= 1.0, 0.0, b)  # a point that rounds up to 1.0 is the point 0.0
         want = torus_distance_ref(a, b)
-        work = shadowing._Workspace(len(a))
-        work.x[...] = a.T
-        assert shadowing._shadow_distance(work, b).hex() == float(want.max()).hex()
-        pair = shadowing._Workspace(2)
+        whole.x[...] = a.T
+        assert shadowing._shadow_distance(whole, b).hex() == float(want.max()).hex()
         for i in range(0, len(a), 2):  # two points at a time, so no pair hides behind the max
             pair.x[...] = a[i:i + 2].T
             got = shadowing._shadow_distance(pair, b[i:i + 2])
