@@ -33,7 +33,6 @@ from .initial_states import (
     samples_position_state,
 )
 from .quantum import (
-    QuantumState,
     build_state,
     dense_oracle,
     exact_fidelity_curve,
@@ -64,7 +63,6 @@ __all__ = [
     "MapSpec",
     "PositionEigenstate",
     "PseudoOrbit",
-    "QuantumState",
     "RunResult",
     "SampleSet",
     "ShadowResult",

@@ -234,6 +234,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         elif os.path.exists(out) and not os.path.isfile(out):
             # /dev/null or a directory: the sidecar is named after a regular file
             invalid(f"out must name a regular file, got {out!r}")
+        elif os.path.exists(meta := _sidecar(out)) and not os.path.isfile(meta):
+            invalid(f"out's sidecar must be a regular file, got {str(meta)!r}")
     add(count_problem("threads", config.threads, 1))
     add(seed_problem(config.seed))
 
@@ -378,6 +380,12 @@ def render_json(curves: dict):
     yield "[]\n" if lead == "[\n" else "\n]\n"
 
 
+def _sidecar(out) -> Path:
+    """The .meta.json sidecar written next to the data file out."""
+    out = Path(out)
+    return out.parent / (out.stem + ".meta.json")
+
+
 def write_result(result: "RunResult"):
     """Write the data table to the config's out, in its format, and a .meta.json sidecar next to it.
 
@@ -391,7 +399,7 @@ def write_result(result: "RunResult"):
     with out.open("w", newline="\n") as data:
         data.writelines(render(result.curves))
     result.timings["write"] = time.perf_counter() - start
-    meta_path = out.parent / (out.stem + ".meta.json")
+    meta_path = _sidecar(out)
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "duration_s": result.duration_s,

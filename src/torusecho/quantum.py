@@ -19,14 +19,15 @@ same on both branches and drop out of their overlap. For odd N
 exp(-i pi m^2 / N) is not N-periodic, no such factorization exists, and
 each step is the split pair: kick, FFT, drift, inverse FFT.
 
-A state is checked (shape, norm) once, as a `QuantumState` where it
-enters; from there one in-place kernel steps both branches as one (2, N)
-array, perturbed row first, and builds no state and takes no norm. From
-N = 8192 up the two rows are stepped one call each instead, on two
-threads whatever thread count the run was given; the path depends on N
-alone, never on the machine's CPU count. The overlap of the rows is a
-numpy pairwise sum, not a BLAS dot, so an exact curve's bits depend
-neither on the thread count nor on the BLAS library's threads.
+A route takes a state descriptor and builds its grid vector once, with
+`build_state`; from there one in-place kernel steps both branches as one
+(2, N) array, perturbed row first, and builds no state and takes no
+norm. From N = 8192 up the two rows are stepped one call each instead,
+on two threads whatever thread count the run was given; the path
+depends on N alone, never on the machine's CPU count. The overlap of
+the rows is a numpy pairwise sum, not a BLAS dot, so an exact curve's
+bits depend neither on the thread count nor on the BLAS library's
+threads.
 
 `dense_oracle` rebuilds the same unitary as an explicit matrix with its
 own DFT construction and no shared phase helpers, so split-operator and
@@ -40,7 +41,6 @@ is psi <- G (kick psi).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,7 +50,6 @@ from .dynamics import TWO_PI, MapSpec, count_problem, perturbation_problem, step
 from .errors import CapacityError, InvalidInputError, raise_problem
 from .initial_states import GaussianWavepacket, InitialState, PositionEigenstate, grid_index
 
-_NORM_GUARD = 1e-9
 # relative size below which periodized-Gaussian image terms are dropped
 _IMAGE_TRUNCATION = 1e-16
 # capacity ceiling on the grid of a state or an exact curve
@@ -78,25 +77,6 @@ def dense_problem(dim_n):
     if dim_n <= _DENSE_MAX_DIM:
         return None
     return CapacityError, f"dense method supports dim_n <= {_DENSE_MAX_DIM}, got {dim_n}"
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Normalized wavefunction on the N-point position grid."""
-
-    vector: np.ndarray
-    spec: MapSpec
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.complex128)
-        if vec.shape != (self.spec.dim_n,):
-            raise InvalidInputError(
-                f"state vector must have shape ({self.spec.dim_n},), got {vec.shape}"
-            )
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= _NORM_GUARD:  # a nan norm is refused too
-            raise InvalidInputError(f"state vector must be normalized, |psi| = {norm!r}")
-        object.__setattr__(self, "vector", vec)
 
 
 @lru_cache(maxsize=4)
@@ -159,8 +139,8 @@ def _overlap(psi: np.ndarray, buf: np.ndarray) -> complex:
     return buf.sum()
 
 
-def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
-    """Grid wavefunction for an initial-state descriptor.
+def build_state(spec: MapSpec, state: InitialState) -> np.ndarray:
+    """Normalized (N,) complex grid wavefunction of an initial-state descriptor.
 
     Position eigenstates require grid alignment. Gaussian wavepackets are
     periodized over torus images and normalized on the grid. Any other
@@ -170,7 +150,7 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
     if isinstance(state, PositionEigenstate):
         vec = np.zeros(spec.dim_n, dtype=np.complex128)
         vec[grid_index(spec, state.q0)] = 1.0
-        return QuantumState(vec, spec)
+        return vec
     if isinstance(state, GaussianWavepacket):
         n = spec.dim_n
         q = np.arange(n, dtype=np.float64) / n
@@ -195,37 +175,26 @@ def build_state(spec: MapSpec, state: InitialState) -> QuantumState:
                 f"narrow for q0={state.q0!r} on dim_n={n} points"
             )
         vec /= norm
-        return QuantumState(vec, spec)
+        return vec
     raise InvalidInputError(f"unknown initial state type {type(state).__name__}")
 
 
-def step_quantum(state: QuantumState, perturbed: bool = False) -> QuantumState:
-    """One exact step of one branch, psi <- U psi.
+def step_quantum(spec: MapSpec, psi: np.ndarray, perturbed: bool = False) -> np.ndarray:
+    """One exact step of one branch: a new (N,) vector U psi, psi left as it is.
 
     Even N: exp(-i pi/4) C F(E conj(C) psi), one FFT. Odd N: kick phase,
     FFT, drift phase, inverse FFT.
     """
-    rows, entry, drift = _phase_factors(state.spec)
-    psi = state.vector.copy()
+    psi = np.array(psi, dtype=np.complex128)
+    if psi.shape != (spec.dim_n,):
+        raise InvalidInputError(f"state vector must have shape ({spec.dim_n},), got {psi.shape}")
+    rows, entry, drift = _phase_factors(spec)
     if entry is not None:
         psi *= entry
     _split_step(psi, rows[0 if perturbed else 1], drift)
     if entry is not None:
         psi *= np.conj(entry) * np.exp(-0.25j * np.pi)
-    return QuantumState(psi, state.spec)
-
-
-def _resolve_state(spec, state):
-    """(checked grid vector, label) of a state descriptor or a QuantumState."""
-    if isinstance(state, QuantumState):
-        if state.spec.dim_n != spec.dim_n:
-            raise InvalidInputError("state grid size does not match spec")
-        psi0, label = state, f"vector(n={spec.dim_n})"
-    elif isinstance(state, InitialState):
-        psi0, label = build_state(spec, state), state.label()
-    else:
-        raise InvalidInputError(f"unsupported state {type(state).__name__}")
-    return psi0.vector, label
+    return psi
 
 
 def _grid_curve(amp, method, spec, label) -> FidelityCurve:
@@ -234,11 +203,7 @@ def _grid_curve(amp, method, spec, label) -> FidelityCurve:
     return FidelityCurve(amp, zeros, zeros.copy(), method, spec, label, spec.dim_n)
 
 
-def exact_fidelity_curve(
-    spec: MapSpec,
-    state: InitialState | QuantumState,
-    steps: int,
-) -> FidelityCurve:
+def exact_fidelity_curve(spec: MapSpec, state: InitialState, steps: int) -> FidelityCurve:
     """Exact fidelity amplitude <psi_pert(t)|psi_unpert(t)> for t = 0..steps.
 
     Both branches start from the same state; one evolves with the bare
@@ -262,7 +227,7 @@ def exact_fidelity_curve(
     raise_problem(grid_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
-    psi0, label = _resolve_state(spec, state)
+    psi0 = build_state(spec, state)
     rows, entry, drift = _phase_factors(spec)
     psi = np.stack([psi0, psi0])  # perturbed row first, as in rows
     buf = np.empty(spec.dim_n, dtype=np.complex128)
@@ -281,7 +246,7 @@ def exact_fidelity_curve(
                 _split_step(psi[0], rows[0], drift)
                 plain.result()
                 amp[t] = _overlap(psi, buf)
-    return _grid_curve(amp, "exact", spec, label)
+    return _grid_curve(amp, "exact", spec, state.label())
 
 
 @lru_cache(maxsize=4)
@@ -308,11 +273,7 @@ def _dense_drift(n: int) -> np.ndarray:
     return gmat
 
 
-def dense_oracle(
-    spec: MapSpec,
-    state: InitialState | QuantumState,
-    steps: int,
-) -> FidelityCurve:
+def dense_oracle(spec: MapSpec, state: InitialState, steps: int) -> FidelityCurve:
     """Fidelity curve by dense matrix propagation (independent oracle).
 
     The one-step unitary is U = G diag(kick), with G the circulant
@@ -325,7 +286,7 @@ def dense_oracle(
     raise_problem(dense_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
-    psi0, label = _resolve_state(spec, state)
+    psi0 = build_state(spec, state)
 
     n = spec.dim_n
     two_pi = 2.0 * np.pi
@@ -347,4 +308,4 @@ def dense_oracle(
         plain = gmat @ (kick_plain * plain)
         pert = gmat @ (kick_pert * pert)
         amp[t] = np.vdot(pert, plain)
-    return _grid_curve(amp, "dense", spec, label)
+    return _grid_curve(amp, "dense", spec, state.label())

@@ -422,15 +422,21 @@ def test_cli_empty_out_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == "error: out must name a file, got ''\n"
 
 
-def test_out_that_is_not_a_regular_file_is_refused(monkeypatch):
+def test_out_that_is_not_a_regular_file_is_refused(tmp_path, monkeypatch):
     """/dev/null would take its sidecar as /dev/null.meta.json: refused, and nothing opened."""
     def never(*args, **kwargs):
         raise AssertionError("validation opened a file")
 
+    meta = tmp_path / "x.meta.json"
+    meta.mkdir()
     monkeypatch.setattr("builtins.open", never)
     monkeypatch.setattr(os, "open", never)
     assert validate_config(ExperimentConfig(out="/dev/null")) == [
         (InvalidInputError, "out must name a regular file, got '/dev/null'")
+    ]
+    # a data file whose sidecar path is a directory
+    assert validate_config(ExperimentConfig(out=tmp_path / "x.csv")) == [
+        (InvalidInputError, f"out's sidecar must be a regular file, got {str(meta)!r}")
     ]
 
 
@@ -443,6 +449,12 @@ def test_cli_directory_out_exits_2_before_any_route(tmp_path, monkeypatch, capsy
     assert main(["run", "--preset", "fig1-mixed", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: out must name a regular file, got {str(tmp_path)!r}\n"
     assert list(tmp_path.iterdir()) == []
+    # a directory where the sidecar would go: exit 2, and no data file written
+    meta = tmp_path / "x.meta.json"
+    meta.mkdir()
+    assert main(["run", "--preset", "fig1-mixed", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: out's sidecar must be a regular file, got {str(meta)!r}\n"
+    assert list(tmp_path.iterdir()) == [meta]
 
 
 def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):

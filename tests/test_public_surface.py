@@ -21,7 +21,7 @@ REMOVED = (
     (shadowing, ("wrap_signed", "noisy_orbit", "_GENERATORS", "_against_flag")),
     (initial_states.SampleSet, ("uniform",)),
     (quantum, ("loschmidt_equivalence",)),
-    (quantum.QuantumState, ("position_density", "overlap")),
+    (quantum, ("QuantumState", "_resolve_state", "_NORM_GUARD")),
     (dephasing.FidelityCurve, ("amplitude_re", "amplitude_im", "fidelity_stderr")),
 )
 

@@ -21,7 +21,6 @@ from torusecho import (
     InvalidInputError,
     MapSpec,
     PositionEigenstate,
-    QuantumState,
     build_state,
     dense_oracle,
     dr_curve,
@@ -32,18 +31,20 @@ from torusecho import (
 
 SMALL = MapSpec(0.8, 5e-3, 64)
 CHAOTIC_SMALL = MapSpec(10.0, 2e-3, 64)
+# a state whose grid vector is complex and nowhere zero, on any grid used here
+PACKET = GaussianWavepacket(0.3, 0.2, 0.05)
 
 
 def _random_state(spec, seed=42):
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(spec.dim_n) + 1j * rng.standard_normal(spec.dim_n)
-    return QuantumState(v / np.linalg.norm(v), spec)
+    return v / np.linalg.norm(v)
 
 
 def test_position_state_is_one_hot():
     psi = build_state(SMALL, PositionEigenstate(0.25))
-    assert psi.vector[16] == 1.0
-    assert np.count_nonzero(psi.vector) == 1
+    assert psi[16] == 1.0
+    assert np.count_nonzero(psi) == 1
 
 
 def test_misaligned_position_state_rejected():
@@ -52,19 +53,13 @@ def test_misaligned_position_state_rejected():
             build_state(SMALL, PositionEigenstate(q0))
 
 
-def test_norm_guard():
-    with pytest.raises(InvalidInputError):
-        QuantumState(np.ones(64, dtype=np.complex128), SMALL)
-    with pytest.raises(InvalidInputError):
-        QuantumState(np.ones(32, dtype=np.complex128) / np.sqrt(32), SMALL)
-
-
 def test_gaussian_state_shape_and_width():
     spec = MapSpec(0.8, 5e-3, 1000)
     sigma = 0.05
     psi = build_state(spec, GaussianWavepacket(0.4, 0.0, sigma))
-    assert np.linalg.norm(psi.vector) == pytest.approx(1.0, abs=1e-12)
-    dens = np.abs(psi.vector) ** 2
+    assert psi.shape == (1000,) and psi.dtype == np.complex128
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    dens = np.abs(psi) ** 2
     q = np.arange(1000) / 1000
     mean = float(np.sum(q * dens))
     var = float(np.sum((q - mean) ** 2 * dens))
@@ -76,7 +71,7 @@ def test_gaussian_state_momentum_center():
     spec = MapSpec(0.8, 5e-3, 1000)
     p0 = 0.25
     psi = build_state(spec, GaussianWavepacket(0.5, p0, 0.05))
-    mom = np.fft.fft(psi.vector, norm="ortho")
+    mom = np.fft.fft(psi, norm="ortho")
     m_peak = int(np.argmax(np.abs(mom)))
     assert abs(m_peak / 1000 - p0) < 0.01
 
@@ -86,7 +81,7 @@ def test_gaussian_narrower_than_the_grid():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         psi = build_state(SMALL, GaussianWavepacket(0.25, 0.0, 1e-160))
-        assert psi.vector[16] == 1.0 and np.count_nonzero(psi.vector) == 1
+        assert psi[16] == 1.0 and np.count_nonzero(psi) == 1
         # all weight underflows off the grid points, or sigma^2 itself underflows
         for q0, sigma, norm in ((0.4005, 1e-6, "0.0"), (0.25, 1e-300, "nan")):
             want = f"norm {norm} on the grid: sigma={sigma!r} is too narrow for q0={q0!r} on dim_n=64"
@@ -98,8 +93,8 @@ def test_unitarity_over_long_evolution():
     spec = MapSpec(0.8, 5e-3, 1000)
     psi = build_state(spec, GaussianWavepacket(0.4, 0.0, 0.05))
     for _ in range(1000):
-        psi = step_quantum(psi, perturbed=True)
-    assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-12  # measured ~3e-14
+        psi = step_quantum(spec, psi, perturbed=True)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12  # measured ~3e-14
 
 
 def _overlap(pert, plain):
@@ -165,40 +160,30 @@ def _per_branch_amplitudes(spec, psi0, steps):
     [
         (CHAOTIC_SMALL, PositionEigenstate(0.25)),
         (MapSpec(0.8, 5e-3, 1000), GaussianWavepacket(0.4, 0.3, 0.05)),
-        (MapSpec(10.0, 2e-3, 256), "vector"),
+        (MapSpec(10.0, 2e-3, 256), PACKET),
         (MapSpec(10.0, 0.0, 128), PositionEigenstate(0.25)),
         (MapSpec(10.0, 2e-3, 255), GaussianWavepacket(0.3, 0.2, 0.05)),
-        (MapSpec(0.8, 5e-3, 101), "vector"),
+        (MapSpec(0.8, 5e-3, 101), PACKET),
     ],
 )
 def test_exact_curve_matches_per_branch_loop_bitwise(spec, state):
-    psi = _random_state(spec) if state == "vector" else build_state(spec, state)
-    before = psi.vector.copy()
-    curve = exact_fidelity_curve(spec, psi if state == "vector" else state, 40)
-    ref = _per_branch_amplitudes(spec, psi.vector, 40)
+    curve = exact_fidelity_curve(spec, state, 40)
+    ref = _per_branch_amplitudes(spec, build_state(spec, state), 40)
     assert curve.amplitude.tobytes() == ref.tobytes()
-    assert np.array_equal(psi.vector, before)  # the caller's state is not stepped
 
 
 def test_exact_loop_builds_no_state_and_takes_no_norm(monkeypatch):
-    psi = _random_state(MapSpec(10.0, 2e-3, 256))
-
     def never(*args, **kwargs):
         raise AssertionError("norm taken inside the step loop")
 
     monkeypatch.setattr(np.linalg, "norm", never)
-    curve = exact_fidelity_curve(psi.spec, psi, 30)
+    curve = exact_fidelity_curve(MapSpec(10.0, 2e-3, 256), PACKET, 30)
     assert curve.sample_count == 256
 
 
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
-    spec = MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM)
-    psi = build_state(spec, PositionEigenstate(0.25))
-    reference = _per_branch_amplitudes(spec, psi.vector, 8).tobytes()
+    spec, state = MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM), PositionEigenstate(0.25)
+    reference = _per_branch_amplitudes(spec, build_state(spec, state), 8).tobytes()
     pools = []
 
     class CountedPool(quantum.ThreadPoolExecutor):
@@ -217,18 +202,14 @@ def test_exact_curve_bits_do_not_depend_on_the_worker_count(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can go
     try:
-        for cpus in (1, 64):
-            _usable_cpus(monkeypatch, cpus)
-            amplitude = exact_fidelity_curve(spec, psi, 8).amplitude
-            # one one-worker pool, for the bare row, however many CPUs are usable
-            assert pools == [{"max_workers": 1}]
-            # one one-FFT call per row per step (even N, no drift), no (2, N) call
-            assert stepped == [(1, True)] * 16
-            assert amplitude.tobytes() == reference
-            pools.clear()
-            stepped.clear()
+        amplitude = exact_fidelity_curve(spec, state, 8).amplitude
     finally:
         sys.setswitchinterval(interval)
+    # one one-worker pool, for the bare row
+    assert pools == [{"max_workers": 1}]
+    # one one-FFT call per row per step (even N, no drift), no (2, N) call
+    assert stepped == [(1, True)] * 16
+    assert amplitude.tobytes() == reference
 
 
 @pytest.mark.parametrize(
@@ -240,9 +221,10 @@ def test_exact_curve_reads_no_cpu_count(monkeypatch, dim_n):
 
     monkeypatch.setattr(os, "sched_getaffinity", never, raising=False)
     monkeypatch.setattr(os, "cpu_count", never)
-    psi = _random_state(MapSpec(10.0, 2e-3, dim_n))
-    curve = exact_fidelity_curve(psi.spec, psi, 5)
-    assert curve.amplitude.tobytes() == _per_branch_amplitudes(psi.spec, psi.vector, 5).tobytes()
+    spec = MapSpec(10.0, 2e-3, dim_n)
+    curve = exact_fidelity_curve(spec, PACKET, 5)
+    ref = _per_branch_amplitudes(spec, build_state(spec, PACKET), 5)
+    assert curve.amplitude.tobytes() == ref.tobytes()
 
 
 def test_exact_curve_below_the_cut_starts_no_thread(monkeypatch):
@@ -250,23 +232,20 @@ def test_exact_curve_below_the_cut_starts_no_thread(monkeypatch):
         raise AssertionError("thread pool started below the cut")
 
     monkeypatch.setattr(quantum, "ThreadPoolExecutor", never)
-    _usable_cpus(monkeypatch, 64)
-    psi = _random_state(MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM - 1))
-    curve = exact_fidelity_curve(psi.spec, psi, 5)
-    assert curve.amplitude.tobytes() == _per_branch_amplitudes(psi.spec, psi.vector, 5).tobytes()
+    spec = MapSpec(10.0, 2e-3, quantum._THREAD_MIN_DIM - 1)
+    curve = exact_fidelity_curve(spec, PACKET, 5)
+    ref = _per_branch_amplitudes(spec, build_state(spec, PACKET), 5)
+    assert curve.amplitude.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("dim_n", [256, quantum._THREAD_MIN_DIM])
 def test_exact_loop_makes_no_blas_call(monkeypatch, dim_n):
-    psi = _random_state(MapSpec(10.0, 2e-3, dim_n))
-
     def never(*args, **kwargs):
         raise AssertionError("BLAS call in the exact route")
 
     for name in ("vdot", "dot", "inner"):
         monkeypatch.setattr(np, name, never)
-    _usable_cpus(monkeypatch, 64)
-    curve = exact_fidelity_curve(psi.spec, psi, 5)
+    curve = exact_fidelity_curve(MapSpec(10.0, 2e-3, dim_n), PACKET, 5)
     assert curve.amplitude[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -302,7 +281,7 @@ def test_gaussian_state_bits_do_not_depend_on_blas_threads():
         "import hashlib\n"
         "from torusecho import GaussianWavepacket, MapSpec, build_state\n"
         "v = build_state(MapSpec(10.0, 1e-3, 16384), GaussianWavepacket(0.3, 0.2, 0.05))\n"
-        "print(hashlib.sha256(v.vector.tobytes()).hexdigest())"
+        "print(hashlib.sha256(v.tobytes()).hexdigest())"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -318,9 +297,8 @@ def test_phase_factors_hold_one_entry_per_spec():
     quantum._phase_factors.cache_clear()
     odd = MapSpec(0.8, 5e-3, 63)
     for spec in (SMALL, odd):
-        psi = build_state(spec, PositionEigenstate(0.0))
-        exact_fidelity_curve(spec, psi, 3)
-        step_quantum(step_quantum(psi), perturbed=True)
+        exact_fidelity_curve(spec, PositionEigenstate(0.0), 3)
+        step_quantum(spec, step_quantum(spec, build_state(spec, PositionEigenstate(0.0))), True)
     assert quantum._phase_factors.cache_info().currsize == 2
     rows, entry, drift = quantum._phase_factors(SMALL)  # kick * C^2 rows, conj(C)
     assert rows.shape == (2, 64) and entry.shape == (64,) and drift is None
@@ -390,13 +368,11 @@ def test_zero_perturbation_fidelity_stays_unity():
 
 
 @pytest.mark.parametrize("dim_n", [2, 64, 1000, quantum._THREAD_MIN_DIM])
-def test_even_grid_position_state_starts_at_exactly_one(monkeypatch, dim_n):
+def test_even_grid_position_state_starts_at_exactly_one(dim_n):
     # amp(0) is read from psi0 before the entry chirp, on every stepping path
-    for cpus in (1, 2):
-        _usable_cpus(monkeypatch, cpus)
-        curve = exact_fidelity_curve(MapSpec(10.0, 2e-3, dim_n), PositionEigenstate(0.5), 2)
-        assert curve.amplitude[0] == 1.0
-        assert np.abs(curve.amplitude).max() <= 1.0 + 1e-12
+    curve = exact_fidelity_curve(MapSpec(10.0, 2e-3, dim_n), PositionEigenstate(0.5), 2)
+    assert curve.amplitude[0] == 1.0
+    assert np.abs(curve.amplitude).max() <= 1.0 + 1e-12
 
 
 def test_one_fft_curve_stays_close_to_the_split_pair():
@@ -404,7 +380,7 @@ def test_one_fft_curve_stays_close_to_the_split_pair():
     spec = MapSpec(10.0, 2e-3, 1000)
     for state in (PositionEigenstate(0.4), GaussianWavepacket(0.4, 0.3, 0.05)):
         curve = exact_fidelity_curve(spec, state, 200).amplitude
-        split = _split_amplitudes(spec, build_state(spec, state).vector, 200)
+        split = _split_amplitudes(spec, build_state(spec, state), 200)
         assert np.abs(curve - split).max() < 1e-12  # measured ~1e-13
 
 
@@ -418,8 +394,8 @@ def test_step_quantum_is_the_dense_one_step_unitary(dim_n):
     for perturbed, kick in ((False, kick_plain), (True, kick_pert)):
         # F^-1 diag(drift) F diag(kick) as an explicit matrix
         unitary = fmat.conj().T @ (drift[:, None] * (fmat * kick[None, :]))
-        stepped = step_quantum(psi, perturbed=perturbed).vector
-        assert np.abs(stepped - unitary @ psi.vector).max() < 1e-12
+        stepped = step_quantum(spec, psi, perturbed=perturbed)
+        assert np.abs(stepped - unitary @ psi).max() < 1e-12
 
 
 @pytest.mark.parametrize("dim_n", [2, 3, 63, 64, 255, 256])
@@ -446,13 +422,6 @@ def test_split_operator_matches_dense_oracle(spec):
     assert dense.method == "dense"
 
 
-def test_dense_oracle_on_random_vector():
-    psi = _random_state(MapSpec(10.0, 2e-3, 32))
-    split = exact_fidelity_curve(psi.spec, psi, 20)
-    dense = dense_oracle(psi.spec, psi, 20)
-    assert np.abs(split.amplitude - dense.amplitude).max() < 1e-10
-
-
 def test_dense_oracle_capacity_limit():
     spec = MapSpec(0.8, 5e-3, 257)
     with pytest.raises(CapacityError):
@@ -461,7 +430,8 @@ def test_dense_oracle_capacity_limit():
 
 def test_grid_cap_is_refused_before_any_grid_array(monkeypatch):
     spec = MapSpec(10.0, 1e-3, 65537)
-    monkeypatch.setattr(quantum, "_resolve_state", lambda *a: pytest.fail("state built"))
+    for name in ("zeros", "empty", "arange"):  # every allocation build_state can make
+        monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("grid array allocated"))
     for state in (PositionEigenstate(0.0), GaussianWavepacket(0.5, 0.0, 0.05)):
         with pytest.raises(CapacityError, match="dim_n 65537 exceeds limit 65536"):
             build_state(spec, state)
@@ -475,8 +445,6 @@ def test_non_finite_states_are_refused_not_propagated(route):
     for q0, p0 in ((nan, 0.0), (0.3, inf)):
         with pytest.raises(InvalidInputError, match="must be finite"):
             route(SMALL, GaussianWavepacket(q0, p0, 0.1), 3)
-    with pytest.raises(InvalidInputError, match="must be normalized"):
-        route(SMALL, QuantumState(np.full(SMALL.dim_n, nan + 0j), SMALL), 3)
 
 
 @settings(deadline=None, max_examples=40)
@@ -528,7 +496,7 @@ def test_echo_reading_equals_two_branch_reading():
         (MapSpec(0.8, 5e-3, 128), GaussianWavepacket(0.5, 0.0, 0.05), 15),
     ):
         forward = exact_fidelity_curve(spec, state, steps).amplitude
-        echo = _echo_amplitudes(spec, build_state(spec, state).vector, steps)
+        echo = _echo_amplitudes(spec, build_state(spec, state), steps)
         assert np.abs(echo - forward).max() < 1e-10
 
 
@@ -541,11 +509,6 @@ def test_single_kick_amplitude_is_conjugate_across_routes():
     assert abs(abs(dr.amplitude[1]) - 1.0) < 1e-12
     assert abs(abs(ex.amplitude[1]) - 1.0) < 1e-12
     assert abs(dr.amplitude[1] - np.conj(ex.amplitude[1])) < 1e-12
-
-
-def test_state_grid_mismatch_rejected():
-    with pytest.raises(InvalidInputError, match="grid size"):
-        exact_fidelity_curve(SMALL, _random_state(MapSpec(0.8, 5e-3, 32)), 3)
 
 
 def test_steps_validation():
@@ -565,3 +528,9 @@ def test_unknown_state_type_is_refused_by_every_route():
         args = (SMALL, Unknown()) if route is build_state else (SMALL, Unknown(), 3)
         with pytest.raises(InvalidInputError, match="unknown initial state type Unknown"):
             route(*args)
+    # a bare grid vector is no state descriptor
+    for route in (exact_fidelity_curve, dense_oracle):
+        with pytest.raises(InvalidInputError, match="unknown initial state type ndarray"):
+            route(SMALL, _random_state(SMALL), 3)
+    with pytest.raises(InvalidInputError, match=r"shape \(64,\), got \(65,\)"):
+        step_quantum(SMALL, _random_state(MapSpec(0.8, 5e-3, 65)))
