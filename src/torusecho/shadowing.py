@@ -12,7 +12,10 @@ exceed the bound by a fraction of an ulp; `shadow_survey`'s
 `refine_shadow` then looks for a true unperturbed orbit near a
 pseudo-orbit by Newton iteration on the orbit equations, using the
 minimum-norm correction at each step (the orbit has free endpoints, so
-the linearized system is underdetermined).
+the linearized system is underdetermined). It stops when the residual
+reaches tol, when no step lowers it (a stall), when three accepted steps
+in a row were damped to 2^-6 or less (a creep: the orbit passes a
+non-hyperbolic point that no true orbit follows), or after max_iter.
 
 Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
 steps: the band is built straight from the map's kick slope and solved
@@ -74,6 +77,12 @@ _SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
 # the damping ladder 1, 1/2, ..., 2^-16, tried in this order
 _SCALES = 0.5 ** np.arange(17.0)
+# a refinement that creeps stops: after _CREEP_RUN accepted iterations in a row
+# at ladder position _CREEP_POSITION (scale 2^-6) or deeper. Converging orbits
+# accepted 2^-5 at the least on seven surveys; an orbit no true orbit shadows
+# sits at 2^-4 or deeper from about its fifth iteration
+_CREEP_POSITION = 6
+_CREEP_RUN = 3
 # most orbit points one stacked trial call holds: the 17 scales are one call up
 # to 120 points, one scale per call from 1025. On long orbits a call's overhead
 # is small against its arithmetic, so stacking saves nothing there, and trials
@@ -405,7 +414,11 @@ def refine_shadow(
 
     Endpoints are free; each iteration applies the minimum-norm correction
     at the largest damping scale 1, 1/2, ..., 2^-16 that lowers the sup
-    residual, and stops (stalled) where none does. On the first iteration
+    residual, and stops (stalled) where none does. It also stops (crept)
+    after three accepted iterations in a row at scale 2^-6 or below: no
+    orbit that converged in seven surveys at k = 0.8, 3 and 10 accepted a
+    scale below 2^-5, and such steps only creep toward a true orbit that
+    is not there, up to max_iter. On the first iteration
     and after one that took scale 1, scale 1 is tested alone and the other
     16 in one stacked call; after a damped iteration all 17 go in one
     stacked call (stacked calls are split on orbits of more than 120
@@ -421,8 +434,9 @@ def refine_shadow(
     non-hyperbolic region (an island pass, where the one-step stability
     turns elliptic) may admit no nearby true orbit through that moment.
     The result then carries converged=False with the best points found,
-    and the leftover defect is concentrated at the offending steps;
-    the sub-segments on either side typically refine to full precision.
+    whether the refinement stalled, crept or reached max_iter, and the
+    leftover defect is concentrated at the offending steps; the
+    sub-segments on either side typically refine to full precision.
     Under kicks so strong (|k| beyond about 10^7) that the Newton system
     is singular in double precision, refinement stops the same way.
 
@@ -437,9 +451,9 @@ def refine_shadow(
 
     work = _workspace(orbit.points)
     res = _sup_defect(_orbit_defect(spec, work.x, work.defect, work.scratch), work.scratch)
-    iterations, converged, alone = 0, res <= tol, True
+    iterations, converged, alone, creeping = 0, res <= tol, True, 0
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < max_iter and creeping < _CREEP_RUN:
         if _min_norm_newton_step(spec, work) is None:
             break  # no Newton step; report best point found
         iterations += 1
@@ -448,6 +462,7 @@ def refine_shadow(
             break  # stalled; report best point found
         res, position = accepted
         alone = position == 0
+        creeping = creeping + 1 if position >= _CREEP_POSITION else 0
         work.x, work.trial = work.trial, work.x
         work.defect, work.trial_defect = work.trial_defect, work.defect
         converged = res <= tol

@@ -586,6 +586,12 @@ def test_cli_shadow_passes_only_the_flags_given(monkeypatch, capsys):
     assert seen == [{}, {"count": 4, "tol": 1e-8}]
 
 
+def test_cli_shadow_prints_the_converged_count(capsys):
+    # 399 of 400 orbits converge here; a rounded percentage printed 100 %
+    assert main(["shadow", "--k", "2", "--epsilon", "5e-3", "--count", "400", "--seed", "1"]) == 0
+    assert "refinement: converged 399 of 400, " in capsys.readouterr().out
+
+
 def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):
     """-5e-3 is a value, as -0.005 is, and not an unknown option."""
     for name, flag in (("spaced", ["--epsilon", "-5e-3"]), ("joined", ["--epsilon=-5e-3"])):

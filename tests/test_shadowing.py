@@ -528,7 +528,7 @@ def test_survey_report_does_not_depend_on_the_block_size(monkeypatch):
 # (shadow_points bytes in (L, 2) C order, then the repr of shadow_distance,
 # residual, converged and iterations), then over the report's repr
 SURVEY_DIGESTS = {
-    0: "a64c1dddacd803b65e822047d35aab958497cf1ac80ec4a97ef2f189c98d131c",
+    0: "98f7ef6a55a21422e22180b220d18d1b998e2c363c01c6cc0c994ebe061d3d5a",
     3: "c4140e11c3eaed50f5e17a562213fc9220a24d312c6cf5a38b668dbc48009473",
 }
 
@@ -544,11 +544,11 @@ def _survey_digest(report, results):
 
 # `_orbit_defect` calls a benchmark survey makes: its residual blocks, each
 # refinement's first defect and its trial calls
-SURVEY_DEFECT_CALLS = {0: 1509, 3: 779}
+SURVEY_DEFECT_CALLS = {0: 1106, 3: 779}
 
 
 @pytest.mark.parametrize(
-    "spec,seed,converged,iterations", [(CHAOTIC, 0, 217, 1205), (MIXED, 3, 256, 519)]
+    "spec,seed,converged,iterations", [(CHAOTIC, 0, 217, 802), (MIXED, 3, 256, 519)]
 )
 def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, converged, iterations):
     """The benchmark's surveys: one refinement per orbit, same outcomes as before.
@@ -575,6 +575,40 @@ def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, conve
     assert _survey_digest(report, results) == SURVEY_DIGESTS[seed]
 
 
+@pytest.mark.parametrize(
+    "spec,seed,count,steps,converged",
+    [
+        (CHAOTIC, 1, 256, 22, 221),
+        (MapSpec(3.0, 2e-3, 1000), 0, 128, 32, 109),
+        # a rule that stopped at scale 2^-4 would lose two of these orbits
+        (MIXED, 0, 128, 400, 101),
+    ],
+)
+def test_stopping_a_creeping_refinement_converges_as_many_orbits(spec, seed, count, steps,
+                                                                   converged):
+    """The creep rule loses no orbit that 40 iterations converge: the counts are
+    those of refinements that ran every creeping orbit to max_iter."""
+    report = shadow_survey(spec, count=count, steps=steps, seed=seed, tol=1e-9)
+    assert report["fraction_converged"] == converged / count
+
+
+def test_a_creeping_refinement_stops_after_three_small_steps(monkeypatch):
+    """Orbit 42 of the k=10, seed-0 survey, which no true orbit shadows, stops
+    after 7 iterations, the last three at scale 2^-6 or below, in place of 40."""
+    trial, positions = shadowing._damped_trial, []
+
+    def keep(*args):
+        accepted = trial(*args)
+        positions.append(accepted[1])
+        return accepted
+
+    monkeypatch.setattr(shadowing, "_damped_trial", keep)
+    result = refine_shadow(CHAOTIC, _survey_orbit(CHAOTIC, 0, 42, 22), tol=1e-9, max_iter=40)
+    assert not result.converged and result.iterations == len(positions) == 7
+    assert all(shadowing._SCALES[i] <= 2.0**-6 for i in positions[-3:])
+    assert shadowing._SCALES[positions[-4]] > 2.0**-6
+
+
 def _fresh_workspace(points):
     """A new `_Workspace` for every refinement, in place of the thread's reused one."""
     work = shadowing._Workspace(len(points))
@@ -594,7 +628,7 @@ def test_refinements_own_their_points(monkeypatch):
     each is bitwise the result of a refinement in a workspace of its own."""
     orbits = [
         (CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 22)),
-        (CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22)),  # the same length: it stalls
+        (CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22)),  # the same length: it creeps
         (MIXED, orbit_from_map(MIXED, (0.4, 0.2), 14)),  # another length
         (CHAOTIC, _survey_orbit(CHAOTIC, 0, 42, 22)),  # the first length again
         # no Newton step exists: the result is the input's points
@@ -661,7 +695,9 @@ def test_surveys_on_a_thread_pool_match_fresh_sequential_runs(monkeypatch):
 def _refine_ref(spec, orbit, tol, max_iter, accepted=None):
     """refine_shadow written out with the damping scales tried one at a time.
 
-    `accepted`, if given, receives each accepted trial and its scale.
+    It stops, as a creeping refinement, after three accepted iterations in a
+    row at scale 2^-6 or below. `accepted`, if given, receives each accepted
+    trial and its scale.
     """
 
     def defect(pts):
@@ -672,8 +708,8 @@ def _refine_ref(spec, orbit, tol, max_iter, accepted=None):
     pts = orbit.points.copy()
     d = defect(pts)
     res = float(np.abs(d).max())
-    iterations, converged = 0, res <= tol
-    while not converged and iterations < max_iter:
+    iterations, converged, creeping = 0, res <= tol, 0
+    while not converged and iterations < max_iter and creeping < 3:
         dx = _newton_step(spec, pts, d)
         iterations += 1
         scale = 1.0
@@ -687,6 +723,7 @@ def _refine_ref(spec, orbit, tol, max_iter, accepted=None):
             return pts, res, False, iterations  # stalled
         pts, d, res = trial, trial_d, float(np.abs(trial_d).max())
         converged = res <= tol
+        creeping = creeping + 1 if scale <= 2.0**-6 else 0
         if accepted is not None:
             accepted.append((pts, scale))
     return pts, res, converged, iterations
@@ -704,11 +741,12 @@ def _survey_orbit(spec, seed, index, steps):
         # converging orbits
         (MIXED, lambda: orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11),
         (CHAOTIC, lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 100), 1e-11),
-        # k=10, seed-0 survey: orbit 18 stalls, orbit 42 takes scales from the
-        # inside of groups on most of its 40 iterations, often where a later
-        # scale of the same group has the lower residual
+        # k=10, seed-0 survey: orbit 18 creeps to a stop, orbit 42 takes scales
+        # from the inside of groups, often where a later scale of the same group
+        # has the lower residual, and orbit 53 stalls after a damped iteration
         (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9),
         (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 42, 22), 1e-9),
+        (CHAOTIC, lambda: _survey_orbit(CHAOTIC, 0, 53, 22), 1e-9),
         # longer orbits, whose groups are split: 5 scales a call at 401 points,
         # one at 2001
         (CHAOTIC, lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10),
@@ -733,7 +771,7 @@ def test_damping_ladder_matches_a_sequential_ladder_bitwise(spec, orbit, tol):
         # k=10, seed-0 survey orbit 42: its second iteration is damped, and its
         # third takes scale 1 from the 17-scale call that follows a damped one
         (lambda: _survey_orbit(CHAOTIC, 0, 42, 22), 1e-9),
-        # damped on every iteration, in 5-scale calls, up to a stall
+        # damped on every iteration, in 5-scale calls, until it creeps
         (lambda: orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10),
     ],
 )
@@ -803,19 +841,24 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     # scale 1 alone on the first iteration and after one that took it: [1] where
     # it is taken again, [1, 16] where it is not; after a damped iteration the
     # 17 scales go in one call, [17], the stall included
-    stalled, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9)
+    stalled, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 53, 22), 1e-9)
     assert not stalled.converged and stalled.iterations < 40
-    assert calls == [[1], [1, 16]] + [[17]] * 5
+    assert calls == [[1], [1], [1, 16]] + [[17]] * 3
+    # orbit 18 creeps: it stops after accepting 2^-7, 2^-8 and 2^-12
+    crept, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 18, 22), 1e-9)
+    assert not crept.converged
+    assert calls == [[1], [1, 16]] + [[17]] * 4
     # orbit 42 takes scale 1 from the folded call of its third iteration, so the
     # fourth tries it alone again
     damped, calls = refined(CHAOTIC, _survey_orbit(CHAOTIC, 0, 42, 22), 1e-9)
     assert calls[:4] == [[1, 16], [17], [1, 16], [17]]
     assert all(c == [17] for c in calls[3:])
     # at 401 points a call holds at most 2048 // 401 = 5 scales
-    stalled, calls = refined(CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10)
-    assert not stalled.converged
-    # damped from the first iteration on; the stall: 17 scales in 4 calls
-    assert calls == [[1, 5], [5], [5, 5], [5, 5, 5], [5, 5, 5, 2], [5, 5, 5, 2]]
+    crept, calls = refined(CHAOTIC, orbit_from_map(CHAOTIC, (0.37, 0.61), 400), 1e-10)
+    assert not crept.converged
+    # damped from the first iteration on, until it creeps; the last iteration
+    # accepts 2^-16, the 17th scale, in its 4th call
+    assert calls == [[1, 5], [5], [5, 5], [5, 5, 5], [5, 5, 5, 2]]
     converged, calls = refined(MIXED, orbit_from_map(MIXED, (0.37, 0.61), 200), 1e-11)
     assert converged.converged and converged.iterations >= 2
     assert calls == [[1]] * converged.iterations  # scale 1 taken: one call
