@@ -193,8 +193,8 @@ def _cmd_shadow(args) -> int:
         f"bound epsilon/(2 pi) = {report['residual_bound']:.6g}, "
         f"violations = {report['bound_violations']}"
     )
-    # a count, not a rounded percentage: 399 of 400 is no 100 %. n / count
-    # times count is n to within far less than 1/2 up to the 10^5-orbit cap
+    # a count, since a percentage rounds 399 of 400 to 100 %; n / count times
+    # count is n to far within 1/2 up to the 10^5-orbit cap
     converged = round(report["fraction_converged"] * report["count"])
     print(
         f"refinement: converged {converged} of {report['count']}, "
