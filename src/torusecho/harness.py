@@ -200,26 +200,24 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
     kind is CapacityError for a resource refusal, else InvalidInputError.
     The argument rules are those of the modules that own the arguments;
     only the checks that concern the config as a whole are made here.
+    The rules every run shares come first, then one block a requested
+    route: the sample set's rules for dr, the grid caps for exact and dense.
     """
     map_bad = map_problems(config.k, config.epsilon, config.dim_n)
     dim_ok = count_problem("dim_n", config.dim_n, 2) is None
     v = list(map_bad)
 
     def add(problem):
-        if problem is not None:
+        if problem is not None and problem not in v:  # a rule two routes share is named once
             v.append(problem)
 
     def invalid(message):
         v.append((InvalidInputError, message))
 
-    grid_bad = grid_problem(config.dim_n) if dim_ok else None
-    add(grid_bad)
     if config.state not in _STATES:
         invalid(f"state must be one of {_STATES}, got {config.state!r}")
     steps_bad = steps_problem(config.steps)
     add(steps_bad)
-    if not map_bad and grid_bad is None and steps_bad is None:
-        add(phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps))
     q0_ok = 0.0 <= config.q0 < 1.0
     if not q0_ok:
         invalid(f"q0 must lie in [0, 1), got {config.q0!r}")
@@ -229,8 +227,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         invalid(f"format must be one of {_FORMATS}, got {config.format!r}")
     if config.out is not None:
         out = os.fspath(config.out)
-        if not out:
-            invalid("out must name a file, got ''")
+        if not out or "\0" in out:  # os.path.exists is False for a path with a NUL byte
+            invalid(f"out must name a file, got {out!r}")
         elif os.path.exists(out) and not os.path.isfile(out):
             # /dev/null or a directory: the sidecar is named after a regular file
             invalid(f"out must name a regular file, got {out!r}")
@@ -238,41 +236,41 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
             invalid(f"out's sidecar must be a regular file, got {str(meta)!r}")
     add(count_problem("threads", config.threads, 1))
     add(seed_problem(config.seed))
-
     if not config.methods:
         invalid("methods must name at least one of dr, exact, dense")
-    else:
-        for m in config.methods:
-            if m not in METHOD_ORDER:
-                invalid(f"unknown method {m!r} (choose from dr, exact, dense)")
-        if len(set(config.methods)) != len(config.methods):
-            invalid(f"methods contains duplicates: {config.methods!r}")
-        if "dense" in config.methods and dim_ok:
-            add(dense_problem(config.dim_n))
-        # the exact and dense routes kick at k + epsilon; dr reads epsilon as a phase factor
-        if not map_bad and ("exact" in config.methods or "dense" in config.methods):
-            add(perturbation_problem(config.k, config.epsilon))
-
+    for m in config.methods:
+        if m not in METHOD_ORDER:
+            invalid(f"unknown method {m!r} (choose from dr, exact, dense)")
+    if len(set(config.methods)) != len(config.methods):
+        invalid(f"methods contains duplicates: {config.methods!r}")
     if config.samples is not None:
         add(sample_count_problem(config.samples))
-
-    # the sampling rules concern only the dr route's sample set
-    samples_used = "dr" in config.methods
-    if samples_used and not map_bad:  # dr steps the unperturbed map, at k
-        add(kick_problem(config.k))
-    if config.state in _STATES and samples_used:
-        add(mode_problem(config.state, config.sample_mode))
-    if config.state == "position":
-        if dim_ok and q0_ok:  # the range rule above reports any other q0
-            add(alignment_problem(config.q0, config.dim_n))
-        if config.sample_mode == "grid" and samples_used:
-            add(grid_count_problem(config.dim_n, config.samples))
-        if config.sample_mode == "monte_carlo" and config.samples is None and samples_used:
-            invalid("monte_carlo sampling requires samples")
+    if config.state == "position" and dim_ok and q0_ok:  # the range rule above reports any other q0
+        add(alignment_problem(config.q0, config.dim_n))
     elif config.state == "gaussian":
         add(sigma_problem(config.sigma))
-        if config.samples is None and samples_used:
+
+    if "dr" in config.methods:  # the sample set's rules; dr steps the unperturbed map, at k
+        add(None if map_bad else kick_problem(config.k))
+        if config.state in _STATES:
+            add(mode_problem(config.state, config.sample_mode))
+        if config.state == "position" and config.sample_mode == "grid":
+            add(grid_count_problem(config.dim_n, config.samples))
+            add(sample_count_problem(config.dim_n) if dim_ok else None)  # a grid set has N samples
+        if config.state == "position" and config.sample_mode == "monte_carlo" and config.samples is None:
+            invalid("monte_carlo sampling requires samples")
+        if config.state == "gaussian" and config.samples is None:
             invalid("gaussian states require samples for the dr method")
+    # the exact and dense routes kick at k + epsilon; dr reads epsilon as a phase factor
+    if "exact" in config.methods:
+        add(grid_problem(config.dim_n) if dim_ok else None)
+        add(None if map_bad else perturbation_problem(config.k, config.epsilon))
+    if "dense" in config.methods:
+        add(dense_problem(config.dim_n) if dim_ok else None)
+        add(None if map_bad else perturbation_problem(config.k, config.epsilon))
+    # judged only where no cap refused the run, so dim_n = 10**400 is refused for capacity alone
+    if not map_bad and steps_bad is None and all(kind is not CapacityError for kind, _ in v):
+        add(phase_scale_problem(config.k, config.epsilon, config.dim_n, config.steps))
     return v
 
 

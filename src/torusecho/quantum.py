@@ -224,7 +224,6 @@ def exact_fidelity_curve(spec: MapSpec, state: InitialState, steps: int) -> Fide
     are usable, and the rows are stepped exactly as in the (2, N) step, so
     the curve's bits do not depend on the thread count.
     """
-    raise_problem(grid_problem(spec.dim_n))
     raise_problem(steps_problem(steps))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
     psi0 = build_state(spec, state)

@@ -422,11 +422,20 @@ def test_cli_empty_out_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == "error: out must name a file, got ''\n"
 
 
-def test_out_that_is_not_a_regular_file_is_refused(tmp_path, monkeypatch):
+def test_out_that_is_not_a_regular_file_is_refused(tmp_path, monkeypatch, capsys):
     """/dev/null would take its sidecar as /dev/null.meta.json: refused, and nothing opened."""
     def never(*args, **kwargs):
-        raise AssertionError("validation opened a file")
+        raise AssertionError("validation opened a file or ran a route")
 
+    # a path with a NUL byte names no file (os.path.exists is False for it): refused before any route
+    nul = f"{tmp_path}/a\x00b.csv"
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text(f"steps = 2\nout = {nul}\n")
+    monkeypatch.setattr(harness, "dr_curve", never)
+    monkeypatch.setattr(harness, "exact_fidelity_curve", never)
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: out must name a file, got {nul!r}\n"
     meta = tmp_path / "x.meta.json"
     meta.mkdir()
     monkeypatch.setattr("builtins.open", never)
@@ -777,10 +786,61 @@ def test_kick_rule_applies_only_when_dr_runs():
     assert validate_config(cfg.replace(k=1e16)) == []
 
 
+@pytest.mark.parametrize("state", [
+    ["--state", "gaussian", "--p0", "0.2", "--sigma", "0.01", "--sample-mode", "wigner"],
+    ["--state", "position", "--sample-mode", "monte_carlo"],
+])
+def test_cli_dr_runs_beyond_the_exact_grid_cap(state, tmp_path, capsys):
+    """dr costs samples x steps whatever N is: the exact route's grid cap does not bind it."""
+    out = tmp_path / "dr.csv"
+    assert main([
+        "run", "--methods", "dr", "--k", "10", "--epsilon", "2e-6", "--dim-n", "1000000",
+        "--q0", "0.4", *state, "--samples", "2000", "--steps", "20", "--out", str(out),
+    ]) == 0
+    assert "dr: M(20) = " in capsys.readouterr().out
+    rows = out.read_text().splitlines()
+    assert rows[0] == ",".join(CSV_COLUMNS) and len(rows) == 22
+    assert {row.split(",")[2] for row in rows[1:]} == {"dr"}
+
+
+def test_dr_fidelity_at_fixed_epsilon_n_is_the_same_on_any_grid():
+    def final_fidelity(dim_n):
+        config = ExperimentConfig(
+            k=10.0, epsilon=2.0 / dim_n, dim_n=dim_n, state="gaussian", q0=0.4, p0=0.2,
+            sigma=0.01, sample_mode="wigner", samples=20000, steps=20, methods=("dr",),
+        )
+        return run_experiment(config).curves["dr"].fidelity[-1]
+
+    # measured 0.2172 and 0.2130; the Monte Carlo stderr of M(20) is about 0.006
+    assert abs(final_fidelity(10**9) - final_fidelity(10**3)) < 0.03
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--methods", "exact", "--dim-n", "65537", "--q0", "0"], "dim_n 65537 exceeds limit 65536"),
+    (["--methods", "dr,exact", "--dim-n", "1000000"], "dim_n 1000000 exceeds limit 65536"),
+    (["--methods", "dense", "--dim-n", "257", "--q0", "0"],
+     "dense method supports dim_n <= 256, got 257"),
+    # a position grid set has N samples
+    (["--methods", "dr", "--dim-n", "20000000"], "samples 20000000 exceeds limit 10000000"),
+])
+def test_cli_route_caps_exit_3_before_any_route(argv, message, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    for name in ("_samples", "dr_curve", "exact_fidelity_curve", "dense_oracle"):
+        monkeypatch.setattr(harness, name, never)
+    assert main(["run", *argv, "--steps", "3"]) == 3
+    assert capsys.readouterr().err == f"capacity: {message}\n"
+
+
 def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):
-    # q0 * N is beyond the float range, and 0.4 lies on that grid: capacity only
+    # q0 * N is beyond the float range, and 0.4 lies on that grid: capacity only,
+    # dr's grid set of N samples and the exact route's grid
     huge = ExperimentConfig(dim_n=10**400, q0=0.4)
-    assert [kind for kind, _ in validate_config(huge)] == [CapacityError]
+    assert validate_config(huge) == [
+        (CapacityError, f"samples {10**400} exceeds limit 10000000"),
+        (CapacityError, f"dim_n {10**400} exceeds limit 65536"),
+    ]
     # the float 0.4 is 2.2e-5 steps off 2/5 on 10**12 points, but the float nearest it
     for dim_n in (10**400, 10**12, 100000):
         assert main(["run", "--dim-n", str(dim_n), "--q0", "0.4"]) == 3
@@ -797,7 +857,7 @@ def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):
 _ODD = st.one_of(
     st.sampled_from([
         math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 10**400, -(10**400),
-        2**128, -1, 0, 1, 2, True, False, 0.25, 0.4, 64, 1000, 65537, 10**7 + 1,
+        2**128, -1, 0, 1, 2, True, False, 0.25, 0.4, 64, 1000, 65537, 10**6, 10**7 + 1, 10**9,
     ]),
     st.floats(),
     st.integers(),
@@ -922,7 +982,8 @@ def test_cli_oracle_check_any_flags_exit_with_a_documented_code(argv):
 _RUN_FLAGS = {
     "--k": _flag(st.floats(-20.0, 20.0)),
     "--epsilon": _flag(st.floats(-0.05, 0.05)),
-    "--dim-n": _flag(st.integers(2, 4096)),
+    # above the exact grid cap a dr run goes on; a position grid set is capped at 10^7 samples
+    "--dim-n": _flag(st.integers(2, 4096) | st.sampled_from([65537, 10**7 + 1, 10**9])),
     "--state": _flag(st.sampled_from(["position", "gaussian"])),
     "--q0": _flag(st.sampled_from([0.0, 0.25, 0.4, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)),
     "--p0": _flag(st.floats(0.0, 1.0, exclude_max=True)),
@@ -943,8 +1004,11 @@ _RUN_FLAGS = {
 @example(argv=["run", "--steps=2", "--dim-n=furby", "--samples=y"])
 @example(argv=["run", "--steps=2", "--state=gaussian", "--sample-mode=wigner", "--samples=5",
                "--sigma=5e-324", "--q0=0.4005", "--methods=exact"])
+@example(argv=["run", "--steps=2", "--methods=dr", "--dim-n=10000001", "--q0=0"])
 def test_cli_run_any_flags_exit_with_a_documented_code(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+    if code == 3:  # a cap that only a route enforces would pass validation
+        assert validate_config(cli._assemble_config(cli._build_parser().parse_args(argv)))
