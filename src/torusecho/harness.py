@@ -243,8 +243,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
             invalid(f"unknown method {m!r} (choose from dr, exact, dense)")
     if len(set(config.methods)) != len(config.methods):
         invalid(f"methods contains duplicates: {config.methods!r}")
-    if config.samples is not None:
-        add(sample_count_problem(config.samples))
+    if config.samples is not None:  # the count's form holds whatever runs; its cap binds dr
+        add(count_problem("samples", config.samples, 1))
     if config.state == "position" and dim_ok and q0_ok:  # the range rule above reports any other q0
         add(alignment_problem(config.q0, config.dim_n))
     elif config.state == "gaussian":
@@ -254,6 +254,8 @@ def validate_config(config: ExperimentConfig) -> list[tuple[type, str]]:
         add(None if map_bad else kick_problem(config.k))
         if config.state in _STATES:
             add(mode_problem(config.state, config.sample_mode))
+        if config.samples is not None:
+            add(sample_count_problem(config.samples))
         if config.state == "position" and config.sample_mode == "grid":
             add(grid_count_problem(config.dim_n, config.samples))
             add(sample_count_problem(config.dim_n) if dim_ok else None)  # a grid set has N samples

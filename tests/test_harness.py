@@ -833,6 +833,17 @@ def test_cli_route_caps_exit_3_before_any_route(argv, message, monkeypatch, caps
     assert capsys.readouterr().err == f"capacity: {message}\n"
 
 
+def test_cli_sample_cap_binds_only_runs_that_draw_samples(tmp_path, capsys):
+    """Only dr reads `samples`: its cap does not refuse an exact-only run."""
+    argv = ["run", "--dim-n", "64", "--q0", "0.25", "--samples", "20000000", "--steps", "2"]
+    out = tmp_path / "exact.csv"
+    assert main([*argv, "--methods", "exact", "--out", str(out)]) == 0
+    assert "exact: M(2) = " in capsys.readouterr().out
+    assert out.is_file()
+    assert main([*argv, "--methods", "dr", "--sample-mode", "monte_carlo"]) == 3
+    assert capsys.readouterr().err == "capacity: samples 20000000 exceeds limit 10000000\n"
+
+
 def test_alignment_is_judged_exactly_on_any_grid(tmp_path, capsys):
     # q0 * N is beyond the float range, and 0.4 lies on that grid: capacity only,
     # dr's grid set of N samples and the exact route's grid

@@ -1,6 +1,7 @@
 """Pseudo-orbit residual bounds and Newton shadow refinement."""
 
 import hashlib
+import importlib.machinery
 import math
 import os
 import subprocess
@@ -316,7 +317,7 @@ def test_cli_shadow_default_length_over_the_cap_names_epsilon(monkeypatch, capsy
 
 
 def test_import_loads_no_scipy():
-    """scipy is loaded by the Newton step, not by `import torusecho`."""
+    """`import torusecho` loads no scipy: the first Newton step loads its LAPACK extension."""
     import torusecho
 
     env = dict(os.environ)
@@ -329,6 +330,87 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _run_fresh(code, *args):
+    """stdout of `code` run in a fresh interpreter that imports this checkout's torusecho."""
+    import torusecho
+
+    env = dict(os.environ)
+    src = str(Path(torusecho.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def _random_band(rng, big_t):
+    """A random (4, 2T) upper band, diagonally dominant so positive definite, in Fortran order."""
+    band = np.asfortranarray(rng.uniform(-1.0, 1.0, (4, 2 * big_t)))
+    band[3] += 8.0  # each row has at most six off-diagonal entries, each below 1
+    return band
+
+
+@pytest.mark.parametrize("big_t", [1, 22, 2000])
+def test_loaded_dpbsv_solves_as_scipy_linalg_lapack_bitwise(big_t):
+    from scipy.linalg.lapack import dpbsv
+
+    rng = np.random.default_rng(big_t)
+    band, rhs = _random_band(rng, big_t), rng.uniform(-1.0, 1.0, 2 * big_t)
+    indefinite = band.copy(order="F")
+    indefinite[3, big_t] = -1.0
+    for ab in (band, indefinite):
+        c, x, info = shadowing._dpbsv()(ab, rhs)
+        c_ref, x_ref, info_ref = dpbsv(ab, rhs)
+        assert info == info_ref
+        assert c.tobytes() == c_ref.tobytes() and x.tobytes() == x_ref.tobytes()
+    assert shadowing._dpbsv()(band, rhs)[2] == 0
+    assert shadowing._dpbsv()(indefinite, rhs)[2] == big_t + 1  # the leading minor that fails
+
+
+def test_a_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch):
+    import scipy
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in ") as caught:
+        shadowing._dpbsv.__wrapped__()  # uncached, so the loaded routine stays as it is
+    assert str(caught.value).endswith(folder)
+
+
+def test_refinement_loads_only_the_lapack_extension_of_scipy():
+    code = (
+        "import sys\n"
+        "from torusecho import MapSpec, shadow_survey\n"
+        "shadow_survey(MapSpec(10.0, 2e-3, 1000), count=4, steps=22, seed=0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    assert _run_fresh(code).strip() == "['scipy.linalg._flapack']"
+
+
+_SURVEY_AROUND_IMPORT = """\
+import hashlib, sys
+from torusecho import MapSpec, shadow_survey, shadowing
+
+def report():
+    survey = shadow_survey(MapSpec(10.0, 2e-3, 1000), count=32, steps=22, seed=0)
+    return hashlib.sha256(repr(survey).encode()).hexdigest()
+
+if sys.argv[1] == "refine-first":
+    before = report()
+import scipy.linalg
+from scipy.linalg.lapack import dpbsv
+if sys.argv[1] == "import-first":
+    before = report()
+print(before, report(), dpbsv is shadowing._dpbsv())
+"""
+
+
+@pytest.mark.parametrize("order", ["refine-first", "import-first"])
+def test_refining_before_or_after_importing_scipy_linalg_gives_the_same_report(order):
+    report = shadow_survey(CHAOTIC, count=32, steps=22, seed=0)
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    assert _run_fresh(_SURVEY_AROUND_IMPORT, order).split() == [digest, digest, "True"]
 
 
 def _orbit_jacobian_ref(c, pts):
