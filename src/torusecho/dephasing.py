@@ -117,19 +117,21 @@ class FidelityCurve:
         return len(self.amplitude) - 1
 
 
-def _half_angle(half, cos):
+def _half_angle(half, cos, sin=True):
     """cos x into `cos` and sin x into `half`, which holds x/2 on entry.
 
     With t = tan(x/2) and w = 2/(1 + t^2): cos x = w - 1, sin x = t w, each
     within a few 1e-16 of np.cos and np.sin. tan is odd, so -x gives the
     same cos and the negated sin bitwise, and x = 0 gives exactly (1, 0).
-    Both arrays are caller-owned float64 buffers of one shape.
+    Both arrays are caller-owned float64 buffers of one shape. Without sin,
+    half is left holding t: the action record reads only the cos.
     """
     np.tan(half, out=half)
     np.multiply(half, half, out=cos)
     np.add(cos, 1.0, out=cos)
     np.divide(2.0, cos, out=cos)
-    np.multiply(half, cos, out=half)
+    if sin:
+        np.multiply(half, cos, out=half)
     np.subtract(cos, 1.0, out=cos)
 
 
@@ -171,7 +173,7 @@ def _chunk_sums(spec, q, p, steps, phase_factor, squares=True):
             _step_in_place(c, q, p, angle[i], cos[0])
         half, re = angle_rows[:n * chunks], cos_rows[:n * chunks]
         np.multiply(half, 0.5, out=half)  # the half angle pi q of the action cos
-        _half_angle(half, re)
+        _half_angle(half, re, sin=False)
         # the running sum, one row a step in step order, on from the carried sum
         np.add(cos_sum, cos[0], out=cos[0])
         for r in range(1, n):

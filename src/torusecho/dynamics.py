@@ -20,6 +20,18 @@ passes of `_wrap_in_place`, the one general wrap, and q with one
 floor-and-subtract: for q, p in [0, 1) the sum rounds to at most
 2 - 2^-52 < 2, so x - floor(x) is exact and already in [0, 1), where the
 second pass would be the identity.
+
+Small arrays: the shadowing refinement runs the kernel thousands of times
+on 15- to 23-point orbits, where numpy's per-call dispatch costs more than
+the arithmetic. So the kernel and the wrap reach numpy at its call floor.
+No Python float operand reaches a ufunc: NEP 50's weak-scalar promotion
+costs about 0.2 us a call (`np.multiply(a, 2.0, out=b)` on 22 points took
+0.66 us, against 0.46 us with a 0-d float64 operand; numpy 2.4.6, 2-vCPU
+VM). Every call is an explicit ufunc call with a positional out, in place
+of an in-place operator or an `out=` keyword, which cost up to a few tens
+of ns more. The constant operands are `_TWO_PI` and `_ONE`, read-only 0-d
+float64 arrays, so that a stray out= raises instead of changing every
+later step. These are the same float operations, so no bit moves.
 """
 
 from __future__ import annotations
@@ -32,6 +44,16 @@ import numpy as np
 from .errors import CapacityError, InvalidInputError, raise_problem
 
 TWO_PI = 2.0 * math.pi
+
+
+def _constant(value):
+    """value as a read-only float64 array, an operand at numpy's call floor (0-d for a scalar)."""
+    operand = np.array(value, dtype=np.float64)
+    operand.flags.writeable = False
+    return operand
+
+
+_ONE, _TWO_PI = _constant(1.0), _constant(TWO_PI)
 
 # capacity ceiling on the steps of one run, orbit or curve
 _MAX_STEPS = 1_000_000
@@ -215,12 +237,12 @@ def _wrap_in_place(x, tmp):
     Non-finite values become nan. The one general wrap (the map kernel
     wraps q, known to lie in [0, 2), with its first pass alone).
     """
-    np.floor(x, out=tmp)
-    x -= tmp
+    np.floor(x, tmp)
+    np.subtract(x, tmp, x)
     # x - floor(x) lies in [0, 1]; a second pass maps the rounding case 1.0
     # to 0.0 and leaves [0, 1) as it is
-    np.floor(x, out=tmp)
-    x -= tmp
+    np.floor(x, tmp)
+    np.subtract(x, tmp, x)
 
 
 def _step_in_place(c, q, p, arg, tmp):
@@ -228,18 +250,23 @@ def _step_in_place(c, q, p, arg, tmp):
 
     q and p receive the image; arg is left holding 2 pi q of the old
     positions, which the action record reuses; tmp is scratch. All four
-    are caller-owned float arrays of one shape. Nothing is checked here:
-    the points were checked where they entered (`unit_problem`).
+    are caller-owned float arrays of one shape. c is a float or a 0-d
+    float64 array, with the same bits either way: dr and the survey's
+    orbit generator pass a float, once a step on a whole ensemble, and the
+    shadowing refinement a 0-d array, built once a refinement, since on
+    its few points a float operand costs more than the multiply (see
+    "Small arrays" in the module docstring). Nothing is checked here: the
+    points were checked where they entered (`unit_problem`).
     """
-    np.multiply(q, TWO_PI, out=arg)
-    np.sin(arg, out=tmp)
-    tmp *= c
-    p -= tmp
+    np.multiply(q, _TWO_PI, arg)
+    np.sin(arg, tmp)
+    np.multiply(tmp, c, tmp)
+    np.subtract(p, tmp, p)
     _wrap_in_place(p, tmp)
-    q += p
+    np.add(q, p, q)
     # q + p < 2 (see the module docstring): one pass of the wrap is enough
-    np.floor(q, out=tmp)
-    q -= tmp
+    np.floor(q, tmp)
+    np.subtract(q, tmp, q)
 
 
 def step_ensemble(spec: MapSpec, q, p, perturbed: bool = False):

@@ -30,8 +30,17 @@ long orbits, so an iteration on a short orbit makes one or two calls.
 A refinement holds its orbit coordinate-first, a q row and a p row, in
 arrays that each thread allocates once per orbit length and reuses
 (`_Workspace`): the map kernel steps contiguous rows with no transposed
-copy, an accepted trial swaps with the current orbit, and the Newton
-step writes into fixed views of the band and its right-hand side.
+copy, an accepted trial is copied into the current orbit, and every call
+writes into fixed views, built once with the workspace.
+Small arrays: a 15- to 23-point refinement pays numpy's per-call
+dispatch more than its arithmetic, so its hot paths (`_orbit_defect`,
+`_min_norm_newton_step`, `_damped_trial`, `_sup_defect`,
+`_shadow_distance`) follow the rule of the `dynamics` docstring: no
+Python float operand reaches a ufunc (the constants are read-only 0-d
+arrays, and `refine_shadow` builds the kick coefficient and its 2 pi
+multiple as 0-d arrays once a refinement), every ufunc call takes a
+positional out, and no slice is taken again on each call. These are
+the same float operations in the same order, so no bit moves.
 Orbits and their pseudo-residuals are computed for a whole
 ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
 one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
@@ -57,8 +66,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _ONE,
+    _TWO_PI,
     TWO_PI,
     MapSpec,
+    _constant,
     _step_in_place,
     _wrap_in_place,
     count_problem,
@@ -80,7 +92,7 @@ _MAX_SURVEY_COUNT = 100_000
 _SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
 # the damping ladder 1, 1/2, ..., 2^-16, tried in this order
-_SCALES = 0.5 ** np.arange(17.0)
+_SCALES = _constant(0.5 ** np.arange(17.0))
 # a refinement that creeps stops: after _CREEP_RUN accepted iterations in a row
 # at ladder position _CREEP_POSITION (scale 2^-6) or deeper. Converging orbits
 # accepted 2^-5 at the least on seven surveys; an orbit no true orbit shadows
@@ -180,26 +192,40 @@ def _residuals(spec, pts):
     """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call."""
     x = np.moveaxis(pts, -1, 0)
     defect, scratch = np.empty(x[..., 1:].shape), np.empty(x[..., 1:].shape)
-    _orbit_defect(spec, x, defect, scratch)
+    _orbit_defect(spec.kick_coefficient(False), _defect_views(x, defect, scratch))
     return np.abs(defect, out=scratch).max(axis=(0, -1))
 
 
-def _orbit_defect(spec, x, defect, scratch):
-    """Signed defect G[t] = x[:, t+1] - f(x[:, t]), f the unperturbed map, torus-wrapped.
+def _defect_views(x, defect, scratch):
+    """The views `_orbit_defect` takes for the defect of x written into `defect`.
 
     x is coordinate-first, (2, ..., T+1): a q row and a p row, with an
-    optional middle axis that stacks orbits. The defect is written into
-    `defect`, (2, ..., T), and returned; `scratch`, of the same shape, is
-    the kernel's. x holds PseudoOrbit points, `_orbits` blocks or wrapped
-    trials, so finite and in [0, 1): the unchecked map kernel applies. The
-    images are stepped in `defect` itself, so q and p are contiguous rows
-    at every length; the defect is then wrapped in place into
-    [-0.5, 0.5], the shortest signed displacement.
+    optional middle axis that stacks orbits; defect and scratch are
+    (2, ..., T). A refinement builds these once for each of its buffers
+    (`_Workspace`), since on its few points a slice costs about as much as
+    the ufunc call that reads it.
     """
-    defect[...] = x[..., :-1]
-    _step_in_place(spec.kick_coefficient(False), defect[0], defect[1], scratch[0], scratch[1])
-    np.subtract(x[..., 1:], defect, out=defect)
-    defect -= np.rint(defect, out=scratch)
+    return x[..., :-1], x[..., 1:], defect, defect[0], defect[1], scratch[0], scratch[1], scratch
+
+
+def _orbit_defect(c, views):
+    """Signed defect G[t] = x[:, t+1] - f(x[:, t]), f the map of kick coefficient c, torus-wrapped.
+
+    views are `_defect_views(x, defect, scratch)`; the defect is written
+    into `defect` and returned, and scratch is the kernel's. The
+    refinement passes the unperturbed map's c as a 0-d array (see
+    `_step_in_place`). x holds PseudoOrbit points, `_orbits` blocks or
+    wrapped trials, so finite and in [0, 1): the unchecked map kernel
+    applies. The images are stepped in `defect` itself, so q and p are
+    contiguous rows at every length; the defect is then wrapped in place
+    into [-0.5, 0.5], the shortest signed displacement.
+    """
+    head, tail, defect, q, p, arg, tmp, scratch = views
+    defect[...] = head
+    _step_in_place(c, q, p, arg, tmp)
+    np.subtract(tail, defect, defect)
+    np.rint(defect, scratch)
+    np.subtract(defect, scratch, defect)
     return defect
 
 
@@ -230,10 +256,17 @@ class _Workspace:
     """The arrays a refinement of a T-step orbit works in: one set a thread and orbit length.
 
     x (the current orbit), trial and dx (the Newton step) are
-    coordinate-first, (2, T+1); defect and trial_defect are their defects,
-    (2, T). An accepted trial swaps with x. The Newton step writes slopes
-    (rows a00 = 1 - K_t and kick = K_t), a0 = A_0, band (J J^T in LAPACK
-    upper band storage, through fixed views: `diagonal`, the main
+    coordinate-first, (2, T+1); defect and trial_defect are the defects of
+    x and trial, (2, T). An accepted trial is copied into x and defect, so
+    every buffer, and every view of one, stays fixed. The views that the
+    hot calls read are built here once, since on a 15- to 23-point orbit a
+    slice costs about as much as the ufunc call that reads it: x_views and
+    trial_views (`_defect_views` of x into defect and of trial into
+    trial_defect, both with the kernel scratch `scratch`), x_q (x[0, :-1],
+    the q row the Newton step reads), and x_stack and dx_stack (x[:, None]
+    and dx[:, None], which broadcast over a trial stack). The Newton step
+    writes slopes (rows a00 = 1 - K_t and kick = K_t), neg_a0 = -A_0, band
+    (J J^T in LAPACK upper band storage, through fixed views: `diagonal`, the main
     diagonal, with its (1 - K_t)^2 and K_t^2 entries diagonal_q and
     diagonal_p, and upper1, upper2 and upper3, the entries of the upper
     rows that change) and rhs, which `multipliers` views as (2, T).
@@ -241,10 +274,11 @@ class _Workspace:
     step first copies the band's constant entries from template. `ladder`
     (scales 1, ..., 2^-16) and `damped` (1/2, ..., 2^-16) split the scales
     into stacked trial calls of at most `_TRIAL_POINTS` orbit points, each
-    as its first ladder position, its scale column and its views of a
-    stack of up to 17 trial orbits, (2, S, T+1), with their wrap scratch,
-    defects and kernel scratch. wrap, scratch and terms are scratch; the
-    other attributes are fixed views of these arrays.
+    as its first ladder position, its scale column, its views of a stack
+    of up to 17 trial orbits, (2, S, T+1), and of their wrap scratch, the
+    stack's `_defect_views`, its defects and its kernel scratch. wrap,
+    scratch and terms are scratch; the other attributes are fixed views of
+    these arrays.
     """
 
     def __init__(self, length):
@@ -258,8 +292,13 @@ class _Workspace:
         self.slopes, self.terms = np.empty(defect), np.empty(defect)
         self.a00, self.kick = self.slopes[0], self.slopes[1]
         self.a00_tail, self.kick_tail = self.a00[1:], self.kick[1:]
-        self.a0 = np.array([[0.0, 1.0], [0.0, 1.0]])
-        self.a0t = self.a0.T
+        self.x_q, self.x_stack = self.x[0, :-1], self.x[:, None]
+        self.x_views = _defect_views(self.x, self.defect, self.scratch)
+        self.trial_views = _defect_views(self.trial, self.trial_defect, self.scratch)
+        # -A_0; its transpose is Fortran-ordered, the layout on which the dx0 product's
+        # bits are pinned
+        self.neg_a0 = np.array([[0.0, -1.0], [0.0, -1.0]])
+        self.neg_a0t = self.neg_a0.T
         # Fortran order and the overwrite flags: f2py hands band and rhs to LAPACK uncopied
         self.template = np.zeros((4, 2 * big_t), order="F")
         self.template[2, 2::2] = self.template[1, 3::2] = -1.0
@@ -283,9 +322,10 @@ class _Workspace:
 
         def groups(start):
             return [
-                (lo, scales, *(b[:, : len(scales)] for b in buffers))
+                (lo, scales, trials, wrap, _defect_views(trials, defects, scratch), defects, scratch)
                 for lo in range(start, len(_SCALES), per_call)
                 for scales in [_SCALES[lo : lo + per_call, None]]
+                for trials, wrap, defects, scratch in [[b[:, : len(scales)] for b in buffers]]
             ]
 
         self.ladder, self.damped = groups(0), groups(1)
@@ -308,7 +348,7 @@ def _workspace(points):
     return work
 
 
-def _min_norm_newton_step(spec, work):
+def _min_norm_newton_step(slope, work):
     """Minimum-norm correction dX with J dX = -G for the orbit equations, in work.dx.
 
     J is the 2T x 2(T+1) block bidiagonal orbit Jacobian (blocks -A_t and
@@ -320,45 +360,47 @@ def _min_norm_newton_step(spec, work):
     straight into LAPACK upper band storage, ab[3 + i - j, j] =
     (J J^T)[i, j], in the order of the products and sums of A_t A_t^T, and
     solved by a direct LAPACK dpbsv call (banded Cholesky). The orbit and
-    its defect G are work.x and work.defect (see `_Workspace`). Returns
-    None where no step exists in double precision: a band that is not
-    positive definite (at kicks beyond about 10^7, A_t A_t^T + I rounds to
-    a singular matrix). The band is finite: `kick_problem` keeps |k|/2pi
+    its defect G are work.x and work.defect (see `_Workspace`); slope is
+    the map's kick coefficient times 2 pi, a 0-d array, so that
+    K_t = slope cos(2 pi q_t). Returns None where no step exists in double
+    precision: a band that is not positive definite (at kicks beyond about
+    10^7, A_t A_t^T + I rounds to a singular matrix). The band is finite: `kick_problem` keeps |k|/2pi
     below 2^52, so |K_t| < 2.9e16 and every band entry is below 1e33, and
     the orbit and its defect are finite.
     """
-    a00, kick, slopes, diagonal = work.a00, work.kick, work.slopes, work.diagonal
-    np.multiply(work.x[0, :-1], TWO_PI, out=kick)
-    np.cos(kick, out=kick)
-    kick *= spec.kick_coefficient(False) * TWO_PI
-    np.subtract(1.0, kick, out=a00)
-    work.band[...] = work.template
+    a00, kick, diagonal, terms0, terms1 = work.a00, work.kick, work.diagonal, work.terms0, work.terms1
+    band, multipliers = work.band, work.multipliers
+    np.multiply(work.x_q, _TWO_PI, kick)
+    np.cos(kick, kick)
+    np.multiply(kick, slope, kick)
+    np.subtract(_ONE, kick, a00)
+    band[...] = work.template
     # (1 - K_t)^2 + 1 + 1 and K_t^2 + 1 + 1, then (1 - K_t)(-K_t) + 1, taken as
     # 1 - (1 - K_t) K_t: negation is exact, so the bits are the same
-    np.multiply(a00, a00, out=work.diagonal_q)
-    np.multiply(kick, kick, out=work.diagonal_p)
-    diagonal += 1.0
-    diagonal += 1.0
-    np.multiply(a00, kick, out=work.terms0)
-    np.subtract(1.0, work.terms0, out=work.upper1)
-    np.negative(work.a00_tail, out=work.upper2)
+    np.multiply(a00, a00, work.diagonal_q)
+    np.multiply(kick, kick, work.diagonal_p)
+    np.add(diagonal, _ONE, diagonal)
+    np.add(diagonal, _ONE, diagonal)
+    np.multiply(a00, kick, terms0)
+    np.subtract(_ONE, terms0, work.upper1)
+    np.negative(work.a00_tail, work.upper2)
     work.upper3[...] = work.kick_tail
-    multipliers = work.multipliers
-    np.negative(work.defect, out=multipliers)
-    info = _dpbsv()(work.band, work.rhs, overwrite_ab=1, overwrite_b=1)[2]
+    np.negative(work.defect, multipliers)
+    info = _dpbsv()(band, work.rhs, overwrite_ab=1, overwrite_b=1)[2]
     if info != 0:
         return None  # J J^T is singular in double precision
     # solved in place: rhs, which multipliers views, now holds lambda
 
-    a0, terms = work.a0, work.terms
-    a0[0, 0], a0[1, 0] = a00[0], -kick[0]
-    work.dx0[...] = -work.a0t @ work.lam0
+    neg_a0 = work.neg_a0
+    neg_a0[0, 0], neg_a0[1, 0] = -a00[0], kick[0]
+    # (-A_0^T) lam_0 by matmul: a hand-written product moves bits
+    work.dx0[...] = work.neg_a0t @ work.lam0
     # dx_t = lam_{t-1} - A_t^T lam_t: rows (1 - K_t) l0 + (-K_t) l1, taken as
     # (1 - K_t) l0 - K_t l1, and l0 + l1
-    np.multiply(slopes, multipliers, out=terms)
-    np.subtract(work.terms0, work.terms1, out=work.terms0)
-    np.add(work.lam_q, work.lam_p, out=work.terms1)
-    np.subtract(work.lam_head, work.terms_tail, out=work.dx_inner)
+    np.multiply(work.slopes, multipliers, work.terms)
+    np.subtract(terms0, terms1, terms0)
+    np.add(work.lam_q, work.lam_p, terms1)
+    np.subtract(work.lam_head, work.terms_tail, work.dx_inner)
     work.dx_last[...] = work.lam_last
     return work.dx
 
@@ -366,10 +408,10 @@ def _min_norm_newton_step(spec, work):
 def _sup_defect(defect, scratch):
     """max |defect| of one orbit, as a float; scratch has the defect's shape."""
     # ndarray.max's Python wrapper costs as much as the reduction on 10-30 points
-    return float(np.maximum.reduce(np.abs(defect, out=scratch), axis=None))
+    return float(np.maximum.reduce(np.abs(defect, scratch), None))
 
 
-def _damped_trial(spec, work, res, alone):
+def _damped_trial(c, work, res, alone):
     """The first damping scale whose residual is below res, as (residual, ladder position), or None (a stall).
 
     The scales are tried in ladder order, 1, 1/2, ..., 2^-16. With `alone`
@@ -378,30 +420,33 @@ def _damped_trial(spec, work, res, alone):
     defect calls; without it (after a damped step, which is most often
     followed by another) all 17 are stacked. A stacked call holds at most
     `_TRIAL_POINTS` orbit points. The accepted trial and its defect are
-    left in work.trial and work.trial_defect. Every step is elementwise or
-    an exact max, and a stacked scale 1 gives x + dx as the lone trial does,
-    so the accepted trial is bitwise the one a one-scale-at-a-time ladder
-    accepts.
+    copied into work.x and work.defect; c is the map's kick coefficient, a
+    0-d array. Every step is elementwise or an exact max, and a stacked
+    scale 1 gives x + dx as the lone trial does, so the accepted trial is
+    bitwise the one a one-scale-at-a-time ladder accepts.
     """
-    x = work.x
+    x, defect = work.x, work.defect
     if alone:
         trial = work.trial
-        np.add(x, work.dx, out=trial)
+        np.add(x, work.dx, trial)
         _wrap_in_place(trial, work.wrap)
-        trial_res = _sup_defect(_orbit_defect(spec, trial, work.trial_defect, work.scratch), work.scratch)
+        trial_res = _sup_defect(_orbit_defect(c, work.trial_views), work.scratch)
         if trial_res < res:
+            x[...] = trial
+            defect[...] = work.trial_defect
             return trial_res, 0
-    for lo, scales, trials, wrap, defects, scratch in work.damped if alone else work.ladder:
+    dx_stack, x_stack = work.dx_stack, work.x_stack
+    for lo, scales, trials, wrap, views, defects, scratch in work.damped if alone else work.ladder:
         # scale dx + x: addition commutes, so these are the bits of x + scale dx
-        np.multiply(scales, work.dx_stack, out=trials)
-        trials += x[:, None]
+        np.multiply(scales, dx_stack, trials)
+        np.add(trials, x_stack, trials)
         _wrap_in_place(trials, wrap)
-        _orbit_defect(spec, trials, defects, scratch)
-        trial_res = np.maximum.reduce(np.abs(defects, out=scratch), axis=(0, 2))
+        _orbit_defect(c, views)
+        trial_res = np.maximum.reduce(np.abs(defects, scratch), (0, 2))
         first = (trial_res < res).argmax()
         if trial_res[first] < res:
-            work.trial[...] = trials[:, first]
-            work.trial_defect[...] = defects[:, first]
+            x[...] = trials[:, first]
+            defect[...] = defects[:, first]
             return float(trial_res[first]), lo + int(first)
     return None
 
@@ -410,9 +455,9 @@ def _shadow_distance(work, points):
     """Sup torus distance between work.x and the (L, 2) points, in the free buffers
     work.wrap and work.trial: max over every coordinate of |d - rint(d)|, d = x - y,
     the shortest wrap that `_orbit_defect` takes."""
-    d = np.subtract(work.x, points.T, out=work.wrap)
-    d -= np.rint(d, out=work.trial)
-    return float(np.maximum.reduce(np.abs(d, out=d), axis=None))
+    d = np.subtract(work.x, points.T, work.wrap)
+    np.subtract(d, np.rint(d, work.trial), d)
+    return float(np.maximum.reduce(np.abs(d, d), None))
 
 
 def _refine_problem(steps, tol, max_iter):
@@ -446,8 +491,8 @@ def refine_shadow(
 
     The refinement works on the orbit coordinate-first, as a q row and a p
     row, in arrays that each thread allocates once per orbit length and
-    reuses (`_Workspace`); an accepted step swaps the trial with the
-    current orbit. The result's points are a fresh (L, 2) array that
+    reuses (`_Workspace`); an accepted step is copied into the current
+    orbit. The result's points are a fresh (L, 2) array that
     shares no memory with the input, the work arrays or other results.
 
     Refinement can fail honestly: a segment that brushes a
@@ -469,22 +514,24 @@ def refine_shadow(
     raise_problem(_refine_problem(orbit.steps, tol, max_iter))
     raise_problem(kick_problem(spec.k))
 
+    # the kick coefficient and the kick slope factor as 0-d operands, once a
+    # refinement (writeable: a read-only flag costs more than the two arrays)
+    c = spec.kick_coefficient(False)
+    c, slope = np.array(c), np.array(c * TWO_PI)
     work = _workspace(orbit.points)
-    res = _sup_defect(_orbit_defect(spec, work.x, work.defect, work.scratch), work.scratch)
+    res = _sup_defect(_orbit_defect(c, work.x_views), work.scratch)
     iterations, converged, alone, creeping = 0, res <= tol, True, 0
 
     while not converged and iterations < max_iter and creeping < _CREEP_RUN:
-        if _min_norm_newton_step(spec, work) is None:
+        if _min_norm_newton_step(slope, work) is None:
             break  # no Newton step; report best point found
         iterations += 1
-        accepted = _damped_trial(spec, work, res, alone)
+        accepted = _damped_trial(c, work, res, alone)
         if accepted is None:
             break  # stalled; report best point found
         res, position = accepted
         alone = position == 0
         creeping = creeping + 1 if position >= _CREEP_POSITION else 0
-        work.x, work.trial = work.trial, work.x
-        work.defect, work.trial_defect = work.trial_defect, work.defect
         converged = res <= tol
 
     return ShadowResult(

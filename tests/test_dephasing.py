@@ -132,9 +132,9 @@ def test_chunk_sums_match_checked_loop_bitwise(monkeypatch):
     q, p = rng.random(n), rng.random(n)
     calls = []
 
-    def counted(half, cos):
-        calls.append(half.size)
-        _half_angle(half, cos)
+    def counted(half, cos, sin=True):
+        calls.append((half.size, sin))
+        _half_angle(half, cos, sin)
 
     monkeypatch.setattr(dephasing, "_half_angle", counted)
     # blocks of one step, of three (17 steps end in a ragged block of two) and of all steps
@@ -145,10 +145,11 @@ def test_chunk_sums_match_checked_loop_bitwise(monkeypatch):
             for steps in (0, 1, 2, 17):
                 calls.clear()
                 got = _chunk_sums(spec, q, p, steps, factor)
-                # the action and the record once a block; the t = 0 record is written
+                # the action (its cos alone) and the record once a block; the t = 0
+                # record is written
                 blocks = -(-steps // block)
-                assert len(calls) == 2 * blocks
-                assert max(calls, default=0) == n * min(block, steps)
+                assert [sin for _, sin in calls] == [False, True] * blocks
+                assert max((size for size, _ in calls), default=0) == n * min(block, steps)
                 want = _reference_chunk_sums(spec, q, p, steps, factor)
                 assert got.shape == (4, steps + 1) and np.array_equal(got, want)
                 # grid sets skip the stderr square sums, leaving them zero
@@ -179,6 +180,10 @@ def test_half_angle_cos_sin_track_libm():
     for x in (phases, angles):
         cos, sin = _half_angle_of(x)
         assert np.abs(cos - np.cos(x)).max() <= 4e-16
+        # without sin the cos is the same, bitwise
+        half, cos_alone = np.array(x, dtype=np.float64) / 2, np.empty_like(cos)
+        _half_angle(half, cos_alone, sin=False)
+        assert cos_alone.tobytes() == cos.tobytes()
         assert np.abs(sin - np.sin(x)).max() <= 4e-16
         assert np.abs(cos * cos + sin * sin - 1.0).max() <= 1e-15
         # -x gives the exact conjugate: cos the same, sin negated, bitwise

@@ -23,6 +23,7 @@ from torusecho import (
     step_ensemble,
     wrap_unit,
 )
+from torusecho import dynamics
 from torusecho.dynamics import (
     _MAX_STEPS,
     TWO_PI,
@@ -129,6 +130,33 @@ def test_kernel_matches_explicit_formula_bitwise():
         q1, p1 = step_ensemble(spec, q_raw, p_raw, perturbed=perturbed)
         q_ref, p_ref = step_ref(c, q_raw, p_raw)
         assert np.array_equal(q1, q_ref) and np.array_equal(p1, p_ref)
+
+
+@pytest.mark.parametrize("k", [0.8, 10.0, 1e15])
+def test_kernel_bits_do_not_depend_on_how_c_is_passed(k):
+    """dr passes the kick coefficient as a float, the refinement as a 0-d array."""
+    rng = np.random.default_rng(21)
+    q, p = rng.random(1000), rng.random(1000)
+    c = MapSpec(k, 0.0, 1000).kick_coefficient(False)
+    outputs = []
+    for coefficient in (c, np.float64(c), np.array(c)):
+        qk, pk, arg = q.copy(), p.copy(), np.empty_like(q)
+        _step_in_place(coefficient, qk, pk, arg, np.empty_like(q))
+        outputs.append(qk.tobytes() + pk.tobytes() + arg.tobytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_constant_operands_are_read_only():
+    """A stray out= into a shared operand raises instead of changing every later step."""
+    for operand in (dynamics._ONE, dynamics._TWO_PI, shadowing._SCALES):
+        before = operand.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(operand, 1.0, operand)
+        with pytest.raises(ValueError, match="read-only"):
+            operand[...] = 0.0
+        assert operand.tobytes() == before
+    assert dynamics._ONE.shape == dynamics._TWO_PI.shape == ()
+    assert (float(dynamics._ONE), float(dynamics._TWO_PI)) == (1.0, TWO_PI)
 
 
 def test_kernel_wraps_q_in_one_pass_bitwise():

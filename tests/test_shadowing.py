@@ -30,7 +30,7 @@ from torusecho import (
 from torusecho import shadowing
 from torusecho.cli import main
 from torusecho.dynamics import TWO_PI, kick_problem
-from torusecho.shadowing import _min_norm_newton_step, _orbit_defect
+from torusecho.shadowing import _defect_views, _min_norm_newton_step, _orbit_defect
 
 from map_reference import step_ref, torus_distance_ref
 
@@ -42,14 +42,15 @@ KICK_BOUND = lambda spec: spec.epsilon / (2 * np.pi)  # noqa: E731
 def _defect(spec, pts):
     """`_orbit_defect` of (L, 2) points, as (T, 2); the refinement works coordinate-first."""
     shape = (2, len(pts) - 1)
-    return _orbit_defect(spec, np.ascontiguousarray(pts.T), np.empty(shape), np.empty(shape)).T
+    views = _defect_views(np.ascontiguousarray(pts.T), np.empty(shape), np.empty(shape))
+    return _orbit_defect(spec.kick_coefficient(False), views).T
 
 
 def _newton_step(spec, pts, defect):
     """`_min_norm_newton_step` on (L, 2) points and their (T, 2) defect: dx as (L, 2), or None."""
     work = shadowing._Workspace(len(pts))
     work.x[...], work.defect[...] = pts.T, defect.T
-    dx = _min_norm_newton_step(spec, work)
+    dx = _min_norm_newton_step(np.array(spec.kick_coefficient(False) * TWO_PI), work)
     return None if dx is None else dx.T.copy()
 
 
@@ -493,10 +494,10 @@ def test_newton_step_matches_the_solveh_banded_step_bitwise(monkeypatch, spec, o
     """Every Newton step of a refinement, bitwise the block-and-einsum construction."""
     newton, steps = shadowing._min_norm_newton_step, []
 
-    def checked(spec_, work):
+    def checked(slope, work):
         pts, defect = work.x.T.copy(), work.defect.T.copy()
-        dx = newton(spec_, work)
-        assert dx.T.tobytes() == _newton_step_ref(spec_, pts, defect).tobytes()
+        dx = newton(slope, work)
+        assert dx.T.tobytes() == _newton_step_ref(spec, pts, defect).tobytes()
         steps.append(dx.copy())
         return dx
 
@@ -705,7 +706,7 @@ def _same_result(a, b):
 
 
 def test_refinements_own_their_points(monkeypatch):
-    """Results share no memory with the refinement's reused and swapped buffers,
+    """Results share no memory with the refinement's reused buffers,
     with each other or with their input, later refinements leave them be, and
     each is bitwise the result of a refinement in a workspace of its own."""
     orbits = [
@@ -862,9 +863,9 @@ def test_folded_ladder_keeps_every_iterate_bitwise(monkeypatch, orbit, tol):
     orb = orbit()
     newton, iterates = shadowing._min_norm_newton_step, []
 
-    def keep(spec_, work):
+    def keep(slope, work):
         iterates.append(work.x.T.copy())  # the orbit this iteration starts from
-        return newton(spec_, work)
+        return newton(slope, work)
 
     monkeypatch.setattr(shadowing, "_min_norm_newton_step", keep)
     result = refine_shadow(CHAOTIC, orb, tol=tol, max_iter=40)
@@ -901,9 +902,10 @@ def test_stacked_trials_make_one_defect_call_per_damping_group(monkeypatch):
     defect, newton = shadowing._orbit_defect, shadowing._min_norm_newton_step
     events = []
 
-    def counted_defect(spec, x, *buffers):
-        events.append(x.shape[1] if x.ndim == 3 else 1)  # x (2, S, L) stacks S trials
-        return defect(spec, x, *buffers)
+    def counted_defect(c, views):
+        head = views[0]
+        events.append(head.shape[1] if head.ndim == 3 else 1)  # x (2, S, L) stacks S trials
+        return defect(c, views)
 
     def counted_newton(*args):
         events.append("newton")
