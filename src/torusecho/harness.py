@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -409,6 +410,10 @@ def write_result(result: "RunResult"):
         # what dr bits rest on: numpy's SIMD dispatch of tan, the C library's sin
         "numpy_simd": np.show_config(mode="dicts").get("SIMD Extensions"),
         "libc": list(platform.libc_ver()),
+        # what exact bits rest on: the pocketfft of the scipy its first step loaded
+        # (a 0-step curve loads none), read from that module
+        "scipy": (getattr(sys.modules.get("scipy"), "__version__", None)
+                  if "exact" in result.curves else None),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "config": _config_dict(result.config),

@@ -29,6 +29,15 @@ the rows is a numpy pairwise sum, not a BLAS dot, so an exact curve's
 bits depend neither on the thread count nor on the BLAS library's
 threads.
 
+Each FFT is pocketfft's `c2c` from scipy, called in place on one thread
+(`_c2c`). The first exact step loads scipy's pocketfft extension module
+alone, not the `scipy.fft` package; `import torusecho` loads no scipy.
+numpy's FFT is a pocketfft too, and the bits are numpy's at every power
+of 4 (65536 among them) and at N = 1000, 1001 and 256. Elsewhere they may
+differ in the last bits: at 253 of the sizes from 2 to 1099, at
+N = 2 * 4^m (128, 8192, 32768) and at sizes pocketfft takes by
+Bluestein's algorithm (8193).
+
 `dense_oracle` rebuilds the same unitary as an explicit matrix with its
 own DFT construction and no shared phase helpers, so split-operator and
 dense results are independent routes to the same curve. Its drift
@@ -41,10 +50,11 @@ is psi <- G (kick psi).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
+from ._extensions import scipy_extension
 from .dephasing import FidelityCurve
 from .dynamics import TWO_PI, MapSpec, count_problem, perturbation_problem, steps_problem
 from .errors import CapacityError, InvalidInputError, raise_problem
@@ -58,13 +68,16 @@ _MAX_DIM = 65536
 _DENSE_MAX_DIM = 256
 # from this grid size up, the two rows are stepped one call each, the bare
 # row on a pool thread, instead of as one (2, N) call. Median ms per one-FFT
-# step, (2, N) call / one call per row / rows on two threads, on a 2-vCPU
-# x86-64 VM with numpy 2.4: 0.09 / 0.13 / 0.17 at N = 4096,
-# 0.35 / 0.28 / 0.31 at 8192, 0.92 / 0.62 / 0.66 at 16384, 4.3 / 3.1 / 2.8
-# at 65536. Two threads only win from about 32768 there (two FFT processes
-# ran at 1.6x the time of one on its two vCPUs), but a second cut would save
-# under 0.05 ms a step between 8192 and 32768.
+# step in a fresh process, (2, N) call / one call per row in turn / rows on
+# two threads, on a 2-vCPU x86-64 VM with scipy 1.17's pocketfft: 0.058 /
+# 0.079 / 0.082 at N = 4096, 0.24 / 0.15 / 0.12 at 8192, 0.58 / 0.31 / 0.25
+# at 16384, 1.32 / 0.73 / 0.50 at 32768, 2.9 / 1.7 / 1.1 at 65536. The pool
+# wins when its worker runs on the second vCPU; when the worker shares the
+# caller's vCPU, the other one idle, it is about 10 % slower than the rows
+# stepped in turn.
 _THREAD_MIN_DIM = 8192
+# the axis each FFT runs along: a row's points
+_LAST_AXIS = (-1,)
 
 
 def grid_problem(dim_n):
@@ -114,18 +127,32 @@ def _phase_factors(spec: MapSpec):
     return rows, entry, drift
 
 
+@cache
+def _c2c():
+    """pocketfft's complex FFT, loaded on the first exact step: `import torusecho` loads no scipy.
+
+    Only scipy's pocketfft extension module is loaded (`scipy_extension`),
+    not the `scipy.fft` package. The routine is the same object as the one
+    `scipy.fft` calls, in either import order.
+    """
+    return scipy_extension("scipy.fft._pocketfft.pypocketfft").c2c
+
+
 def _split_step(psi: np.ndarray, row: np.ndarray, drift: np.ndarray | None) -> None:
     """One exact step in place on an (N,) psi or, row by row, a (2, N) psi.
 
     With no drift (even N) the step is phi <- F(E phi); with one (odd N) it
-    is the split pair: kick, FFT, drift, inverse FFT.
+    is the split pair: kick, FFT, drift, inverse FFT. Each FFT is one
+    in-place `c2c` call on the last axis, scaled by 1/sqrt(N) (the unitary
+    scale, inorm=1), on one thread.
     """
+    c2c = _c2c()
     # row * psi, in this operand order: psi *= row moves the last bit
     np.multiply(row, psi, out=psi)
-    np.fft.fft(psi, axis=-1, norm="ortho", out=psi)
+    c2c(psi, _LAST_AXIS, True, 1, psi, 1)
     if drift is not None:
         psi *= drift
-        np.fft.ifft(psi, axis=-1, norm="ortho", out=psi)
+        c2c(psi, _LAST_AXIS, False, 1, psi, 1)
 
 
 def _overlap(psi: np.ndarray, buf: np.ndarray) -> complex:
@@ -219,7 +246,7 @@ def exact_fidelity_curve(spec: MapSpec, state: InitialState, steps: int) -> Fide
 
     Below N = `_THREAD_MIN_DIM` both rows are stepped as one (2, N) array.
     From the cut up, one pool worker steps the bare row while the calling
-    thread steps the perturbed one (np.fft releases the GIL); they join
+    thread steps the perturbed one (`c2c` releases the GIL); they join
     before each overlap. The path depends on N alone, not on how many CPUs
     are usable, and the rows are stepped exactly as in the (2, N) step, so
     the curve's bits do not depend on the thread count.

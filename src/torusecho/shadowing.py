@@ -20,9 +20,9 @@ non-hyperbolic point that no true orbit follows), or after max_iter.
 Each Newton step is one banded Cholesky solve of J J^T, O(T) for T
 steps: the band is built straight from the map's kick slope and solved
 by a direct LAPACK dpbsv call. The first step loads scipy's LAPACK
-extension module alone (`_dpbsv`), not `scipy.linalg`; `import torusecho`
-loads no scipy. The step is damped by the first of the scales 1, 1/2,
-..., 2^-16 that lowers the residual. After a full step (and on the
+extension module alone (`_dpbsv`, through `_extensions`), not
+`scipy.linalg`; `import torusecho` loads no scipy. The step is damped by
+the first of the scales 1, 1/2, ..., 2^-16 that lowers the residual. After a full step (and on the
 first iteration) scale 1 is tried alone, then the other 16 in one
 stacked defect call; after a damped step, which is most often followed
 by another, all 17 go in one stacked call. Stacked calls are split on
@@ -57,14 +57,12 @@ epsilon^(-1/2); `shadow_time_estimate` returns that scale.
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._extensions import scipy_extension
 from .dynamics import (
     _ONE,
     _TWO_PI,
@@ -234,22 +232,11 @@ def _dpbsv():
     """LAPACK's banded Cholesky solver, loaded on first use: `import torusecho` loads no scipy.
 
     The Newton step calls this one routine, so only scipy's LAPACK
-    extension module, `scipy.linalg._flapack`, is loaded, after the
-    top-level `scipy` package (which does scipy's platform DLL set-up).
-    `scipy.linalg` is not imported: its `__init__` loads about 85 modules,
-    `numpy.f2py` among them, which would cost the first refinement in a
-    process more time and memory than its arithmetic. The routine is the
-    same object as `scipy.linalg.lapack.dpbsv`, in either import order.
+    extension module, `scipy.linalg._flapack`, is loaded
+    (`scipy_extension`), not `scipy.linalg`. The routine is the same
+    object as `scipy.linalg.lapack.dpbsv`, in either import order.
     """
-    import scipy
-
-    folder = os.path.join(scipy.__path__[0], "linalg")
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [folder])
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension scipy.linalg._flapack not found in {folder}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.dpbsv
+    return scipy_extension("scipy.linalg._flapack").dpbsv
 
 
 class _Workspace:

@@ -336,6 +336,17 @@ def test_write_csv_and_sidecar(tmp_path):
     assert ":" not in body
 
 
+def test_sidecar_records_scipy_when_an_exact_curve_ran(tmp_path):
+    import scipy
+
+    # exact bits rest on scipy's pocketfft build; a run without exact records null
+    cfg = ExperimentConfig(dim_n=64, q0=0.25, steps=4, methods=("dr", "exact"),
+                           out=tmp_path / "run.csv")
+    for methods, want in ((("dr", "exact"), scipy.__version__), (("dr", "dense"), None)):
+        result = run_experiment(cfg.replace(methods=methods))
+        assert json.loads(result.meta_path.read_text())["scipy"] == want
+
+
 def test_sidecar_times_each_stage_that_ran(tmp_path):
     out = tmp_path / "run.csv"
     cfg = ExperimentConfig(dim_n=64, q0=0.25, steps=4, methods=("dr", "exact", "dense"), out=out)

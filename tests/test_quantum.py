@@ -1,6 +1,7 @@
 """Split-operator propagation, dense oracle, echo equivalence."""
 
 import hashlib
+import importlib
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh import run_fresh
 from torusecho import quantum
 from torusecho import (
     CapacityError,
@@ -115,17 +117,26 @@ def _phases(spec):
     return kick_pert, kick_plain, drift
 
 
+def _fft(x, forward=True):
+    """A new array, the unitary DFT of x (its inverse if not forward) by the program's FFT routine.
+
+    The bitwise references check how the program steps, not which FFT it
+    calls, so they take the routine the exact route loads.
+    """
+    return quantum._c2c()(x, (-1,), forward, 1)
+
+
 def _split_amplitudes(spec, psi0, steps):
-    """<pert|plain> with each branch stepped alone: kick * psi, then one np.fft pair."""
+    """<pert|plain> with each branch stepped alone: kick * psi, then one FFT pair."""
     kick_pert, kick_plain, drift = _phases(spec)
     pert = plain = psi0
     amp = [_overlap(pert, plain)]
     for _ in range(steps):
         branches = []
         for kick, psi in ((kick_pert, pert), (kick_plain, plain)):
-            mom = np.fft.fft(kick * psi, norm="ortho")
+            mom = _fft(kick * psi)
             mom *= drift
-            branches.append(np.fft.ifft(mom, norm="ortho"))
+            branches.append(_fft(mom, forward=False))
         pert, plain = branches
         amp.append(_overlap(pert, plain))
     return np.array(amp)
@@ -149,8 +160,8 @@ def _per_branch_amplitudes(spec, psi0, steps):
     amp = [_overlap(psi0, psi0)]
     pert = plain = psi0 * entry
     for _ in range(steps):
-        pert = np.fft.fft(row_pert * pert, norm="ortho")
-        plain = np.fft.fft(row_plain * plain, norm="ortho")
+        pert = _fft(row_pert * pert)
+        plain = _fft(row_plain * plain)
         amp.append(_overlap(pert, plain))
     return np.array(amp)
 
@@ -170,6 +181,66 @@ def test_exact_curve_matches_per_branch_loop_bitwise(spec, state):
     curve = exact_fidelity_curve(spec, state, 40)
     ref = _per_branch_amplitudes(spec, build_state(spec, state), 40)
     assert curve.amplitude.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "library, dim_n",
+    [("scipy", n) for n in (128, 1000, 1001, 8192, 8193, 65536)]
+    # the presets step at N = 1000 and 256 and exact-large at 65536: their bits stay numpy's
+    + [("numpy", n) for n in (256, 1000, 65536)],
+)
+def test_loaded_fft_gives_the_bytes_of_the_library_fft(library, dim_n):
+    # transformed in place on rows and on the (2, N) array, as _split_step calls it
+    fft = importlib.import_module(f"{library}.fft")
+    c2c = quantum._c2c()
+    rng = np.random.default_rng(dim_n)
+    x = rng.standard_normal((2, dim_n)) + 1j * rng.standard_normal((2, dim_n))
+    for forward, transform in ((True, fft.fft), (False, fft.ifft)):
+        want = transform(x, axis=-1, norm="ortho")
+        rows, whole = [row.copy() for row in x], x.copy()
+        for y in (*rows, whole):
+            c2c(y, quantum._LAST_AXIS, forward, 1, y, 1)
+        assert whole.tobytes() == want.tobytes()
+        assert all(row.tobytes() == w.tobytes() for row, w in zip(rows, want))
+
+
+def test_exact_curve_loads_only_the_fft_extension_of_scipy():
+    code = (
+        "import sys\n"
+        "from torusecho import MapSpec, PositionEigenstate, exact_fidelity_curve\n"
+        "exact_fidelity_curve(MapSpec(10.0, 2e-3, 1000), PositionEigenstate(0.5), 3)\n"
+        "print('scipy' in sys.modules,"
+        " sorted(m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.linalg'))))"
+    )
+    assert run_fresh(code).strip() == "True ['scipy.fft._pocketfft.pypocketfft']"
+
+
+_CURVES_AROUND_IMPORT = """\
+import hashlib, sys
+from torusecho import MapSpec, PositionEigenstate, exact_fidelity_curve, quantum
+
+def digest():
+    amps = [exact_fidelity_curve(MapSpec(10.0, 2e-3, n), PositionEigenstate(0.5), 20).amplitude
+            for n in (128, 8192)]
+    return hashlib.sha256(b"".join(a.tobytes() for a in amps)).hexdigest()
+
+if sys.argv[1] == "curve-first":
+    before = digest()
+import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
+if sys.argv[1] == "import-first":
+    before = digest()
+print(before, digest(), pypocketfft.c2c is quantum._c2c())
+"""
+
+
+@pytest.mark.parametrize("order", ["curve-first", "import-first"])
+def test_exact_curves_before_or_after_importing_scipy_fft_give_the_same_bytes(order):
+    # one curve on each stepping path, both at sizes where scipy's bits are not numpy's
+    amps = [exact_fidelity_curve(MapSpec(10.0, 2e-3, n), PositionEigenstate(0.5), 20).amplitude
+            for n in (128, 8192)]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in amps)).hexdigest()
+    assert run_fresh(_CURVES_AROUND_IMPORT, order).split() == [digest, digest, "True"]
 
 
 def test_exact_loop_builds_no_state_and_takes_no_norm(monkeypatch):

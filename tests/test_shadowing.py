@@ -4,12 +4,11 @@ import hashlib
 import importlib.machinery
 import math
 import os
-import subprocess
+import re
 import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +26,12 @@ from torusecho import (
     step_ensemble,
     wrap_unit,
 )
-from torusecho import shadowing
+from torusecho import quantum, shadowing
 from torusecho.cli import main
 from torusecho.dynamics import TWO_PI, kick_problem
 from torusecho.shadowing import _defect_views, _min_norm_newton_step, _orbit_defect
 
+from fresh import run_fresh
 from map_reference import step_ref, torus_distance_ref
 
 MIXED = MapSpec(0.8, 5e-3, 1000)
@@ -318,30 +318,12 @@ def test_cli_shadow_default_length_over_the_cap_names_epsilon(monkeypatch, capsy
 
 
 def test_import_loads_no_scipy():
-    """`import torusecho` loads no scipy: the first Newton step loads its LAPACK extension."""
-    import torusecho
-
-    env = dict(os.environ)
-    src = str(Path(torusecho.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    """`import torusecho` loads no scipy: a route's first call loads the one extension it uses."""
     code = (
         "import sys, torusecho\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
-
-
-def _run_fresh(code, *args):
-    """stdout of `code` run in a fresh interpreter that imports this checkout's torusecho."""
-    import torusecho
-
-    env = dict(os.environ)
-    src = str(Path(torusecho.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+    assert run_fresh(code).strip() == "[]"
 
 
 def _random_band(rng, big_t):
@@ -368,15 +350,18 @@ def test_loaded_dpbsv_solves_as_scipy_linalg_lapack_bitwise(big_t):
     assert shadowing._dpbsv()(indefinite, rhs)[2] == big_t + 1  # the leading minor that fails
 
 
-def test_a_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch):
+def test_a_missing_scipy_extension_is_an_import_error_naming_it(monkeypatch):
     import scipy
 
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                         classmethod(lambda cls, name, path=None, target=None: None))
-    folder = os.path.join(scipy.__path__[0], "linalg")
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in ") as caught:
-        shadowing._dpbsv.__wrapped__()  # uncached, so the loaded routine stays as it is
-    assert str(caught.value).endswith(folder)
+    # each caller uncached, so the loaded routines stay as they are
+    for load, name in ((shadowing._dpbsv.__wrapped__, "scipy.linalg._flapack"),
+                       (quantum._c2c.__wrapped__, "scipy.fft._pocketfft.pypocketfft")):
+        folder = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+        with pytest.raises(ImportError, match=rf"{re.escape(name)} not found in ") as caught:
+            load()
+        assert str(caught.value).endswith(folder)
 
 
 def test_refinement_loads_only_the_lapack_extension_of_scipy():
@@ -386,7 +371,7 @@ def test_refinement_loads_only_the_lapack_extension_of_scipy():
         "shadow_survey(MapSpec(10.0, 2e-3, 1000), count=4, steps=22, seed=0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     )
-    assert _run_fresh(code).strip() == "['scipy.linalg._flapack']"
+    assert run_fresh(code).strip() == "['scipy.linalg._flapack']"
 
 
 _SURVEY_AROUND_IMPORT = """\
@@ -411,7 +396,7 @@ print(before, report(), dpbsv is shadowing._dpbsv())
 def test_refining_before_or_after_importing_scipy_linalg_gives_the_same_report(order):
     report = shadow_survey(CHAOTIC, count=32, steps=22, seed=0)
     digest = hashlib.sha256(repr(report).encode()).hexdigest()
-    assert _run_fresh(_SURVEY_AROUND_IMPORT, order).split() == [digest, digest, "True"]
+    assert run_fresh(_SURVEY_AROUND_IMPORT, order).split() == [digest, digest, "True"]
 
 
 def _orbit_jacobian_ref(c, pts):
