@@ -44,10 +44,14 @@ the same float operations in the same order, so no bit moves.
 Orbits and their pseudo-residuals are computed for a whole
 ensemble of starts at once (`_orbits`, `_residuals`), bitwise the
 one-start results; `shadow_survey` takes its starts `_SURVEY_BLOCK` at a
-time, so its orbit storage does not grow with the orbit count. The
-one-step defect has one implementation, `_orbit_defect`: the Newton
-iteration solves against it, and a pseudo-residual is its largest
-magnitude.
+time, so its orbit storage does not grow with the orbit count, and hands
+each orbit's slice of its block's defect to that orbit's `refine_shadow`
+call, which starts from it rather than taking it again. The one-step
+defect has one implementation, `_orbit_defect`: the Newton iteration
+solves against it, and a pseudo-residual is its largest magnitude. The
+block's kick coefficient is a Python float and the refinement's a 0-d
+array, which give the same bits (`dynamics`), so a refinement is bitwise
+the same whichever took its first defect.
 
 The horizon out to which a perturbed orbit can stay near a true one
 before the accumulated action difference reaches O(hbar) scales as
@@ -86,7 +90,9 @@ _MAX_REFINE_STEPS = 10_000
 # orbits in one survey; each is refined in turn
 _MAX_SURVEY_COUNT = 100_000
 # starts a survey steps together; at the step cap one block of orbits
-# holds 64 x (10^4 + 1) x 2 floats, about 10 MB
+# holds 64 x (10^4 + 1) x 2 floats, about 10 MB; its defect, which the
+# survey keeps for the block's refinements, is another 2 x 64 x 10^4, and
+# `_residuals` allocated it anyway, so the peak is no higher
 _SURVEY_BLOCK = 64
 _MIN_TOL = 1e-13
 # the damping ladder 1, 1/2, ..., 2^-16, tried in this order
@@ -147,14 +153,15 @@ def orbit_from_map(spec: MapSpec, start, steps: int) -> PseudoOrbit:
 
     The one-start case of the ensemble generator `_orbits`. The start must
     be finite and in [0, 1) (`unit_problem`); it is refused before any map
-    step, as is a kick the float map cannot carry (`kick_problem`).
+    step, as is a kick the float map cannot carry (`kick_problem`). The
+    orbit the kernel makes from it is not checked again (`_kernel_orbit`).
     """
     raise_problem(steps_problem(steps, minimum=1))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
     raise_problem(kick_problem(spec.k + spec.epsilon))
     starts = np.array([(start[0], start[1])], dtype=np.float64)
     raise_problem(unit_problem("orbit start", starts))
-    return PseudoOrbit(_orbits(spec, starts, steps)[0])
+    return _kernel_orbit(_orbits(spec, starts, steps)[0])
 
 
 def _orbits(spec, starts, steps):
@@ -175,6 +182,14 @@ def _orbits(spec, starts, steps):
     return pts
 
 
+def _kernel_orbit(points):
+    """A PseudoOrbit of an (L, 2) row of `_orbits`, not checked again: its start
+    was a point of [0, 1), and the map kernel keeps every later point there."""
+    orbit = object.__new__(PseudoOrbit)
+    object.__setattr__(orbit, "points", points)
+    return orbit
+
+
 def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit) -> float:
     """Sup one-step defect of the orbit under the unperturbed map.
 
@@ -186,10 +201,16 @@ def pseudo_residual(spec: MapSpec, orbit: PseudoOrbit) -> float:
     return float(_residuals(spec, orbit.points))
 
 
-def _residuals(spec, pts):
-    """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call."""
+def _residuals(spec, pts, out=None):
+    """Sup one-step defect of each segment in pts, shape (..., L, 2), in one map call.
+
+    The signed defect is taken coordinate-first, (2, ..., T); with out, an
+    array of that shape, it is written there and kept by the caller
+    (`shadow_survey` hands each orbit's slice to its refinement).
+    """
     x = np.moveaxis(pts, -1, 0)
-    defect, scratch = np.empty(x[..., 1:].shape), np.empty(x[..., 1:].shape)
+    scratch = np.empty(x[..., 1:].shape)
+    defect = np.empty_like(scratch) if out is None else out
     _orbit_defect(spec.kick_coefficient(False), _defect_views(x, defect, scratch))
     return np.abs(defect, out=scratch).max(axis=(0, -1))
 
@@ -461,6 +482,8 @@ def refine_shadow(
     orbit: PseudoOrbit,
     tol: float = 1e-10,
     max_iter: int = 50,
+    *,
+    _defect=None,
 ) -> ShadowResult:
     """Newton-refine a pseudo-orbit toward a true orbit of the unperturbed map.
 
@@ -481,6 +504,9 @@ def refine_shadow(
     reuses (`_Workspace`); an accepted step is copied into the current
     orbit. The result's points are a fresh (L, 2) array that
     shares no memory with the input, the work arrays or other results.
+    `shadow_survey` passes `_defect`, the orbit's coordinate-first (2, T)
+    slice of its block's defect (`_residuals`), which is copied in place of
+    the first `_orbit_defect` call: the same values, so the same bits.
 
     Refinement can fail honestly: a segment that brushes a
     non-hyperbolic region (an island pass, where the one-step stability
@@ -506,7 +532,11 @@ def refine_shadow(
     c = spec.kick_coefficient(False)
     c, slope = np.array(c), np.array(c * TWO_PI)
     work = _workspace(orbit.points)
-    res = _sup_defect(_orbit_defect(c, work.x_views), work.scratch)
+    if _defect is None:
+        _orbit_defect(c, work.x_views)
+    else:
+        work.defect[...] = _defect
+    res = _sup_defect(work.defect, work.scratch)
     iterations, converged, alone, creeping = 0, res <= tol, True, 0
 
     while not converged and iterations < max_iter and creeping < _CREEP_RUN:
@@ -555,7 +585,10 @@ def shadow_survey(
 
     The segments are generated and measured `_SURVEY_BLOCK` starts at a
     time as one ensemble (bitwise the one-start orbits), then refined one
-    by one, in start order, through `refine_shadow`.
+    by one, in start order, through `refine_shadow`. Each refinement starts
+    from its orbit's slice of the block's defect, which `_residuals` wrote
+    into a buffer the survey keeps, and takes its orbit as a `PseudoOrbit`
+    not checked again (`_kernel_orbit`).
 
     fraction_converged below 1 is expected when orbits brush island
     regions (see refine_shadow); the residual bound diagnostics are
@@ -589,12 +622,14 @@ def shadow_survey(
     distances = np.empty(count)
     final_residuals = np.empty(count)
     converged = np.zeros(count, dtype=bool)
+    block_defects = np.empty((2, min(count, _SURVEY_BLOCK), steps))
     for lo in range(0, count, _SURVEY_BLOCK):
         block = _orbits(spec, starts[lo : lo + _SURVEY_BLOCK], steps)
-        residuals[lo : lo + len(block)] = _residuals(spec, block)
+        defects = block_defects[:, : len(block)]
+        residuals[lo : lo + len(block)] = _residuals(spec, block, out=defects)
         for i, pts in enumerate(block, start=lo):
-            orb = PseudoOrbit(pts)
-            result = refine_shadow(spec, orb, tol=tol, max_iter=max_iter)
+            result = refine_shadow(spec, _kernel_orbit(pts), tol=tol, max_iter=max_iter,
+                                   _defect=defects[:, i - lo])
             distances[i] = result.shadow_distance
             final_residuals[i] = result.residual
             converged[i] = result.converged

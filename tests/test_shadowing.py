@@ -610,9 +610,9 @@ def _survey_digest(report, results):
     return digest.hexdigest()
 
 
-# `_orbit_defect` calls a benchmark survey makes: its residual blocks, each
-# refinement's first defect and its trial calls
-SURVEY_DEFECT_CALLS = {0: 1106, 3: 779}
+# `_orbit_defect` calls a benchmark survey makes: its residual blocks and each
+# refinement's trial calls (a refinement starts from its block's defect)
+SURVEY_DEFECT_CALLS = {0: 850, 3: 523}
 
 
 @pytest.mark.parametrize(
@@ -641,6 +641,44 @@ def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, conve
     assert report["fraction_converged"] == converged / 256
     assert sum(r.iterations for r in results) == iterations
     assert _survey_digest(report, results) == SURVEY_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("spec,seed,steps", [(CHAOTIC, 0, 22), (MIXED, 3, 14), (CHAOTIC, 0, 1)])
+def test_a_refinement_from_its_block_defect_is_bitwise_one_from_its_own(spec, seed, steps):
+    """The survey hands each refinement its slice of the block's defect; every
+    result field is bitwise that of a refinement that takes its own."""
+    starts = np.random.Generator(np.random.Philox(key=seed)).random((shadowing._SURVEY_BLOCK, 2))
+    block = shadowing._orbits(spec, starts, steps)
+    defects = np.empty((2, len(block), steps))
+    residuals = shadowing._residuals(spec, block, out=defects)
+    assert residuals.tobytes() == shadowing._residuals(spec, block).tobytes()
+    outcomes = []
+    for i, pts in enumerate(block):
+        orbit = PseudoOrbit(pts)
+        own = refine_shadow(spec, orbit, tol=1e-9, max_iter=40)
+        handed = refine_shadow(spec, orbit, tol=1e-9, max_iter=40, _defect=defects[:, i])
+        assert handed.shadow_points.tobytes() == own.shadow_points.tobytes()
+        assert repr(handed) == repr(own)  # the float fields to the last bit
+        outcomes.append((own.converged, own.iterations))
+    if spec is CHAOTIC and steps == 22:
+        # orbit 53 stalls, orbits 18 and 42 creep (see the stacked-trial test)
+        assert all(not outcomes[i][0] and outcomes[i][1] < 40 for i in (18, 42, 53))
+        assert any(converged for converged, _ in outcomes)
+
+
+def test_survey_checks_its_points_at_most_once_a_block(monkeypatch):
+    """The survey's orbits come from the map kernel, whose starts are points of
+    [0, 1): `unit_problem` is not run again on each orbit."""
+    check, calls = shadowing.unit_problem, []
+
+    def counted(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(shadowing, "unit_problem", counted)
+    report = shadow_survey(CHAOTIC, count=70, steps=10, seed=0, max_iter=3)  # two blocks
+    assert report["count"] == 70
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize(
