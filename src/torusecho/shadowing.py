@@ -152,14 +152,18 @@ def orbit_from_map(spec: MapSpec, start, steps: int) -> PseudoOrbit:
     """Orbit segment generated by iterating the perturbed map.
 
     The one-start case of the ensemble generator `_orbits`. The start must
-    be finite and in [0, 1) (`unit_problem`); it is refused before any map
-    step, as is a kick the float map cannot carry (`kick_problem`). The
-    orbit the kernel makes from it is not checked again (`_kernel_orbit`).
+    be one point (q, p), finite and in [0, 1) (`unit_problem`); it is
+    refused before any map step, as is a kick the float map cannot carry
+    (`kick_problem`). The orbit the kernel makes from it is not checked
+    again (`_kernel_orbit`).
     """
     raise_problem(steps_problem(steps, minimum=1))
     raise_problem(perturbation_problem(spec.k, spec.epsilon))
     raise_problem(kick_problem(spec.k + spec.epsilon))
-    starts = np.array([(start[0], start[1])], dtype=np.float64)
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (2,):
+        raise InvalidInputError(f"orbit start must be one point (q, p), got shape {start.shape}")
+    starts = start[None]
     raise_problem(unit_problem("orbit start", starts))
     return _kernel_orbit(_orbits(spec, starts, steps)[0])
 
@@ -273,8 +277,8 @@ class _Workspace:
     trial_defect, both with the kernel scratch `scratch`), x_q (x[0, :-1],
     the q row the Newton step reads), and x_stack and dx_stack (x[:, None]
     and dx[:, None], which broadcast over a trial stack). The Newton step
-    writes slopes (rows a00 = 1 - K_t and kick = K_t), neg_a0 = -A_0, band
-    (J J^T in LAPACK upper band storage, through fixed views: `diagonal`, the main
+    writes slopes (rows a00 = 1 - K_t and kick = K_t), band (J J^T in
+    LAPACK upper band storage, through fixed views: `diagonal`, the main
     diagonal, with its (1 - K_t)^2 and K_t^2 entries diagonal_q and
     diagonal_p, and upper1, upper2 and upper3, the entries of the upper
     rows that change) and rhs, which `multipliers` views as (2, T).
@@ -285,8 +289,9 @@ class _Workspace:
     as its first ladder position, its scale column, its views of a stack
     of up to 17 trial orbits, (2, S, T+1), and of their wrap scratch, the
     stack's `_defect_views`, its defects and its kernel scratch. wrap,
-    scratch and terms are scratch; the other attributes are fixed views of
-    these arrays.
+    scratch and terms are scratch (the Newton step takes every dx_t but the
+    last from terms = A_t^T lambda_t); the other attributes are fixed views
+    of these arrays.
     """
 
     def __init__(self, length):
@@ -303,10 +308,6 @@ class _Workspace:
         self.x_q, self.x_stack = self.x[0, :-1], self.x[:, None]
         self.x_views = _defect_views(self.x, self.defect, self.scratch)
         self.trial_views = _defect_views(self.trial, self.trial_defect, self.scratch)
-        # -A_0; its transpose is Fortran-ordered, the layout on which the dx0 product's
-        # bits are pinned
-        self.neg_a0 = np.array([[0.0, -1.0], [0.0, -1.0]])
-        self.neg_a0t = self.neg_a0.T
         # Fortran order and the overwrite flags: f2py hands band and rhs to LAPACK uncopied
         self.template = np.zeros((4, 2 * big_t), order="F")
         self.template[2, 2::2] = self.template[1, 3::2] = -1.0
@@ -318,8 +319,9 @@ class _Workspace:
         self.rhs = np.empty(2 * big_t)
         self.multipliers = self.rhs.reshape(big_t, 2).T
         self.lam_q, self.lam_p = self.multipliers
-        self.lam0, self.lam_head, self.lam_last = self.rhs[:2], self.multipliers[:, :-1], self.rhs[-2:]
-        self.terms0, self.terms1, self.terms_tail = self.terms[0], self.terms[1], self.terms[:, 1:]
+        self.lam_head, self.lam_last = self.multipliers[:, :-1], self.rhs[-2:]
+        self.terms0, self.terms1, self.terms_head, self.terms_tail = (self.terms[0], self.terms[1],
+                                                                      self.terms[:, 0], self.terms[:, 1:])
         self.dx0, self.dx_inner, self.dx_last = self.dx[:, 0], self.dx[:, 1:big_t], self.dx[:, big_t]
         self.dx_stack = self.dx[:, None]
 
@@ -398,16 +400,13 @@ def _min_norm_newton_step(slope, work):
     if info != 0:
         return None  # J J^T is singular in double precision
     # solved in place: rhs, which multipliers views, now holds lambda
-
-    neg_a0 = work.neg_a0
-    neg_a0[0, 0], neg_a0[1, 0] = -a00[0], kick[0]
-    # (-A_0^T) lam_0 by matmul: a hand-written product moves bits
-    work.dx0[...] = work.neg_a0t @ work.lam0
-    # dx_t = lam_{t-1} - A_t^T lam_t: rows (1 - K_t) l0 + (-K_t) l1, taken as
-    # (1 - K_t) l0 - K_t l1, and l0 + l1
+    # terms = A_t^T lam_t: rows (1 - K_t) l0 + (-K_t) l1, taken as
+    # (1 - K_t) l0 - K_t l1, and l0 + l1; dx_0 = -A_0^T lam_0 and
+    # dx_t = lam_{t-1} - A_t^T lam_t
     np.multiply(work.slopes, multipliers, work.terms)
     np.subtract(terms0, terms1, terms0)
     np.add(work.lam_q, work.lam_p, terms1)
+    np.negative(work.terms_head, work.dx0)
     np.subtract(work.lam_head, work.terms_tail, work.dx_inner)
     work.dx_last[...] = work.lam_last
     return work.dx

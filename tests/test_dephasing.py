@@ -427,6 +427,10 @@ def test_conjugation_check_rejects_mismatched_curves():
     other_k = MapSpec(1.1, 5e-3, 64)
     with pytest.raises(InvalidInputError):
         dr_conjugation_check(curve, dr_curve(other_k, samples_position_state(other_k, 0.25), 20))
+    # two exact curves that agree on every other field
+    exact = FidelityCurve(np.ones(5), np.zeros(5), np.zeros(5), "exact", MIXED, "x", 1)
+    with pytest.raises(InvalidInputError, match="conjugation check applies to dr curves"):
+        dr_conjugation_check(exact, exact)
 
 
 def test_fidelity_curve_shape_validation():

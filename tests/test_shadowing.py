@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.machinery
+import json
 import math
 import os
 import re
@@ -269,7 +270,11 @@ def _fail_on_map_step(monkeypatch):
     monkeypatch.setattr(shadowing, "_rng", never)
 
 
-@pytest.mark.parametrize("start", [(float("nan"), 0.2), (1.5, 0.2)], ids=["nan", "off-torus"])
+@pytest.mark.parametrize(
+    "start",
+    [(float("nan"), 0.2), (1.5, 0.2), (0.1, 0.2, 0.3), (0.5,), [[0.1, 0.2]], 0.3],
+    ids=["nan", "off-torus", "three-coordinates", "one-coordinate", "nested", "scalar"],
+)
 def test_orbit_from_map_refuses_a_start_off_the_torus_before_any_map_step(monkeypatch, start):
     _fail_on_map_step(monkeypatch)
     with pytest.raises(InvalidInputError, match="orbit start"):
@@ -437,7 +442,7 @@ def test_newton_step_without_a_double_precision_solution_stalls():
 
 def _newton_step_ref(spec, pts, defect):
     """The Newton step as built from (T, 2, 2) tangent blocks: band by einsum,
-    scipy.linalg.solveh_banded, back-substitution by matmul and einsum."""
+    scipy.linalg.solveh_banded, back-substitution by einsum."""
     from scipy.linalg import solveh_banded
 
     big_t = pts.shape[0] - 1
@@ -455,7 +460,7 @@ def _newton_step_ref(spec, pts, defect):
     ab[0, 3::2] = -a[1:, 1, 0]
     lam = solveh_banded(ab, -defect.reshape(-1)).reshape(big_t, 2)
     dx = np.empty((big_t + 1, 2))
-    dx[0] = -a[0].T @ lam[0]
+    dx[0] = -np.einsum("ji,j->i", a[0], lam[0])
     if big_t > 1:
         dx[1:big_t] = lam[:-1] - np.einsum("nji,nj->ni", a[1:], lam[1:])
     dx[big_t] = lam[big_t - 1]
@@ -596,8 +601,8 @@ def test_survey_report_does_not_depend_on_the_block_size(monkeypatch):
 # (shadow_points bytes in (L, 2) C order, then the repr of shadow_distance,
 # residual, converged and iterations), then over the report's repr
 SURVEY_DIGESTS = {
-    0: "98f7ef6a55a21422e22180b220d18d1b998e2c363c01c6cc0c994ebe061d3d5a",
-    3: "c4140e11c3eaed50f5e17a562213fc9220a24d312c6cf5a38b668dbc48009473",
+    0: "82a9e324c6d0800aa0203bed006dfddd81d0e266fc865dd2da7a769c28ead22b",
+    3: "dbfb0fa1fd2345f13922d571a79c37bdd19d4f0da6dbd1bb194c0ad9cddb75b0",
 }
 
 
@@ -622,10 +627,13 @@ def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, conve
     """The benchmark's surveys: one refinement per orbit, same outcomes as before.
 
     The digest pins every bit of every refinement and of the report. Like
-    the golden digests it rests on the platform's libm sin and cos bits:
-    on another libm it may move with no fault in the program. The count of
-    `_orbit_defect` calls pins the work done: a separate scale-1 call after
-    every damped iteration would raise it at k = 10.
+    the golden digests it rests on the platform's libm sin and cos bits,
+    and also on the OpenBLAS kernel behind scipy's dpbsv (which
+    `OPENBLAS_CORETYPE` selects): on another libm or kernel it may move
+    with no fault in the program, while the Newton path stays (the kernel
+    test below). The count of `_orbit_defect` calls pins the work done: a
+    separate scale-1 call after every damped iteration would raise it at
+    k = 10.
     """
     defect, calls = shadowing._orbit_defect, []
 
@@ -641,6 +649,44 @@ def test_benchmark_surveys_keep_their_newton_path(monkeypatch, spec, seed, conve
     assert report["fraction_converged"] == converged / 256
     assert sum(r.iterations for r in results) == iterations
     assert _survey_digest(report, results) == SURVEY_DIGESTS[seed]
+
+
+# both benchmark surveys (CHAOTIC at seed 0, MIXED at seed 3): each refinement's
+# [iterations, converged] in call order, and the report's fraction converged
+_SURVEY_PATHS = """\
+import json
+from torusecho import MapSpec, shadow_survey, shadowing
+
+refine, paths = shadowing.refine_shadow, []
+
+def keep(*args, **kwargs):
+    result = refine(*args, **kwargs)
+    paths.append([result.iterations, result.converged])
+    return result
+
+shadowing.refine_shadow = keep
+surveys = []
+for spec, seed in ((MapSpec(10.0, 2e-3, 1000), 0), (MapSpec(0.8, 5e-3, 1000), 3)):
+    paths.clear()
+    report = shadow_survey(spec, count=256, seed=seed, tol=1e-9)
+    surveys.append([list(paths), report["fraction_converged"]])
+print(json.dumps(surveys))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_survey_newton_path_does_not_depend_on_the_openblas_kernel(monkeypatch, coretype):
+    """Under another OpenBLAS kernel (`OPENBLAS_CORETYPE`, read as the library
+    loads), both benchmark surveys take the in-process run's Newton path: every
+    orbit's iteration count and converged flag, and each report's fraction
+    converged. The shadow bits may move with the kernel behind scipy's dpbsv;
+    the traced Newton counts of the benchmark rest on the path not moving."""
+    want = []
+    for spec, seed in ((CHAOTIC, 0), (MIXED, 3)):
+        report, _, _, results = _recorded_survey(monkeypatch, spec, count=256, seed=seed, tol=1e-9)
+        want.append([[[r.iterations, r.converged] for r in results], report["fraction_converged"]])
+    monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+    assert json.loads(run_fresh(_SURVEY_PATHS)) == want
 
 
 @pytest.mark.parametrize("spec,seed,steps", [(CHAOTIC, 0, 22), (MIXED, 3, 14), (CHAOTIC, 0, 1)])
